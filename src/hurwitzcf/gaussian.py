@@ -13,8 +13,8 @@ class GaussianInt:
     __slots__ = ("re", "im")
 
     def __init__(self, re: int = 0, im: int = 0) -> None:
-        if not isinstance(re, int) or not isinstance(im, int):
-            raise TypeError("GaussianInt components must be int")
+        if type(re) is not int or type(im) is not int:
+            _check_components(re, im)
         object.__setattr__(self, "re", re)
         object.__setattr__(self, "im", im)
 
@@ -138,6 +138,9 @@ class GaussianInt:
         return NotImplemented
 
     def __hash__(self) -> int:
+        # Real values equal ints, so they must hash like them.
+        if self.im == 0:
+            return hash(self.re)
         return hash((self.re, self.im))
 
     def __bool__(self) -> bool:
@@ -152,6 +155,13 @@ class GaussianInt:
     def key(self) -> tuple[int, int]:
         """A deterministic sort key (re, im)."""
         return (self.re, self.im)
+
+
+def _check_components(re: object, im: object) -> None:
+    """Slow path of the constructor: int subclasses pass, bool and the rest do not."""
+    for part in (re, im):
+        if not isinstance(part, int) or isinstance(part, bool):
+            raise TypeError(f"GaussianInt components must be int, not {type(part).__name__}")
 
 
 ZERO = GaussianInt(0, 0)
@@ -176,17 +186,68 @@ def exact_div(a: GaussianInt, b: GaussianInt) -> GaussianInt:
     return GaussianInt(t.re // n, t.im // n)
 
 
+def _gauss_map(
+    nre: int, nim: int, dre: int, dim: int
+) -> tuple[tuple[int, int], list[tuple[int, int]], tuple[int, int]]:
+    """Run the nearest-integer Gauss map on the unreduced fraction num/den.
+
+    Returns (head, digits, last) as int pairs: head = [num/den], digits the
+    canonical expansion of num/den - head, and last the last nonzero
+    remainder, which is gcd(num, den) up to a unit.  The value lies in
+    F = [-1/2, 1/2)^2 exactly when head is (0, 0).
+
+    Between steps x/y = num/den - head (x, y the current remainders) is
+    carried as P = x * conj(y), |x|^2 and |y|^2.  The digit d = [conj(P)/|x|^2]
+    and the next state follow from small-by-big products only:
+    P' = conj(P) - d |x|^2, |x'|^2 = |y|^2 - 2 Re(d P) + |d|^2 |x|^2, |y'|^2 = |x|^2.
+    So a step costs O(n) on n-bit operands, and every check below is exact.
+    """
+    ny = dre * dre + dim * dim
+    if not ny:
+        raise ZeroDivisionError("division by zero Gaussian integer")
+    pre = nre * dre + nim * dim
+    pim = nim * dre - nre * dim
+    hre = (2 * pre + ny) // (2 * ny)
+    him = (2 * pim + ny) // (2 * ny)
+    if hre or him:
+        nre, nim = nre - (hre * dre - him * dim), nim - (hre * dim + him * dre)
+        pre -= hre * ny
+        pim -= him * ny
+    nx = nre * nre + nim * nim
+    digits: list[tuple[int, int]] = []
+    guard = ny.bit_length() + 8
+    while nx:
+        tre, tim = 2 * pre, 2 * pim
+        if not (-ny <= tre < ny and -ny <= tim < ny):
+            raise AssertionError("intermediate orbit left the fundamental domain")
+        two_nx = 2 * nx
+        are = (tre + nx) // two_nx
+        aim = (nx - tim) // two_nx
+        dn = are * are + aim * aim
+        if dn < 2:
+            raise AssertionError("Gauss map produced a non-alphabet digit")
+        digits.append((are, aim))
+        nx, ny = ny - 2 * (are * pre - aim * pim) + dn * nx, nx
+        pre, pim = pre - are * ny, -pim - aim * ny
+        nre, nim, dre, dim = dre - (are * nre - aim * nim), dim - (are * nim + aim * nre), nre, nim
+        guard -= 1
+        if guard < 0:
+            raise AssertionError("expansion failed to terminate: denominator norms not shrinking")
+    if nre or nim or dre * dre + dim * dim != ny:
+        raise AssertionError("carried norms disagree with the remainders")
+    return (hre, him), digits, (dre, dim)
+
+
 def gauss_gcd(a: int | GaussianInt, b: int | GaussianInt) -> GaussianInt:
     """Greatest common divisor in Z[i], returned as the canonical associate."""
     a = GaussianInt.from_any(a)
     b = GaussianInt.from_any(b)
-    if a.is_zero() and b.is_zero():
-        raise ValueError("gcd(0, 0) is undefined")
-    while not b.is_zero():
-        r = a % b
-        assert r.norm * 2 <= b.norm, "nearest-integer remainder failed to shrink"
-        a, b = b, r
-    return a.canonical_associate()[0]
+    if b.is_zero():
+        if a.is_zero():
+            raise ValueError("gcd(0, 0) is undefined")
+        return a.canonical_associate()[0]
+    _, _, (gre, gim) = _gauss_map(a.re, a.im, b.re, b.im)
+    return GaussianInt(gre, gim).canonical_associate()[0]
 
 
 def nearest_gaussian(z: GaussianRational | GaussianInt | int) -> GaussianInt:
@@ -348,7 +409,11 @@ class GaussianRational:
         return self.num == w.num and self.den == w.den
 
     def __hash__(self) -> int:
-        return hash((self.num, self.den))
+        # Integral values equal their numerator, so they must hash like it.
+        den = self.den
+        if den.re == 1 and den.im == 0:
+            return hash(self.num)
+        return hash((self.num, den))
 
     def __repr__(self) -> str:
         return f"GaussianRational({self.num!r}, {self.den!r})"

@@ -7,13 +7,7 @@ from fractions import Fraction
 
 from .cf import CfSequence, convergents, evaluate
 from .exactreal import sqrt_brackets
-from .gaussian import (
-    ZERO,
-    GaussianInt,
-    GaussianRational,
-    _round_half_up,
-    nearest_gaussian,
-)
+from .gaussian import ZERO, GaussianInt, GaussianRational, _gauss_map
 
 
 @dataclass(frozen=True)
@@ -42,31 +36,9 @@ def hcf_expand(z: GaussianRational | GaussianInt | int) -> HcfExpansion:
     """Expand a Gaussian rational with the nearest-integer Gauss map (exact)."""
     if isinstance(z, (int, GaussianInt)):
         return HcfExpansion(GaussianInt.from_any(z), ())
-    a0 = nearest_gaussian(z)
-    w = z - a0
-    num, den = w.num, w.den
-    digits: list[GaussianInt] = []
-    guard = den.norm.bit_length() + 8
-    while not num.is_zero():
-        _assert_in_fundamental_domain(num, den)
-        n = num.norm
-        t = den * num.conj()
-        d = GaussianInt(_round_half_up(t.re, n), _round_half_up(t.im, n))
-        assert digit_in_alphabet(d), "Gauss map produced a non-alphabet digit"
-        digits.append(d)
-        num, den = den - d * num, num
-        guard -= 1
-        if guard < 0:
-            raise AssertionError("expansion failed to terminate: denominator norms not shrinking")
-    return HcfExpansion(a0, tuple(digits))
-
-
-def _assert_in_fundamental_domain(num: GaussianInt, den: GaussianInt) -> None:
-    """Exact check that num/den lies in F = [-1/2, 1/2)^2."""
-    t = num * den.conj()
-    n = den.norm
-    if not (-n <= 2 * t.re < n and -n <= 2 * t.im < n):
-        raise AssertionError("intermediate orbit left the fundamental domain")
+    num, den = z.num, z.den
+    (hre, him), digits, _ = _gauss_map(num.re, num.im, den.re, den.im)
+    return HcfExpansion(GaussianInt(hre, him), tuple(GaussianInt(re, im) for re, im in digits))
 
 
 @dataclass(frozen=True)

@@ -12,8 +12,9 @@ from .gaussian import (
     ZERO,
     GaussianInt,
     GaussianRational,
+    _gauss_map,
+    exact_div,
     format_gaussian_int,
-    gauss_gcd,
     parse_gaussian_int,
 )
 from .geometry import Validity, is_valid
@@ -155,21 +156,27 @@ def supported_bases() -> tuple[GaussianInt, ...]:
 
 
 def verify_certificate(cert: ZarembaCertificate) -> tuple[tuple[str, bool], ...]:
-    """Re-run every certificate invariant from scratch; failures are data, not exceptions."""
+    """Re-run every certificate invariant from scratch; failures are data, not exceptions.
+
+    One Gauss-map pass over the unreduced numerator / base**power yields the
+    canonical digits, the domain check and the gcd (its last remainder).
+    """
     den = cert.base ** cert.power
-    value = GaussianRational(cert.numerator, den)
+    num = cert.numerator
+    head, expansion, last = _gauss_map(num.re, num.im, den.re, den.im)
+    in_domain = head == (0, 0)
     digits_ok = bool(cert.digits) and all(digit_in_alphabet(d) for d in cert.digits)
     try:
-        evaluated = evaluate(CfSequence(ZERO, cert.digits)) == value
+        value = evaluate(CfSequence(ZERO, cert.digits))
+        evaluated = value.num * den == num * value.den
     except (ArithmeticError, ValueError):
         evaluated = False
-    expansion = hcf_expand(value)
-    canonical = expansion.integer_part == ZERO and expansion.digits == cert.digits
+    canonical = in_domain and expansion == [(d.re, d.im) for d in cert.digits]
     valid = digits_ok and is_valid(cert.digits) is not Validity.INVALID
     return (
         ("evaluation", evaluated),
-        ("coprime", gauss_gcd(cert.numerator, den) == ONE),
-        ("fundamental_domain", value.in_fundamental_domain()),
+        ("coprime", last[0] * last[0] + last[1] * last[1] == 1),
+        ("fundamental_domain", in_domain),
         ("digit_bound", digits_ok and cert.max_digit_norm() <= cert.eta_sq),
         ("canonical_expansion", canonical),
         ("validity", valid),
@@ -178,6 +185,8 @@ def verify_certificate(cert: ZarembaCertificate) -> tuple[tuple[str, bool], ...]
 
 def digit_window_ok(cert: ZarembaCertificate) -> bool:
     """Digit-window side conditions preserved by this base family's induction."""
+    if not cert.digits:
+        return False
     key = cert.base.key()
     norms = [d.norm for d in cert.digits]
     first, last = cert.digits[0], cert.digits[-1]
@@ -245,20 +254,19 @@ def _folded_step(base: GaussianInt, power: int) -> tuple[GaussianInt, tuple[Gaus
     # Prefer a folded word that is already its own canonical expansion; the
     # mirrored unit / mirrored-sign fold is an equally valid folding step, and
     # if neither word is canonical the folded fraction still is the target, so
-    # certify its canonical digits instead.
+    # certify its canonical digits instead.  A canonical word is stored as
+    # folded.tail itself, sharing digit objects with the child certificate.
+    den = base ** power
+    tried = []
     for folded in candidates:
         assert len(folded.tail) == expected
         value = evaluate(folded)
-        expansion = hcf_expand(value)
-        if expansion.integer_part == ZERO and expansion.digits == folded.tail:
-            digits = folded.tail
-            break
-    else:
-        value = evaluate(candidates[0])
-        digits = hcf_expand(value).digits
-    scaled = value * (base ** power)
-    assert scaled.is_gaussian_int()
-    return scaled.num, digits
+        head, expansion, _ = _gauss_map(value.num.re, value.num.im, value.den.re, value.den.im)
+        if head == (0, 0) and expansion == [(d.re, d.im) for d in folded.tail]:
+            return exact_div(value.num * den, value.den), folded.tail
+        tried.append((value, expansion))
+    value, expansion = tried[0]
+    return exact_div(value.num * den, value.den), tuple(GaussianInt(re, im) for re, im in expansion)
 
 
 def certify(base: GaussianInt | int, power: int) -> ZarembaCertificate:

@@ -155,3 +155,22 @@ def test_parse_rational_forms():
         parse_gaussian_rational("1/2/3")
     with pytest.raises(ZeroDivisionError):
         parse_gaussian_rational("1/0")
+
+
+def test_hash_agrees_with_equality_to_ints():
+    table = {3: "x", -7: "y"}
+    assert GaussianInt(3) == 3 and table.get(GaussianInt(3)) == "x"
+    assert table.get(GaussianRational(g(-14), g(2))) == "y"
+    assert hash(GaussianRational(g(3, 1))) == hash(g(3, 1))
+    assert {g(3), GaussianRational(g(6), g(2)), 3} == {3}
+    assert len({g(3, 1), g(1, 3), GaussianRational(g(3, 1), g(2))}) == 3
+
+
+def test_bool_components_are_rejected():
+    for re, im in ((True, False), (1, True), (False, 0)):
+        with pytest.raises(TypeError, match="bool"):
+            GaussianInt(re, im)
+    with pytest.raises(TypeError):
+        GaussianInt(1.0, 0)
+    with pytest.raises(TypeError):
+        GaussianInt.from_any(True)

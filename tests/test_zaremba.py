@@ -1,9 +1,11 @@
 """Bounded-digit certificates for power denominators and the brute-force optimum."""
 
 import dataclasses
+import sys
 
 import pytest
 
+from hurwitzcf import zaremba
 from hurwitzcf.gaussian import GaussianInt, GaussianRational
 from hurwitzcf.hcf import hcf_expand
 from hurwitzcf.zaremba import (
@@ -170,3 +172,58 @@ def test_brute_force_cap():
     with pytest.raises(ValueError, match="norm at least 2"):
         brute_force_min_K(g(1))
     assert (g(2) ** 12).norm <= DESK_NORM_CAP
+
+
+def test_tampered_certificates_yield_transcripts_not_exceptions():
+    cert = certify(g(-2, 1), 9)
+    den = cert.denominator()
+    cases = {
+        # value outside F: the numerator is shifted by a whole denominator
+        "outside": dataclasses.replace(cert, numerator=cert.numerator + den),
+        # numerator shares the base as a factor; the value stays in F
+        "shared": dataclasses.replace(cert, numerator=certify(g(-2, 1), 8).numerator * g(-2, 1)),
+        "empty": dataclasses.replace(cert, digits=()),
+    }
+    failed = {}
+    for name, bad in cases.items():
+        transcript = verify_certificate(bad)
+        assert [n for n, _ in transcript] == [n for n, _ in verify_certificate(cert)]
+        failed[name] = {n for n, ok in transcript if not ok}
+        assert certificate_transcript(bad)[:-1] == transcript
+    assert failed["outside"] == {"evaluation", "fundamental_domain", "canonical_expansion"}
+    assert failed["shared"] == {"evaluation", "coprime", "canonical_expansion"}
+    assert {"evaluation", "digit_bound", "canonical_expansion", "validity"} <= failed["empty"]
+    assert not digit_window_ok(cases["empty"])
+
+
+def test_folded_candidate_outside_the_domain_is_not_canonical(monkeypatch):
+    # A child word [0; 1] folds to [0; 1, 4, -1] = 3/4 and [0; 1, -4, -1] = 5/4,
+    # both outside F, so neither candidate may be stored as canonical.
+    child = ZarembaCertificate(g(2), 1, g(1), 64, (g(1),))
+    monkeypatch.setattr(zaremba, "certify", lambda base, power: child)
+    numerator, digits = zaremba._folded_step(g(2), 4)
+    assert numerator == g(12)
+    assert digits == hcf_expand(GaussianRational(g(3), g(4))).digits == (g(-4),)
+
+
+def test_certifying_a_fresh_power_runs_no_gcd_and_no_expansion(monkeypatch):
+    import hurwitzcf
+
+    calls = {"gauss_gcd": 0, "hcf_expand": 0}
+    modules = [m for n, m in sys.modules.items() if n.startswith("hurwitzcf") and m is not None]
+    for name, module in (("gauss_gcd", hurwitzcf.gaussian), ("hcf_expand", hurwitzcf.hcf)):
+        original = getattr(module, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        for mod in modules:
+            if getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, counted)
+    monkeypatch.setattr(zaremba, "_CACHE", {})
+    cert = certify(g(-2, 1), 40)
+    assert all(ok for _, ok in certificate_transcript(cert))
+    assert calls == {"gauss_gcd": 0, "hcf_expand": 0}
+    GaussianRational(g(4), g(6))
+    assert calls["gauss_gcd"] == 1
