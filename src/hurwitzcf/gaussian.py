@@ -75,13 +75,15 @@ class GaussianInt:
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("GaussianInt powers must have a nonnegative int exponent")
         result = GaussianInt(1, 0)
-        base = self
+        re, im = self.re, self.im
         n = exponent
         while n:
             if n & 1:
-                result = result * base
-            base = base * base
+                result = result * GaussianInt(re, im)
             n >>= 1
+            if n:
+                # (re + im i)^2 in two int products; the last bit needs no square.
+                re, im = (re + im) * (re - im), (re * im) << 1
         return result
 
     def conj(self) -> GaussianInt:

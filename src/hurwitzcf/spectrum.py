@@ -5,15 +5,58 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import isqrt
 
-from .cf import CfSequence, convergents, evaluate, fold, fold_unit, fold_unit_neg, mirror_negate
+from .cf import CfSequence, evaluate, fold, fold_unit, fold_unit_neg, mirror_negate
 from .exactreal import ln_brackets
-from .gaussian import ONE, ZERO, GaussianInt, GaussianRational, exact_div, gauss_gcd
+from .gaussian import ONE, UNITS, ZERO, GaussianInt, GaussianRational, exact_div, gauss_gcd
 from .geometry import is_full
 from .hcf import hcf_expand
 
 _MAX_BRACKET_BITS = 4096
+
+# Work budget: the largest component size, in bits, of a power base**v that
+# unit_seed or build_xi will compute.
+MAX_POWER_BITS = 1 << 23
+
+
+class BudgetError(ValueError):
+    """A request whose exact arithmetic would exceed the work budget."""
+
+
+def _power_bits(base: GaussianInt, v: int) -> int:
+    """Upper estimate of the component bit length of base**v, found without the power.
+
+    |base**v| = N**(v/2) and 16 log2(N) < (N**16).bit_length(), so the
+    estimate overshoots by less than v/32 + 1 bits.
+    """
+    return v * (base.norm ** 16).bit_length() // 32 + 1
+
+
+def _brief(n: int) -> str:
+    return str(n) if n < 10**12 else f"~2^{n.bit_length() - 1}"
+
+
+def _check_power_budget(base: GaussianInt, v: int) -> None:
+    """Raise BudgetError when base**v would exceed MAX_POWER_BITS."""
+    bits = _power_bits(base, v)
+    if bits > MAX_POWER_BITS:
+        raise BudgetError(
+            f"base**v for v = {_brief(v)} exceeds the work budget of {MAX_POWER_BITS} bits "
+            f"per component (estimated {_brief(bits)} bits)"
+        )
+
+
+def _check_stage_budget(stages: int) -> None:
+    # v_n >= 2**n and |base| >= sqrt(2) put base**v_n at 2**(n-1) bits or more,
+    # so no stage past MAX_POWER_BITS.bit_length() can be built; one more
+    # schedule stage is allowed for the exponent bracket of the last built one.
+    if stages > MAX_POWER_BITS.bit_length() + 1:
+        raise BudgetError(
+            f"{stages} stages: every stage past {MAX_POWER_BITS.bit_length()} exceeds the "
+            f"work budget of {MAX_POWER_BITS} bits per component"
+        )
 
 
 def _check_base(base: GaussianInt) -> int:
@@ -82,6 +125,7 @@ def schedule_from_tau(tau: Fraction, lam: Fraction, base: GaussianInt, stages: i
         raise ValueError("scale factor must be positive")
     if stages < 1:
         raise ValueError("need at least one stage")
+    _check_stage_budget(stages)
     norm = _check_base(base) ** 2 + 1
     m0 = 1 + max(0, _floor_log(3 / lam, tau), _ceil_log(9, norm))
     v = [int(lam * tau ** (n + 3 + m0)) for n in range(stages + 1)]
@@ -151,6 +195,7 @@ def schedule_from_psi(psi: PsiFunction, base: GaussianInt, v0: int, stages: int)
     """Schedule whose stages squeeze |b|**v_{n+1} * Psi(|b|**v_n) into (2, 2|b|]."""
     if stages < 1:
         raise ValueError("need at least one stage")
+    _check_stage_budget(stages)
     norm = _check_base(base) ** 2 + 1
     v, u = v0, []
     for n in range(1, stages + 1):
@@ -206,17 +251,22 @@ class XiNumber:
     def digits(self, m: int) -> tuple[GaussianInt, ...]:
         return self.stages[m].digits
 
+    @cached_property
+    def _sandwich_verdicts(self) -> tuple[bool, ...]:
+        return _tail_sandwiches(self)
+
 
 def unit_seed(base: GaussianInt, v0: int) -> tuple[GaussianInt, ...]:
     """Digits of 1/base**v0, the simplest full seed."""
     base = GaussianInt.from_any(base)
+    _check_power_budget(base, v0)
     expansion = hcf_expand(GaussianRational(ONE, base**v0))
     if expansion.integer_part != ZERO:
         raise AssertionError("seed fraction should lie in the fundamental domain")
     return expansion.digits
 
 
-def _seed_checks(seed: tuple[GaussianInt, ...], base: GaussianInt, v0: int) -> GaussianRational:
+def _seed_checks(seed: tuple[GaussianInt, ...], base_power: GaussianInt) -> GaussianRational:
     try:
         seed_full = is_full(seed) and is_full(mirror_negate(seed))
     except ValueError as exc:
@@ -224,8 +274,7 @@ def _seed_checks(seed: tuple[GaussianInt, ...], base: GaussianInt, v0: int) -> G
     if not seed_full:
         raise ValueError("seed word must drive the full state back to itself, forwards and mirrored")
     value = evaluate(CfSequence(ZERO, seed))
-    scaled = value * base**v0
-    if not scaled.is_gaussian_int():
+    if not (value * base_power).is_gaussian_int():
         raise ValueError("seed value must have denominator base**v0")
     return value
 
@@ -238,9 +287,67 @@ def _canonical_stage(digits: tuple[GaussianInt, ...], value: GaussianRational, n
         raise AssertionError(f"stage {n}: stream is not the canonical expansion")
 
 
+# A stage's convergent matrix T = A(a_1)...A(a_n) = [[q_n, q_(n-1)], [p_n, p_(n-1)]]
+# of [0; a_1, ..., a_n], with A(a) = [[a, 1], [1, 0]], is carried as the
+# tuple (q_n, q_(n-1), p_n, p_(n-1)).
+
+def _tail_matrix(digits: tuple[GaussianInt, ...]) -> tuple[GaussianInt, ...]:
+    """T of [0; digits] by the convergent recurrence; used on the seed only."""
+    q, q_prev, p, p_prev = ONE, ZERO, ZERO, ONE
+    for a in digits:
+        q, q_prev = a * q + q_prev, q
+        p, p_prev = a * p + p_prev, p
+    return q, q_prev, p, p_prev
+
+
+def _fold_matrix(t: tuple[GaussianInt, ...], length: int, x: GaussianInt) -> tuple[GaussianInt, ...]:
+    """T of fold(word, x) from the word's T, in five big products.
+
+    A(-a) = -D A(a) D with D = diag(1, -1) turns the mirrored half into
+    (-1)^n D T^t D, so T' = T A(x) (-1)^n D T^t D; with det T = (-1)^n and
+    y = (-1)^n x this is [[y q^2, 1 - y q p], [1 + y q p, -y p^2]].
+    """
+    q, _, p, _ = t
+    y = -x if length & 1 else x
+    yq, yp = y * q, y * p
+    yqp = yq * p
+    return yq * q, ONE - yqp, ONE + yqp, -(yp * p)
+
+
+def _unit_fold_matrix(t: tuple[GaussianInt, ...], length: int, sign: int) -> tuple[GaussianInt, ...]:
+    """T of fold_unit (sign 1) or fold_unit_neg (sign -1) from the word's T, in three big products.
+
+    The folded word is body, a_n + sign, a_n - sign, mirror(body), so
+    T' = T_body A(a_n + sign) A(a_n - sign) T_body^t with T_body = T A(a_n)^-1.
+    The middle factor is w w^t + sign W with w = (a_n, 1) and W = [[0, 1], [-1, 0]];
+    T_body w = (q_n, p_n) and T_body W T_body^t = det(T_body) W = (-1)^(n-1) W,
+    so T' = [[q^2, q p + s], [q p - s, p^2]] with s = sign (-1)^(n-1).
+    """
+    q, _, p, _ = t
+    s = sign if length & 1 else -sign
+    qp = q * p
+    return q**2, qp + s, qp - s, p**2
+
+
+def _associate_unit(z: GaussianInt, w: GaussianInt) -> GaussianInt | None:
+    """The unit u with z == u * w, or None: O(n) work, no division."""
+    for u in UNITS:
+        if z == u * w:
+            return u
+    return None
+
+
 def build_xi(seed: tuple[GaussianInt, ...], schedule: FoldingSchedule, base: GaussianInt,
              stages: int | None = None) -> XiNumber:
-    """Fold the seed along the schedule, pinning stage m to denominator base**v_m."""
+    """Fold the seed along the schedule, pinning stage m to denominator base**v_m.
+
+    Each stage costs a constant number of big products: the folded word's
+    convergent matrix comes in closed form from the last one's q_n and p_n
+    (only the seed runs the recurrence), and base**v_n =
+    (base**v_(n-1))**2 * base**u_n is computed once and shared by the
+    numerator, the partial and the check that the stream's last convergent
+    is unit * numerator / base**v_n.
+    """
     base = GaussianInt.from_any(base)
     _check_base(base)
     seed = tuple(GaussianInt.from_any(d) for d in seed)
@@ -249,58 +356,108 @@ def build_xi(seed: tuple[GaussianInt, ...], schedule: FoldingSchedule, base: Gau
     if stages > schedule.stage_count:
         raise ValueError("schedule is shorter than the requested stage count")
     v = schedule.v()
-    value = _seed_checks(seed, base, v[0])
-    numerator = (value * base ** v[0]).num
+    _check_power_budget(base, v[stages])
+    power = base ** v[0]
+    value = _seed_checks(seed, power)
+    numerator = (value * power).num
     if gauss_gcd(numerator, base).norm != 1:
         raise ValueError("seed numerator must be coprime to the base")
     _canonical_stage(seed, value, 0)
     stage_list = [XiStage(0, value, numerator, seed)]
     digits = seed
     base_norm = base.norm
-    table = convergents(CfSequence(ZERO, digits))
+    matrix = _tail_matrix(seed)
+    unit = _associate_unit(matrix[0], power)
     for n in range(1, stages + 1):
-        length = table.last_index
-        unit = exact_div(table.q(length), base ** v[n - 1])
-        if unit.norm != 1:
+        if unit is None:
             raise AssertionError(f"stage {n}: denominator is not an associate of base**v")
+        length = len(digits)
         series_sign = -1 if n > 1 or len(seed) % 2 == 1 else 1
         coefficient = GaussianInt(series_sign * (-1) ** length, 0) * unit * unit
         step = schedule.u[n - 1]
         word = CfSequence(ZERO, digits)
         if step == 0:
-            folded = fold_unit(word) if coefficient == ONE else fold_unit_neg(word)
+            lift = power
+            if coefficient == ONE:
+                folded, matrix = fold_unit(word), _unit_fold_matrix(matrix, length, 1)
+            else:
+                folded, matrix = fold_unit_neg(word), _unit_fold_matrix(matrix, length, -1)
         else:
-            if base_norm**step < 8:
+            # base_norm >= 2, so base_norm**step < 8 only for step <= 2.
+            if base_norm ** min(step, 3) < 8:
                 raise ValueError(f"stage {n}: middle digit norm {base_norm ** step} is below 8")
-            folded = fold(word, coefficient * base**step)
+            middle = base**step
+            lift = middle * power
+            x = coefficient * middle
+            folded, matrix = fold(word, x), _fold_matrix(matrix, length, x)
         digits = folded.tail
         if len(digits) != 2 * length + (0 if step == 0 else 1):
             raise AssertionError(f"stage {n}: unexpected stream length")
-        numerator = numerator * base ** (v[n] - v[n - 1]) + GaussianInt(series_sign, 0)
-        table = convergents(folded)
-        # Cross-multiplied stream/series agreement; reducing fractions with
-        # denominators this large would swamp the build in gcd time.
-        end = table.last_index
-        if table.p(end) * base ** v[n] != numerator * table.q(end):
-            raise AssertionError(f"stage {n}: folded stream disagrees with the series")
+        # lift = base**(v_n - v_(n-1)), so power becomes base**v_n.
+        numerator = numerator * lift + GaussianInt(series_sign, 0)
+        power = power * lift
         if divmod(numerator, base)[1] == ZERO:
             raise AssertionError(f"stage {n}: numerator shares a factor with the base")
-        partial = GaussianRational._raw(numerator, base ** v[n])
+        # The last convergent p/q is reduced and so is numerator / base**v_n,
+        # so they are equal exactly when q = u base**v_n and p = u numerator.
+        unit = _associate_unit(matrix[0], power)
+        if unit is None or matrix[2] != unit * numerator:
+            raise AssertionError(f"stage {n}: folded stream disagrees with the series")
+        partial = GaussianRational._raw(numerator, power)
         _canonical_stage(digits, partial, n)
         stage_list.append(XiStage(n, partial, numerator, digits))
     variant = "unit" if all(x == 0 for x in schedule.u[:stages]) else "general"
     return XiNumber(base, schedule, variant, tuple(stage_list))
 
 
+def _tail_sandwiches(xi: XiNumber) -> tuple[bool, ...]:
+    """check_tail_sandwich's verdicts for m = 0, ..., top - 3, in one downward pass.
+
+    The gap g_m = d_top - d_m b**(v_top - v_m) telescopes as
+    g_(k-1) = g_k + (d_k - d_(k-1) b**(v_k - v_(k-1))) b**(v_top - v_k),
+    and the scale N**(v_top - v_(m+1)) is |b**(v_top - v_(m+1))|**2, so one
+    power per stage serves both.  Nothing here trusts the stages' own
+    partials: a tampered number gets the verdicts of the plain formula.
+    """
+    top = xi.stage_count
+    v = xi.schedule.v()
+    numerators = [stage.numerator for stage in xi.stages]
+    verdicts = [False] * (top - 2)
+    gap, lift = ZERO, ONE
+    for k in range(top, 0, -1):
+        step = xi.base ** (v[k] - v[k - 1])
+        gap = gap + (numerators[k] - numerators[k - 1] * step) * lift
+        if k <= top - 2:
+            verdicts[k - 1] = _sandwich_holds(gap, lift)
+        if k > 1:
+            lift = lift * step
+    return tuple(verdicts)
+
+
+def _sandwich_holds(gap: GaussianInt, lift: GaussianInt) -> bool:
+    """Exactly |lift|^2 <= 4 |gap|^2 <= 9 |lift|^2, settled on leading bits when they suffice.
+
+    Each component c is cut to a = |c| >> shift, so a 2^shift <= |c| < (a + 1) 2^shift
+    brackets both norms; only a bracket that straddles a bound pays for the full norms.
+    """
+    parts = (gap.re, gap.im, lift.re, lift.im)
+    shift = max(0, max(c.bit_length() for c in parts) - 64)
+    gr, gi, lr, li = (abs(c) >> shift for c in parts)
+    g_lo, g_hi = gr * gr + gi * gi, (gr + 1) ** 2 + (gi + 1) ** 2
+    s_lo, s_hi = lr * lr + li * li, (lr + 1) ** 2 + (li + 1) ** 2
+    if s_hi <= 4 * g_lo and 4 * g_hi <= 9 * s_lo:
+        return True
+    if 4 * g_hi < s_lo or 9 * s_hi < 4 * g_lo:
+        return False
+    scale = lift.norm
+    return scale <= 4 * gap.norm <= 9 * scale
+
+
 def check_tail_sandwich(xi: XiNumber, m: int) -> bool:
     """Exact check (1/4) N**-v_{m+1} <= |xi_M - xi_m|**2 <= (9/4) N**-v_{m+1}."""
-    top = xi.stage_count
-    if not 0 <= m <= top - 3:
+    if not 0 <= m <= xi.stage_count - 3:
         raise ValueError("sandwich needs at least three stages beyond m")
-    v = xi.schedule.v()
-    gap = xi.stages[top].numerator - xi.stages[m].numerator * xi.base ** (v[top] - v[m])
-    scale = xi.base.norm ** (v[top] - v[m + 1])
-    return scale <= 4 * gap.norm <= 9 * scale
+    return xi._sandwich_verdicts[m]
 
 
 def estimate_exponent(xi: XiNumber, depth: int | None = None) -> tuple[tuple[Fraction, Fraction], ...]:

@@ -219,7 +219,8 @@ def certificate_transcript(cert: ZarembaCertificate) -> tuple[tuple[str, bool], 
     return verify_certificate(cert) + (("digit_window", digit_window_ok(cert)),)
 
 
-_CACHE: dict[tuple[tuple[int, int], int], ZarembaCertificate] = {}
+# Certificates that certify built and verified, each with its transcript.
+_CACHE: dict[tuple[tuple[int, int], int], tuple[ZarembaCertificate, tuple[tuple[str, bool], ...]]] = {}
 
 
 def _folded_step(base: GaussianInt, power: int) -> tuple[GaussianInt, tuple[GaussianInt, ...]]:
@@ -279,7 +280,7 @@ def certify(base: GaussianInt | int, power: int) -> ZarembaCertificate:
         raise ValueError("power must be a positive integer")
     cached = _CACHE.get((key, power))
     if cached is not None:
-        return cached
+        return cached[0]
     seed = _SEEDS[key].get(power)
     if seed is not None:
         numerator, digits = seed
@@ -294,8 +295,16 @@ def certify(base: GaussianInt | int, power: int) -> ZarembaCertificate:
             f" power {power}: {failing}",
             transcript,
         )
-    _CACHE[(key, power)] = cert
+    _CACHE[(key, power)] = (cert, transcript)
     return cert
+
+
+def _emitted_transcript(cert: ZarembaCertificate) -> tuple[tuple[str, bool], ...]:
+    """The transcript certify kept for this very certificate, else a fresh one."""
+    cached = _CACHE.get((cert.base.key(), cert.power))
+    if cached is not None and cached[0] is cert:
+        return cached[1]
+    return certificate_transcript(cert)
 
 
 def emit_certificates(certs: Iterable[ZarembaCertificate]) -> str:
@@ -312,7 +321,7 @@ def emit_certificates(certs: Iterable[ZarembaCertificate]) -> str:
         ]
         lines.extend(
             f"check.{name} = {'pass' if ok else 'FAIL'}"
-            for name, ok in certificate_transcript(cert)
+            for name, ok in _emitted_transcript(cert)
         )
         blocks.append("\n".join(lines))
     return "\n\n".join(blocks) + "\n"

@@ -1,9 +1,12 @@
 """End-to-end checks of the command-line interface, run in process."""
 
+import time
+
 import pytest
 
+from hurwitzcf import zaremba
 from hurwitzcf.cli import main
-from hurwitzcf.zaremba import parse_certificates
+from hurwitzcf.zaremba import emit_certificates, parse_certificates
 
 
 def run(capsys, *argv):
@@ -105,6 +108,20 @@ def test_zaremba_certify(capsys, tmp_path):
     assert len(parsed) == 1 and parsed[0].power == 9
 
 
+def test_zaremba_certify_verifies_each_certificate_once(capsys, monkeypatch):
+    calls = []
+    original = zaremba.verify_certificate
+    monkeypatch.setattr(zaremba, "verify_certificate", lambda cert: calls.append(cert) or original(cert))
+    monkeypatch.setattr(zaremba, "_CACHE", {})
+    code, out, err = run(capsys, "zaremba", "certify", "--base", "-2+i", "--power", "2048")
+    assert code == 0 and err == ""
+    # powers 2048, 1024, ..., 4: ten certificates, each verified when certify built it
+    assert len(calls) == len(zaremba._CACHE) == 10
+    # parsed certificates are re-verified, and their records read the same
+    assert emit_certificates(parse_certificates(out)) == out
+    assert len(calls) == 11
+
+
 def test_zaremba_certify_bad_requests(capsys):
     code, _, err = run(capsys, "zaremba", "certify", "--base", "1+i", "--power", "3")
     assert code == 2 and "unsupported base" in err
@@ -176,6 +193,20 @@ def test_xi_variant(capsys):
         "--stages", "2", "--variant", "w:01",
     )
     assert code == 2 and "below 8" in err
+
+
+def test_xi_over_the_work_budget_exits_at_once(capsys):
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys, "xi", "--base", "-2+i", "--tau", "1e3", "--lambda", "1", "--stages", "1",
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert "work budget" in err
+    code, _, err = run(
+        capsys, "xi", "--base", "-2+i", "--tau", "5/2", "--lambda", "1", "--stages", "100000",
+    )
+    assert code == 2 and "work budget" in err
 
 
 def test_xi_rejects_shallow_growth(capsys):

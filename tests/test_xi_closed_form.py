@@ -1,0 +1,280 @@
+"""The xi builder's fast paths against slow oracles: closed-form fold matrices
+against the convergent recurrence, the one-pass tail sandwich against the
+per-m formula, and the up-front work budget."""
+
+import dataclasses
+import random
+from fractions import Fraction
+
+import pytest
+
+from hurwitzcf import spectrum
+from hurwitzcf.cf import CfSequence, convergents, fold, fold_unit, fold_unit_neg
+from hurwitzcf.gaussian import UNITS, ZERO, GaussianInt
+from hurwitzcf.spectrum import (
+    MAX_POWER_BITS,
+    BudgetError,
+    FoldingSchedule,
+    PsiFunction,
+    build_xi,
+    check_tail_sandwich,
+    schedule_from_psi,
+    schedule_from_tau,
+    unit_seed,
+    w_variant_schedules,
+)
+from hurwitzcf.zaremba import certify
+
+B = GaussianInt(-2, 1)
+
+
+def g(re, im=0):
+    return GaussianInt(re, im)
+
+
+def oracle_matrix(digits):
+    """(q_n, q_(n-1), p_n, p_(n-1)) of [0; digits] from cf.convergents."""
+    table = convergents(CfSequence(ZERO, digits))
+    n = table.last_index
+    return table.q(n), table.q(n - 1), table.p(n), table.p(n - 1)
+
+
+def old_sandwich(xi, m):
+    """check_tail_sandwich as it was: one top-size power, product and norm per m."""
+    top = xi.stage_count
+    v = xi.schedule.v()
+    gap = xi.stages[top].numerator - xi.stages[m].numerator * xi.base ** (v[top] - v[m])
+    scale = xi.base.norm ** (v[top] - v[m + 1])
+    return scale <= 4 * gap.norm <= 9 * scale
+
+
+def random_word(rng, length):
+    out = []
+    while len(out) < length:
+        d = g(rng.randint(-6, 6), rng.randint(-6, 6))
+        if d.norm >= 2:
+            out.append(d)
+    return tuple(out)
+
+
+def test_matrix_helpers_match_the_recurrence():
+    rng = random.Random(41)
+    middles = list(UNITS) + [g(3), g(-3), g(2, -5), g(-4, 1), B**7, -(B**6)]
+    seen = set()
+    for length in range(1, 10):
+        for _ in range(12):
+            word = random_word(rng, length)
+            t = spectrum._tail_matrix(word)
+            assert t == oracle_matrix(word)
+            cf = CfSequence(ZERO, word)
+            x = rng.choice(middles)
+            assert spectrum._fold_matrix(t, length, x) == oracle_matrix(fold(cf, x).tail)
+            assert spectrum._unit_fold_matrix(t, length, 1) == oracle_matrix(fold_unit(cf).tail)
+            assert spectrum._unit_fold_matrix(t, length, -1) == oracle_matrix(fold_unit_neg(cf).tail)
+            seen.add((length % 2, x.re < 0 or (x.re == 0 and x.im < 0)))
+    assert len(seen) == 4  # both parities with both signs of the middle digit
+
+
+def _seeds():
+    out = []
+    for base in (g(-2, 1), g(-2, -1), g(-3, 1), g(-3, -1), g(-4, 1)):
+        for v0 in (3, 4, 5, 7):
+            out.append((base, v0, unit_seed(base, v0)))
+    for k in (4, 6, 8, 9):  # full seed words of lengths 3, 5, 6 and 7
+        out.append((B, k, certify(B, k).digits))
+    return out
+
+
+def _schedules(rng, base, v0):
+    norm = base.norm
+    steps = [0, 0] + [s for s in (1, 2, 3, 5) if norm**s >= 8]
+    for _ in range(3):
+        yield FoldingSchedule(v0, tuple(rng.choice(steps) for _ in range(rng.randint(1, 5))))
+    yield FoldingSchedule(v0, (0,) * 5)
+    if base.re <= -2:
+        for schedule in w_variant_schedules(FoldingSchedule(v0, (steps[-1],) * 2), base, 4):
+            yield schedule
+
+
+def _record_matrices(monkeypatch):
+    """Patch the closed-form helpers so each matrix build_xi computes is kept, in order."""
+    recorded = []
+    for name in ("_fold_matrix", "_unit_fold_matrix"):
+        def wrapped(*args, _helper=getattr(spectrum, name)):
+            recorded.append(_helper(*args))
+            return recorded[-1]
+        monkeypatch.setattr(spectrum, name, wrapped)
+    return recorded
+
+
+def test_build_xi_matrices_equal_the_full_stream_convergents(monkeypatch):
+    recorded = _record_matrices(monkeypatch)
+    rng = random.Random(7)
+    kinds = set()
+    built = 0
+    for base, v0, seed in _seeds():
+        for schedule in _schedules(rng, base, v0):
+            recorded.clear()
+            try:
+                xi = build_xi(seed, schedule, base)
+            except (ValueError, AssertionError) as exc:
+                # The old builder refused these too: a seed that is not
+                # canonical after a unit fold, or a digit-norm-5 middle.
+                assert "canonical" in str(exc) or "below 8" in str(exc)
+                continue
+            built += 1
+            assert len(recorded) == xi.stage_count
+            for n in range(1, xi.stage_count + 1):
+                digits, previous = xi.digits(n), xi.digits(n - 1)
+                assert recorded[n - 1] == oracle_matrix(digits)
+                if len(digits) == 2 * len(previous):
+                    kinds.add(("unit", digits[len(previous) - 1] == previous[-1] + 1))
+                else:
+                    power = base ** schedule.u[n - 1]
+                    coefficient = next(u for u in UNITS if u * power == digits[len(previous)])
+                    kinds.add(("general", len(previous) % 2, coefficient))
+    assert built >= 60
+    # unit folds both ways; general folds on odd and even words with both coefficient signs
+    assert {("unit", True), ("unit", False)} <= kinds
+    assert {("general", p, c) for p in (0, 1) for c in (g(1), g(-1))} <= kinds
+
+
+@pytest.mark.parametrize("base, tau, stages, pattern", [
+    (g(-3, 1), "5/2", 2, (1, 2)),
+    (g(-3, -1), "5/2", 3, (2, 1, 2)),
+    (g(-2, 1), "2", 4, None),
+    (g(-3, -1), "5/2", 4, None),
+])
+def test_cli_schedules_match_the_full_stream_convergents(monkeypatch, base, tau, stages, pattern):
+    schedule = schedule_from_tau(Fraction(tau), Fraction(1), base, stages + 1)
+    if pattern is not None:  # the interleaving of `hurwitzcf xi --variant`
+        w = [1]
+        for extra, x in zip(pattern, schedule.u):
+            w.extend((extra, x))
+        schedule = FoldingSchedule(schedule.v0, tuple(w))
+        stages = len(schedule.u)
+    recorded = _record_matrices(monkeypatch)
+    xi = build_xi(unit_seed(base, schedule.v0), schedule, base, stages=stages)
+    assert recorded == [oracle_matrix(xi.digits(n)) for n in range(1, stages + 1)]
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda t: (t[0] + 1,) + t[1:],         # q is no associate of base**v_n
+    lambda t: t[:2] + (-t[2],) + t[3:],    # p is not the matching unit times the numerator
+])
+def test_stage_check_rejects_a_wrong_matrix(monkeypatch, corrupt):
+    # The unit fold of unit_seed(B, 4) has unit 1, the general fold of the
+    # certificate seed does not; each case needs its own half of the check.
+    cases = (("_fold_matrix", certify(B, 4).digits, (3,)), ("_unit_fold_matrix", unit_seed(B, 4), (0,)))
+    for helper, seed, u in cases:
+        original = getattr(spectrum, helper)
+        monkeypatch.setattr(spectrum, helper, lambda *args, _f=original: corrupt(_f(*args)))
+        with pytest.raises(AssertionError, match="stage 1: folded stream disagrees with the series"):
+            build_xi(seed, FoldingSchedule(4, u), B)
+
+
+def _built(base, tau, stages):
+    schedule = schedule_from_tau(Fraction(tau), Fraction(1), base, stages)
+    return build_xi(unit_seed(base, schedule.v0), schedule, base)
+
+
+def test_one_pass_sandwich_matches_the_per_m_formula():
+    seed = certify(B, 4).digits
+    cases = [
+        build_xi(seed, FoldingSchedule(4, (3, 3, 3, 3, 3)), B),
+        build_xi(seed, FoldingSchedule(4, (0, 0, 0, 0, 0, 0)), B),
+        _built(g(-3, -1), "5/2", 6),
+        _built(B, "2", 7),
+    ]
+    for xi in cases:
+        verdicts = [check_tail_sandwich(xi, m) for m in range(xi.stage_count - 2)]
+        assert verdicts == [old_sandwich(xi, m) for m in range(xi.stage_count - 2)]
+        assert all(verdicts)
+
+
+def _tampered(xi, m, delta):
+    stages = list(xi.stages)
+    stages[m] = dataclasses.replace(stages[m], numerator=stages[m].numerator + delta)
+    return dataclasses.replace(xi, stages=tuple(stages))
+
+
+def test_perturbed_top_numerator_fails_every_sandwich():
+    xi = _built(B, "5/2", 6)
+    top = xi.stage_count
+    v = xi.schedule.v()
+    assert all(check_tail_sandwich(xi, m) for m in range(top - 2))
+    bad = _tampered(xi, top, 3 * B ** (v[top] - v[1]))
+    for m in range(top - 2):
+        assert check_tail_sandwich(bad, m) is False
+        assert old_sandwich(bad, m) is False
+    # the verdicts were cached on the untampered number, not shared with the copy
+    assert all(check_tail_sandwich(xi, m) for m in range(top - 2))
+
+
+def test_tampered_numbers_get_the_per_m_verdicts():
+    rng = random.Random(3)
+    xi = _built(g(-3, 1), "5/2", 6)
+    top = xi.stage_count
+    v = xi.schedule.v()
+    for _ in range(30):
+        m = rng.randint(0, top)
+        size = rng.choice((0, v[1], v[top] - v[2], v[top] - v[3], v[top]))
+        delta = GaussianInt(rng.randint(-3, 3), rng.randint(-3, 3)) * xi.base ** rng.randint(0, size)
+        bad = _tampered(xi, m, delta)
+        got = [check_tail_sandwich(bad, k) for k in range(top - 2)]
+        assert got == [old_sandwich(bad, k) for k in range(top - 2)]
+
+
+def test_sandwich_bracket_ties_fall_back_to_exact_norms():
+    rng = random.Random(9)
+    for bits in (8, 70, 300, 5000):
+        for _ in range(20):
+            w = g(rng.getrandbits(bits) - rng.getrandbits(bits), rng.getrandbits(bits))
+            if w == ZERO:
+                continue
+            # 4|gap|^2 = |lift|^2 and 4|gap|^2 = 9|lift|^2 exactly, then one unit off
+            for gap, lift in ((w, 2 * w), (3 * w, 2 * w)):
+                for nudge in (ZERO, g(1), g(-1), g(0, 1)):
+                    got = spectrum._sandwich_holds(gap + nudge, lift)
+                    scale = lift.norm
+                    assert got == (scale <= 4 * (gap + nudge).norm <= 9 * scale)
+
+
+def test_sandwich_verdicts_come_from_one_pass(monkeypatch):
+    calls = []
+    original = spectrum._tail_sandwiches
+    monkeypatch.setattr(spectrum, "_tail_sandwiches", lambda xi: calls.append(1) or original(xi))
+    xi = _built(B, "2", 8)
+    assert [check_tail_sandwich(xi, m) for m in range(6)] == [True] * 6
+    assert [check_tail_sandwich(xi, m) for m in range(6)] == [True] * 6
+    assert len(calls) == 1
+    with pytest.raises(ValueError, match="three stages beyond"):
+        check_tail_sandwich(xi, 6)
+
+
+def test_power_bits_bounds_the_power():
+    for base in (g(-1, 1), B, g(-3, -1), g(-7, 1)):
+        for v in (1, 2, 5, 64, 97, 1000, 4097):
+            power = base**v
+            actual = max(abs(power.re).bit_length(), abs(power.im).bit_length())
+            assert actual <= spectrum._power_bits(base, v) <= actual + v // 32 + 3
+
+
+def test_budget_admits_the_largest_sweep_and_refuses_before_any_power(monkeypatch):
+    # tau = 5/2 to stage 8 on -2+i is the largest build the tests and benchmark run
+    schedule = schedule_from_tau(Fraction(5, 2), Fraction(1), B, 9)
+    assert spectrum._power_bits(B, schedule.v()[8]) <= MAX_POWER_BITS
+
+    def no_power(self, exponent):
+        raise AssertionError("a power was computed")
+
+    monkeypatch.setattr(GaussianInt, "__pow__", no_power)
+    with pytest.raises(BudgetError, match="work budget"):
+        unit_seed(B, 10**18)
+    with pytest.raises(BudgetError, match="work budget"):
+        build_xi((g(3),), FoldingSchedule(1, (10**9,)), B)
+    with pytest.raises(BudgetError, match="work budget"):
+        schedule_from_tau(Fraction(5, 2), Fraction(1), B, 10**6)
+    with pytest.raises(BudgetError, match="work budget"):
+        schedule_from_psi(PsiFunction(Fraction(2), Fraction(0)), B, 4, 10**6)
+    assert issubclass(BudgetError, ValueError)
