@@ -18,7 +18,7 @@ from .gaussian import (
 from .geometry import Validity, export_state_table, get_automaton, is_valid
 from .hcf import hcf_expand
 from .spectrum import (
-    FoldingSchedule,
+    _interleave_schedule,
     build_xi,
     check_tail_sandwich,
     encode_base_b,
@@ -132,10 +132,7 @@ def _cmd_xi(args: argparse.Namespace) -> int:
         pattern = _parse_variant(args.variant)
         if len(pattern) != args.stages:
             raise ValueError("variant bit count must equal the stage count")
-        w = [1]
-        for extra, x in zip(pattern, schedule.u):
-            w.extend((extra, x))
-        schedule = FoldingSchedule(schedule.v0, tuple(w))
+        schedule = _interleave_schedule(schedule, pattern)
         built = len(schedule.u)
     xi = build_xi(unit_seed(base, schedule.v0), schedule, base, stages=built)
     brackets = estimate_exponent(xi, built + 1)

@@ -172,6 +172,33 @@ I = GaussianInt(0, 1)
 UNITS = (GaussianInt(1, 0), GaussianInt(0, 1), GaussianInt(-1, 0), GaussianInt(0, -1))
 
 
+class BudgetError(ValueError):
+    """A request whose exact arithmetic would exceed the work budget."""
+
+
+def _power_bits(base: GaussianInt, v: int) -> int:
+    """Upper estimate of the component bit length of base**v, found without the power.
+
+    |base**v| = N**(v/2) and 16 log2(N) < (N**16).bit_length(), so the
+    estimate overshoots by less than v/32 + 1 bits.
+    """
+    return v * (base.norm ** 16).bit_length() // 32 + 1
+
+
+def _brief(n: int) -> str:
+    return str(n) if n < 10**12 else f"~2^{n.bit_length() - 1}"
+
+
+def _check_power_budget(base: GaussianInt, v: int, limit: int, name: str = "v") -> None:
+    """Raise BudgetError when the components of base**v would pass limit bits."""
+    bits = _power_bits(base, v)
+    if bits > limit:
+        raise BudgetError(
+            f"base**{name} for {name} = {_brief(v)} exceeds the work budget of {limit} bits "
+            f"per component (estimated {_brief(bits)} bits)"
+        )
+
+
 def _round_half_up(numerator: int, denominator: int) -> int:
     """Nearest integer to numerator/denominator (denominator > 0), ties toward +inf."""
     return (2 * numerator + denominator) // (2 * denominator)

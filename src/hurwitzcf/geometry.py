@@ -550,9 +550,6 @@ def canonicalize(region: Region) -> Region:
     return Region(tuple(kept))
 
 
-_EQ_MEMO: dict[tuple, bool] = {}
-
-
 def region_subset(r1: Region, r2: Region) -> bool:
     """Exact containment r1 subset-of r2."""
     return all(
@@ -564,17 +561,9 @@ def region_equal(r1: Region, r2: Region) -> bool:
     """Exact set equality, with fingerprint fast paths."""
     if r1.constraints == r2.constraints:
         return True
-    key = (r1.key(), r2.key())
-    cached = _EQ_MEMO.get(key)
-    if cached is not None:
-        return cached
     if fingerprint(r1) != fingerprint(r2):
-        result = False
-    else:
-        result = region_subset(r1, r2) and region_subset(r2, r1)
-    _EQ_MEMO[key] = result
-    _EQ_MEMO[(key[1], key[0])] = result
-    return result
+        return False
+    return region_subset(r1, r2) and region_subset(r2, r1)
 
 
 # ------------------------------------------------------------- the automaton

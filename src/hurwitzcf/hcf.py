@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cf import CfSequence, convergents, evaluate
+from .cf import CfSequence, ConvergentTable, convergents, evaluate
 from .exactreal import sqrt_brackets
 from .gaussian import ZERO, GaussianInt, GaussianRational, _gauss_map
 
@@ -163,8 +163,9 @@ class SandwichBound:
         raise ArithmeticError("sandwich bound comparison failed to converge")
 
 
-def error_sandwich(z: GaussianRational, n: int) -> tuple[SandwichBound, SandwichBound]:
-    """Exact lower/upper bounds for |z - p_n/q_n| in terms of |q_n| and digit a_(n+1)."""
+def _sandwich_and_table(
+    z: GaussianRational, n: int
+) -> tuple[tuple[SandwichBound, SandwichBound], ConvergentTable]:
     exp = hcf_expand(z)
     if n < 0 or n + 1 > len(exp.digits):
         raise ValueError(f"no digit a_{n + 1}: expansion has {len(exp.digits)} digits")
@@ -173,19 +174,22 @@ def error_sandwich(z: GaussianRational, n: int) -> tuple[SandwichBound, Sandwich
     if q.is_zero():
         raise ValueError("q_n = 0: sandwich undefined")
     c_next = exp.digits[n]  # a_(n+1) in 1-based digit indexing
-    return (
+    bounds = (
         SandwichBound("lower", c_next.norm, q.norm),
         SandwichBound("upper", c_next.norm, q.norm),
     )
+    return bounds, table
+
+
+def error_sandwich(z: GaussianRational, n: int) -> tuple[SandwichBound, SandwichBound]:
+    """Exact lower/upper bounds for |z - p_n/q_n| in terms of |q_n| and digit a_(n+1)."""
+    return _sandwich_and_table(z, n)[0]
 
 
 def check_error_sandwich(z: GaussianRational, n: int) -> bool:
     """Verify L <= |z - p_n/q_n| <= U with exact squared comparisons."""
-    lower, upper = error_sandwich(z, n)
-    exp = hcf_expand(z)
-    table = convergents(exp.to_cf())
-    err = z - table.value(n)
-    err_sq = err.norm()
+    (lower, upper), table = _sandwich_and_table(z, n)
+    err_sq = (z - table.value(n)).norm()
     return lower.cmp_sq(err_sq) <= 0 <= upper.cmp_sq(err_sq)
 
 

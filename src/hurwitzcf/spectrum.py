@@ -5,12 +5,22 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from math import isqrt
 
 from .cf import CfSequence, evaluate, fold, fold_unit, fold_unit_neg, mirror_negate
 from .exactreal import ln_brackets
-from .gaussian import ONE, UNITS, ZERO, GaussianInt, GaussianRational, exact_div, gauss_gcd
+from .gaussian import (
+    ONE,
+    UNITS,
+    ZERO,
+    BudgetError,
+    GaussianInt,
+    GaussianRational,
+    _check_power_budget,
+    exact_div,
+    gauss_gcd,
+)
 from .geometry import is_full
 from .hcf import hcf_expand
 
@@ -20,32 +30,11 @@ _MAX_BRACKET_BITS = 4096
 # unit_seed or build_xi will compute.
 MAX_POWER_BITS = 1 << 23
 
-
-class BudgetError(ValueError):
-    """A request whose exact arithmetic would exceed the work budget."""
-
-
-def _power_bits(base: GaussianInt, v: int) -> int:
-    """Upper estimate of the component bit length of base**v, found without the power.
-
-    |base**v| = N**(v/2) and 16 log2(N) < (N**16).bit_length(), so the
-    estimate overshoots by less than v/32 + 1 bits.
-    """
-    return v * (base.norm ** 16).bit_length() // 32 + 1
-
-
-def _brief(n: int) -> str:
-    return str(n) if n < 10**12 else f"~2^{n.bit_length() - 1}"
-
-
-def _check_power_budget(base: GaussianInt, v: int) -> None:
-    """Raise BudgetError when base**v would exceed MAX_POWER_BITS."""
-    bits = _power_bits(base, v)
-    if bits > MAX_POWER_BITS:
-        raise BudgetError(
-            f"base**v for v = {_brief(v)} exceeds the work budget of {MAX_POWER_BITS} bits "
-            f"per component (estimated {_brief(bits)} bits)"
-        )
+# Budget of schedule_from_psi on the component bits of base**v at each stage:
+# its exact logarithm brackets work on Fractions of norm**(v/2), whose cost
+# grows about 4x per doubling of v (one stage took 19 s at v = 512000 on -2+i,
+# about 608k bits, on a 2-CPU machine).
+_MAX_PSI_BITS = 1 << 19
 
 
 def _check_stage_budget(stages: int) -> None:
@@ -196,9 +185,12 @@ def schedule_from_psi(psi: PsiFunction, base: GaussianInt, v0: int, stages: int)
     if stages < 1:
         raise ValueError("need at least one stage")
     _check_stage_budget(stages)
+    base = GaussianInt.from_any(base)
     norm = _check_base(base) ** 2 + 1
     v, u = v0, []
     for n in range(1, stages + 1):
+        _check_power_budget(base, v, _MAX_PSI_BITS)
+
         def satisfied(step: int) -> bool:
             return _psi_condition(psi, norm, v, step + 2 * v, 0, True)
 
@@ -259,7 +251,7 @@ class XiNumber:
 def unit_seed(base: GaussianInt, v0: int) -> tuple[GaussianInt, ...]:
     """Digits of 1/base**v0, the simplest full seed."""
     base = GaussianInt.from_any(base)
-    _check_power_budget(base, v0)
+    _check_power_budget(base, v0, MAX_POWER_BITS)
     expansion = hcf_expand(GaussianRational(ONE, base**v0))
     if expansion.integer_part != ZERO:
         raise AssertionError("seed fraction should lie in the fundamental domain")
@@ -356,7 +348,7 @@ def build_xi(seed: tuple[GaussianInt, ...], schedule: FoldingSchedule, base: Gau
     if stages > schedule.stage_count:
         raise ValueError("schedule is shorter than the requested stage count")
     v = schedule.v()
-    _check_power_budget(base, v[stages])
+    _check_power_budget(base, v[stages], MAX_POWER_BITS)
     power = base ** v[0]
     value = _seed_checks(seed, power)
     numerator = (value * power).num
@@ -466,14 +458,20 @@ def estimate_exponent(xi: XiNumber, depth: int | None = None) -> tuple[tuple[Fra
     limit = len(v) - 1
     if depth is not None:
         limit = min(limit, depth)
-    lnn_lo = ln_brackets(Fraction(xi.base.norm), 64)[0]
-    eta_hi = 2 * ln_brackets(Fraction(3, 2), 64)[1] / lnn_lo
-    theta_hi = 2 * ln_brackets(Fraction(2), 64)[1] / lnn_lo
+    lnn_lo = _ln_bracket(Fraction(xi.base.norm))[0]
+    eta_hi = 2 * _ln_bracket(Fraction(3, 2))[1] / lnn_lo
+    theta_hi = 2 * _ln_bracket(Fraction(2))[1] / lnn_lo
     out = []
     for m in range(limit):
         ratio = Fraction(v[m + 1], v[m])
         out.append((_dyadic_out(ratio - eta_hi / v[m], False), _dyadic_out(ratio + theta_hi / v[m], True)))
     return tuple(out)
+
+
+@cache
+def _ln_bracket(x: Fraction) -> tuple[Fraction, Fraction]:
+    """The 64-bit ln_brackets of x, computed once per x."""
+    return ln_brackets(x, 64)
 
 
 def _dyadic_out(x: Fraction, up: bool) -> Fraction:
@@ -494,11 +492,16 @@ def w_variant_schedules(schedule: FoldingSchedule, base: GaussianInt, count: int
     for pattern in itertools.product((1, 2), repeat=slots):
         if len(out) == count:
             break
-        w = [1]
-        for extra, x in zip(pattern, schedule.u):
-            w.extend((extra, x))
-        out.append(FoldingSchedule(schedule.v0, tuple(w)))
+        out.append(_interleave_schedule(schedule, pattern))
     return tuple(out)
+
+
+def _interleave_schedule(schedule: FoldingSchedule, pattern: tuple[int, ...]) -> FoldingSchedule:
+    """Increments 1, pattern[0], u_1, pattern[1], u_2, ...: a free step before each of the schedule's."""
+    w = [1]
+    for extra, x in zip(pattern, schedule.u):
+        w.extend((extra, x))
+    return FoldingSchedule(schedule.v0, tuple(w))
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from math import isqrt
 from typing import Iterable
 
 from .cf import CfSequence, evaluate, fold, fold_unit, fold_unit_neg
@@ -12,6 +12,7 @@ from .gaussian import (
     ZERO,
     GaussianInt,
     GaussianRational,
+    _check_power_budget,
     _gauss_map,
     exact_div,
     format_gaussian_int,
@@ -20,12 +21,13 @@ from .gaussian import (
 from .geometry import Validity, is_valid
 from .hcf import digit_in_alphabet, hcf_expand
 
-try:  # pragma: no cover - exercised implicitly by kernel selection
-    from numba import njit as _njit
-except ImportError:  # pragma: no cover
-    _njit = None
-
 DESK_NORM_CAP = 1 << 25
+
+# Work budget: the largest component size, in bits, of base**power that certify
+# will build a certificate for.  A cold certify grows about 4x per doubling of
+# the power; the largest admitted call, (-2+i)**84000 at about 97.5k bits, took
+# 58 s on a 2-CPU machine.
+MAX_CERTIFY_BITS = 100_000
 
 ETA_SQ = {
     (-3, 1): 18,
@@ -278,6 +280,7 @@ def certify(base: GaussianInt | int, power: int) -> ZarembaCertificate:
         raise ValueError(f"unsupported base: {format_gaussian_int(base)}")
     if power < 1:
         raise ValueError("power must be a positive integer")
+    _check_power_budget(base, power, MAX_CERTIFY_BITS, "power")
     cached = _CACHE.get((key, power))
     if cached is not None:
         return cached[0]
@@ -370,8 +373,16 @@ class BruteResult:
     digits: tuple[GaussianInt, ...]
 
 
-def _brute_scan(dre: int, dim: int, nrm: int, mode: int) -> tuple[int, int, int]:
-    bound = int(math.sqrt(nrm / 2.0)) + 2
+def _brute_scan(dre: int, dim: int, nrm: int) -> tuple[int, int, int]:
+    """Scan the numerators a with a/den in F; return the first optimum (re, im, k_sq).
+
+    One pruned expansion of den/a per candidate: it stops as soon as a digit
+    norm reaches the best found, and a finished run leaves gcd(a, den), up to
+    a unit, as its last remainder (cre, cim), so coprimality costs nothing
+    more.  When nrm is even, (1+i) divides den, so a coprime a has are + aim odd.
+    """
+    bound = isqrt(nrm // 2) + 2
+    even = nrm % 2 == 0
     best = 1 << 62
     best_re = 0
     best_im = 0
@@ -379,44 +390,17 @@ def _brute_scan(dre: int, dim: int, nrm: int, mode: int) -> tuple[int, int, int]
         for aim in range(-bound, bound + 1):
             if are == 0 and aim == 0:
                 continue
+            if even and (are + aim) % 2 == 0:
+                continue
             tre = 2 * (are * dre + aim * dim)
             if tre < -nrm or tre >= nrm:
                 continue
             tim = 2 * (aim * dre - are * dim)
             if tim < -nrm or tim >= nrm:
                 continue
-            if mode == 1:
-                if (are + aim) % 2 == 0:
-                    continue
-            elif mode == 2:
-                if (are + 2 * aim) % 5 == 0:
-                    continue
-            elif mode == 3:
-                if (are + 2 * aim) % 5 == 0 or (are - 2 * aim) % 5 == 0:
-                    continue
-            elif mode == 4:
-                if are % 3 == 0 and aim % 3 == 0:
-                    continue
-            elif mode == 5:
-                if (are - 2 * aim) % 5 == 0:
-                    continue
-            else:
-                xre, xim, yre, yim = are, aim, dre, dim
-                while yre != 0 or yim != 0:
-                    yn = yre * yre + yim * yim
-                    tr = xre * yre + xim * yim
-                    ti = xim * yre - xre * yim
-                    qre = (2 * tr + yn) // (2 * yn)
-                    qim = (2 * ti + yn) // (2 * yn)
-                    rre = xre - (qre * yre - qim * yim)
-                    rim = xim - (qre * yim + qim * yre)
-                    xre, xim, yre, yim = yre, yim, rre, rim
-                if xre * xre + xim * xim != 1:
-                    continue
             nre, nim = are, aim
             cre, cim = dre, dim
             kmax = 0
-            pruned = False
             while nre != 0 or nim != 0:
                 nn = nre * nre + nim * nim
                 tr = cre * nre + cim * nim
@@ -425,7 +409,6 @@ def _brute_scan(dre: int, dim: int, nrm: int, mode: int) -> tuple[int, int, int]
                 qim = (2 * ti + nn) // (2 * nn)
                 dk = qre * qre + qim * qim
                 if dk >= best:
-                    pruned = True
                     break
                 if dk > kmax:
                     kmax = dk
@@ -433,39 +416,18 @@ def _brute_scan(dre: int, dim: int, nrm: int, mode: int) -> tuple[int, int, int]
                 rim = cim - (qre * nim + qim * nre)
                 cre, cim = nre, nim
                 nre, nim = rre, rim
-            if not pruned and kmax < best:
-                best = kmax
-                best_re = are
-                best_im = aim
+            else:
+                # Not pruned, so kmax < best; the last remainder is the gcd.
+                if cre * cre + cim * cim == 1:
+                    best = kmax
+                    best_re = are
+                    best_im = aim
     return best_re, best_im, best
 
 
-_brute_scan_fast = _njit(cache=True)(_brute_scan) if _njit is not None else None
-
-
-def _is_pure_power(n: int, p: int) -> bool:
-    while n % p == 0:
-        n //= p
-    return n == 1
-
-
-def _divides(d: GaussianInt, a: GaussianInt) -> bool:
-    return (a % d).is_zero()
-
-
-def _coprime_mode(den: GaussianInt) -> int:
-    nrm = den.norm
-    if nrm & (nrm - 1) == 0:
-        return 1
-    if _is_pure_power(nrm, 5):
-        plus = _divides(_gi(2, 1), den)
-        minus = _divides(_gi(2, -1), den)
-        if plus and minus:
-            return 3
-        return 5 if plus else 2
-    if _is_pure_power(nrm, 9):
-        return 4
-    return 0
+# perfbench/child.py reads this name for its provenance block; the scan has
+# one kernel, plain Python.
+_brute_scan_fast = None
 
 
 def brute_force_min_K(den: GaussianInt | int, cap: int = DESK_NORM_CAP) -> BruteResult:
@@ -476,9 +438,8 @@ def brute_force_min_K(den: GaussianInt | int, cap: int = DESK_NORM_CAP) -> Brute
         raise ValueError("oracle restricted to desk scale")
     if nrm <= 1:
         raise ValueError("denominator must have norm at least 2")
-    scan = _brute_scan_fast if _brute_scan_fast is not None else _brute_scan
-    best_re, best_im, best = scan(den.re, den.im, nrm, _coprime_mode(den))
+    best_re, best_im, best = _brute_scan(den.re, den.im, nrm)
     assert best < (1 << 62)
-    numerator = GaussianInt(best_re, best_im)
-    digits = hcf_expand(GaussianRational(numerator, den)).digits
-    return BruteResult(numerator, best, digits)
+    _, expansion, _ = _gauss_map(best_re, best_im, den.re, den.im)
+    digits = tuple(GaussianInt(re, im) for re, im in expansion)
+    return BruteResult(GaussianInt(best_re, best_im), best, digits)

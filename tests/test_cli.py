@@ -122,6 +122,14 @@ def test_zaremba_certify_verifies_each_certificate_once(capsys, monkeypatch):
     assert len(calls) == 11
 
 
+def test_zaremba_certify_over_the_work_budget_exits_at_once(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "zaremba", "certify", "--base", "-2+i", "--power", "100000")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert "work budget" in err
+
+
 def test_zaremba_certify_bad_requests(capsys):
     code, _, err = run(capsys, "zaremba", "certify", "--base", "1+i", "--power", "3")
     assert code == 2 and "unsupported base" in err

@@ -191,3 +191,14 @@ def test_classify_endpoint():
     assert classify_endpoint((g(-2),)) == "exact"
     assert classify_endpoint((g(3), g(2))) == "boundary_cascade"
     assert classify_endpoint((g(2),)) == "boundary_cascade"
+
+
+def test_check_error_sandwich_expands_once(monkeypatch):
+    from hurwitzcf import hcf
+
+    calls = []
+    for name in ("hcf_expand", "convergents"):
+        original = getattr(hcf, name)
+        monkeypatch.setattr(hcf, name, lambda *a, _f=original, _n=name: calls.append(_n) or _f(*a))
+    assert check_error_sandwich(GaussianRational(g(10), g(27)), 1)
+    assert sorted(calls) == ["convergents", "hcf_expand"]

@@ -245,3 +245,15 @@ def test_encode_fractional():
     assert none_needed == 0 and decode_base_b(whole) == g(7)
     with pytest.raises(ValueError, match="not a power of the base"):
         encode_fractional(GaussianRational(ONE, g(3)), B)
+
+
+def test_estimate_exponent_brackets_each_logarithm_once(monkeypatch):
+    from hurwitzcf import spectrum
+
+    xi = build_xi(certify(B, 4).digits, FoldingSchedule(4, (3, 3, 3)), B)
+    first = estimate_exponent(xi)
+    calls = []
+    original = spectrum.ln_brackets
+    monkeypatch.setattr(spectrum, "ln_brackets", lambda *a: calls.append(a) or original(*a))
+    assert estimate_exponent(xi) == first
+    assert calls == []

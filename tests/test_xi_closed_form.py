@@ -4,11 +4,12 @@ per-m formula, and the up-front work budget."""
 
 import dataclasses
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
-from hurwitzcf import spectrum
+from hurwitzcf import gaussian, spectrum
 from hurwitzcf.cf import CfSequence, convergents, fold, fold_unit, fold_unit_neg
 from hurwitzcf.gaussian import UNITS, ZERO, GaussianInt
 from hurwitzcf.spectrum import (
@@ -257,13 +258,13 @@ def test_power_bits_bounds_the_power():
         for v in (1, 2, 5, 64, 97, 1000, 4097):
             power = base**v
             actual = max(abs(power.re).bit_length(), abs(power.im).bit_length())
-            assert actual <= spectrum._power_bits(base, v) <= actual + v // 32 + 3
+            assert actual <= gaussian._power_bits(base, v) <= actual + v // 32 + 3
 
 
 def test_budget_admits_the_largest_sweep_and_refuses_before_any_power(monkeypatch):
     # tau = 5/2 to stage 8 on -2+i is the largest build the tests and benchmark run
     schedule = schedule_from_tau(Fraction(5, 2), Fraction(1), B, 9)
-    assert spectrum._power_bits(B, schedule.v()[8]) <= MAX_POWER_BITS
+    assert gaussian._power_bits(B, schedule.v()[8]) <= MAX_POWER_BITS
 
     def no_power(self, exponent):
         raise AssertionError("a power was computed")
@@ -278,3 +279,17 @@ def test_budget_admits_the_largest_sweep_and_refuses_before_any_power(monkeypatc
     with pytest.raises(BudgetError, match="work budget"):
         schedule_from_psi(PsiFunction(Fraction(2), Fraction(0)), B, 4, 10**6)
     assert issubclass(BudgetError, ValueError)
+
+
+def test_psi_schedule_checks_the_budget_before_each_stage_search(monkeypatch):
+    start = time.perf_counter()
+    with pytest.raises(BudgetError, match="work budget"):
+        schedule_from_psi(PsiFunction(2, 1), B, 10**6, 1)
+    assert time.perf_counter() - start < 1.0
+    # the check runs on every stage's v, not only on v0
+    psi = PsiFunction(2, 1)
+    v = schedule_from_psi(psi, B, 4, 4).v()
+    monkeypatch.setattr(spectrum, "_MAX_PSI_BITS", gaussian._power_bits(B, v[3]) - 1)
+    assert schedule_from_psi(psi, B, 4, 3).v() == v[:4]
+    with pytest.raises(BudgetError, match="work budget"):
+        schedule_from_psi(psi, B, 4, 4)

@@ -2,18 +2,18 @@
 
 import dataclasses
 import sys
+from math import isqrt
 
 import pytest
 
 from hurwitzcf import zaremba
-from hurwitzcf.gaussian import GaussianInt, GaussianRational
+from hurwitzcf.gaussian import GaussianInt, GaussianRational, gauss_gcd
 from hurwitzcf.hcf import hcf_expand
 from hurwitzcf.zaremba import (
     DESK_NORM_CAP,
     ETA_SQ,
     CertificateError,
     ZarembaCertificate,
-    _brute_scan,
     brute_force_min_K,
     certificate_transcript,
     certify,
@@ -157,13 +157,47 @@ def test_brute_force_parity_samples():
         assert hcf_expand(value).digits == res.digits
 
 
-def test_brute_scan_matches_python_reference():
-    for den in (g(7, 2), g(8, -6), g(13), g(-2, 1) ** 2):
-        res = brute_force_min_K(den)
-        from hurwitzcf.zaremba import _coprime_mode
+def _slow_oracle(den):
+    """The optimum from public gcd and expansion, in the oracle's scan order.
 
-        ref = _brute_scan(den.re, den.im, den.norm, _coprime_mode(den))
-        assert (res.numerator.re, res.numerator.im, res.k_sq) == ref
+    Numerators run over a square wider than the domain, lexicographically in
+    (re, im); the first one reaching a new minimal max digit norm wins.
+    """
+    bound = isqrt(den.norm) + 1
+    best = None
+    for re in range(-bound, bound + 1):
+        for im in range(-bound, bound + 1):
+            a = g(re, im)
+            if a.is_zero() or gauss_gcd(a, den).norm != 1:
+                continue
+            value = GaussianRational(a, den)
+            if not value.in_fundamental_domain():
+                continue
+            digits = hcf_expand(value).digits
+            k_sq = max(d.norm for d in digits)
+            if best is None or k_sq < best[1]:
+                best = (a, k_sq, digits)
+    return best
+
+
+# Denominators from each norm class: powers of the primes over 2, 5 and 3, general
+# odd and even norms, and the axes.
+SCAN_CLASSES = {
+    "norm 2^k": (g(1, 1), g(-2, 2), g(4), g(4, 4), g(0, 8), g(8, -8), g(16)),
+    "norm 5^k, both primes": (g(5), g(10, 5), g(10, -5), g(0, 25)),
+    "norm 5^k, one prime": (g(2, 1), g(3, 4), g(2, -11), g(-2, 1) ** 4),
+    "norm 3^k": (g(3), g(0, 9), g(27)),
+    "general odd": (g(7, 2), g(6, 5), g(-6, 3), g(13, 4), g(-5, -12)),
+    "general even": (g(8, -6), g(6, 2), g(12, -2), g(7, 7), g(14, 4)),
+    "axes": (g(13), g(0, 11), g(-7), g(0, -6), g(10), g(-12)),
+}
+
+
+def test_brute_scan_matches_python_reference():
+    for cls, dens in SCAN_CLASSES.items():
+        for den in dens:
+            res = brute_force_min_K(den)
+            assert (res.numerator, res.k_sq, res.digits) == _slow_oracle(den), (cls, den)
 
 
 def test_brute_force_cap():
