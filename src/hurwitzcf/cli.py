@@ -26,7 +26,10 @@ from .spectrum import (
     schedule_from_tau,
     unit_seed,
 )
-from .zaremba import CertificateError, brute_force_min_K, certify, emit_certificates
+from .zaremba import MAX_CERTIFY_BITS, CertificateError, brute_force_min_K, certify, emit_certificates
+
+# Decimal digits of a MAX_CERTIFY_BITS-bit integer (log10 2 < 0.30103): what any admitted certificate needs.
+_MAX_CERTIFY_DIGITS = MAX_CERTIFY_BITS * 30103 // 100000 + 1
 
 
 def _parse_digits(text: str) -> tuple[GaussianInt, ...]:
@@ -230,6 +233,8 @@ def main(argv: list[str] | None = None) -> int:
     # downstream parser strips whitespace.
     guarded = [f" {a}" if a.startswith("-") and not a.startswith("--") and a != "-h" else a for a in raw]
     args = _build_parser().parse_args(guarded)
+    if hasattr(sys, "set_int_max_str_digits") and 0 < sys.get_int_max_str_digits() < _MAX_CERTIFY_DIGITS:
+        sys.set_int_max_str_digits(_MAX_CERTIFY_DIGITS)
     try:
         return args.handler(args)
     except CertificateError as exc:

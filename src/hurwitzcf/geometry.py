@@ -15,10 +15,10 @@ from math import gcd
 
 import numpy as np
 
-from .cf import CfSequence, evaluate
+from .cf import CfSequence
 from .exactreal import QuadSurd, rational_between, sign_sqrt
 from .gaussian import ZERO, GaussianInt, GaussianRational, format_gaussian_int
-from .hcf import digit_in_alphabet, hcf_expand
+from .hcf import digit_in_alphabet, hcf_expand  # hcf_expand: perfbench's tracer test reads it here
 
 
 @dataclass(frozen=True)
@@ -576,9 +576,9 @@ def cylinder_one(digit: GaussianInt) -> Region:
     return canonicalize(Region(tuple(cons)))
 
 
-def prototype_step(region: Region, digit: GaussianInt) -> Region:
-    """Image of region under z -> 1/z - digit, clipped to the open box."""
-    cons = list(_BOX_OPEN)
+def prototype_step(region: Region, digit: GaussianInt, box: tuple[Constraint, ...] = _BOX_OPEN) -> Region:
+    """Image of region under z -> 1/z - digit, clipped to the box (open by default)."""
+    cons = list(box)
     for con in region.constraints:
         cons.append(con.invert().translate(-digit))
     return canonicalize(Region(tuple(cons)))
@@ -659,14 +659,15 @@ class AutomatonState:
 
 
 class Automaton:
-    """Successor automaton over canonical prototype sets, built lazily."""
+    """Successor automaton over canonical prototype sets, built lazily, for the open or half-open box."""
 
-    def __init__(self) -> None:
+    def __init__(self, box: tuple[Constraint, ...] = _BOX_OPEN) -> None:
+        self.box = box
         self.states: list[AutomatonState] = []
         self._key_index: dict[tuple, int] = {}
         self._fp_index: dict[bytes, list[int]] = {}
         self._transitions: dict[tuple[int, tuple[int, int]], int | None] = {}
-        self.full_index = self._identify(open_box_region())
+        self.full_index = self._identify(Region(box))
 
     @property
     def state_count(self) -> int:
@@ -706,7 +707,7 @@ class Automaton:
         elif _edge_impossible(region, digit):
             result = None
         else:
-            step = prototype_step(region, digit)
+            step = prototype_step(region, digit, self.box)
             result = None if is_empty(step) else self._identify(step)
         self._transitions[key] = result
         return result
@@ -721,9 +722,9 @@ class Automaton:
         return index
 
 
-def explore_automaton(bound: int = 4, max_states: int = 64) -> Automaton:
+def explore_automaton(bound: int = 4, max_states: int = 64, box: tuple[Constraint, ...] = _BOX_OPEN) -> Automaton:
     """Breadth-first closure of the automaton over the digit frontier."""
-    auto = Automaton()
+    auto = Automaton(box)
     digits = frontier_digits(bound)
     pending = [auto.full_index]
     seen = {auto.full_index}
@@ -740,6 +741,7 @@ def explore_automaton(bound: int = 4, max_states: int = 64) -> Automaton:
 
 
 _AUTOMATON: Automaton | None = None
+_HALF_OPEN_AUTOMATON: Automaton | None = None
 
 
 def get_automaton() -> Automaton:
@@ -778,32 +780,17 @@ def _coerce_digits(digits) -> tuple[GaussianInt, ...]:
 
 def closed_cylinder_nonempty(digits) -> bool:
     """Whether some z in the half-open box follows the digits without leaving it."""
-    seq = _coerce_digits(digits)
-    current = half_open_box_region()
-    for d in reversed(seq):
-        cons = list(_BOX_HALF_OPEN)
-        for con in current.constraints:
-            cons.append(con.translate(d).invert())
-        current = canonicalize(Region(tuple(cons)))
-        if is_empty(current):
-            return False
-    return True
+    global _HALF_OPEN_AUTOMATON
+    if _HALF_OPEN_AUTOMATON is None:  # created on first use, so set-up never builds it
+        _HALF_OPEN_AUTOMATON = Automaton(_BOX_HALF_OPEN)
+    return _HALF_OPEN_AUTOMATON.run(_coerce_digits(digits)) is not None
 
 
 def is_valid(digits) -> Validity:
     """Three-way digit-sequence validity: open, boundary-only, or invalid."""
     seq = _coerce_digits(digits)
-    auto = get_automaton()
-    if auto.run(seq) is not None:
+    if get_automaton().run(seq) is not None:
         return Validity.VALID
-    try:
-        value = evaluate(CfSequence(ZERO, seq))
-    except ArithmeticError:
-        value = None
-    if value is not None:
-        exp = hcf_expand(value)
-        if exp.integer_part == ZERO and exp.digits == seq:
-            return Validity.VALID_BOUNDARY_ONLY
     if closed_cylinder_nonempty(seq):
         return Validity.VALID_BOUNDARY_ONLY
     return Validity.INVALID

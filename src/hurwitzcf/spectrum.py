@@ -30,10 +30,10 @@ _MAX_BRACKET_BITS = 4096
 # unit_seed or build_xi will compute.
 MAX_POWER_BITS = 1 << 23
 
-# Budget of schedule_from_psi on the component bits of base**v at each stage:
-# its exact logarithm brackets work on Fractions of norm**(v/2), whose cost
-# grows about 4x per doubling of v (one stage took 19 s at v = 512000 on -2+i,
-# about 608k bits, on a 2-CPU machine).
+# Budget of schedule_from_psi on the component bits of base**v at each stage.
+# Its logarithm brackets need only ln(norm) at such sizes (see _ln_arg_brackets;
+# a stage at v = 400000 on -2+i takes about 0.03 s on a 2-CPU machine), but each
+# comparison still raises Fraction(norm) to a power that grows with the stage.
 _MAX_PSI_BITS = 1 << 19
 
 
@@ -144,13 +144,19 @@ class PsiFunction:
 
 
 def _ln_arg_brackets(norm: int, v: int, bits: int) -> tuple[Fraction, Fraction]:
-    """Rational bracket of L = ln(1 + norm**(v/2))."""
+    """Rational bracket of L = ln(1 + norm**(v/2)).
+
+    L = (v/2) ln(norm) + a tail in (0, 2**-(v//2)] for norm >= 2, so once v//2 >= bits
+    only ln(norm) is needed; below that the argument is small and bracketed directly.
+    """
+    if v // 2 >= bits:
+        lo, hi = ln_brackets(norm, bits + v.bit_length())
+        return Fraction(v, 2) * lo, Fraction(v, 2) * hi + Fraction(1, 1 << bits)
     if v % 2 == 0:
-        arg = 1 + norm ** (v // 2)
-        return ln_brackets(Fraction(arg), bits)
+        return ln_brackets(1 + norm ** (v // 2), bits)
     root = isqrt(norm**v)
-    lo, _ = ln_brackets(Fraction(1 + root), bits)
-    _, hi = ln_brackets(Fraction(2 + root), bits)
+    lo, _ = ln_brackets(1 + root, bits)
+    _, hi = ln_brackets(2 + root, bits)
     return lo, hi
 
 

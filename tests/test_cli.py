@@ -1,5 +1,6 @@
 """End-to-end checks of the command-line interface, run in process."""
 
+import sys
 import time
 
 import pytest
@@ -128,6 +129,20 @@ def test_zaremba_certify_over_the_work_budget_exits_at_once(capsys):
     assert time.perf_counter() - start < 1.0
     assert code == 2 and out == ""
     assert "work budget" in err
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no integer string limit")
+def test_zaremba_certify_prints_past_the_default_int_digit_limit(capsys):
+    # 2**14300 has 4305 decimal digits, past Python's default limit of 4300
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        code, out, err = run(capsys, "zaremba", "certify", "--base", "2", "--power", "14300")
+        assert code == 0 and err == ""
+        (parsed,) = parse_certificates(out)
+    finally:
+        sys.set_int_max_str_digits(saved)
+    assert parsed == zaremba.certify(2, 14300)
 
 
 def test_zaremba_certify_bad_requests(capsys):

@@ -1,18 +1,29 @@
 """Prototype-set geometry, the successor automaton, and word validity."""
 
+import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hurwitzcf
+from hurwitzcf import geometry
 from hurwitzcf.gaussian import ZERO, GaussianInt, GaussianRational
 from hurwitzcf.geometry import (
+    Region,
     Validity,
+    _edge_impossible,
+    canonicalize,
     closed_cylinder_nonempty,
     cylinder_one,
     explore_automaton,
     export_state_table,
     frontier_digits,
     get_automaton,
+    half_open_box_region,
     is_empty,
     is_full,
     is_valid,
@@ -101,10 +112,72 @@ def test_automaton_matches_successor_rules():
             assert (auto.transition(state, x) is not None) == rule.fresh_allows(x)
 
 
+def _pullback_nonempty(digits):
+    """Reference: pull the half-open box back through the digits, last digit first."""
+    current = half_open_box_region()
+    for d in reversed(digits):
+        cons = list(geometry._BOX_HALF_OPEN)
+        for con in current.constraints:
+            cons.append(con.translate(d).invert())
+        current = canonicalize(Region(tuple(cons)))
+        if is_empty(current):
+            return False
+    return True
+
+
 def test_closed_cylinder_spot_facts():
-    assert not closed_cylinder_nonempty((g(-1, 2), g(1, 1)))
-    assert closed_cylinder_nonempty((g(-2), g(1, -2)))
-    assert not closed_cylinder_nonempty((g(-2), g(1, -1)))
+    spots = {
+        (g(-1, 2), g(1, 1)): False,
+        (g(-2), g(1, -2)): True,
+        (g(-2), g(1, -1)): False,
+    }
+    for word, expected in spots.items():
+        assert closed_cylinder_nonempty(word) is expected
+        assert _pullback_nonempty(word) is expected
+
+
+def test_half_open_automaton_matches_pullback():
+    # every length-2 word over |re|, |im| <= 2 that the open automaton rejects
+    auto = get_automaton()
+    words = [w for w in itertools.product(frontier_digits(2), repeat=2) if auto.run(w) is None]
+    assert len(words) == 100
+    verdicts = [is_valid(w) for w in words]
+    assert verdicts.count(Validity.VALID_BOUNDARY_ONLY) == 6
+    assert verdicts.count(Validity.INVALID) == 94
+    for word, verdict in zip(words, verdicts):
+        expected = _pullback_nonempty(word)
+        assert closed_cylinder_nonempty(word) is expected
+        assert (verdict is Validity.VALID_BOUNDARY_ONLY) is expected
+
+
+def test_half_open_automaton_closes_and_its_shortcuts_hold():
+    box = geometry._BOX_HALF_OPEN
+    auto = explore_automaton(3, box=box)
+    assert auto.state_count == 63
+    for state in auto.states:
+        for d in frontier_digits(4):
+            if _edge_impossible(state.region, d):
+                assert is_empty(prototype_step(state.region, d, box))
+    full = auto.states[auto.full_index].region
+    for d in frontier_digits(6):
+        if d.norm >= 8:
+            assert region_equal(prototype_step(full, d, box), full)
+
+
+def test_set_up_and_explore_build_no_half_open_state(tmp_path):
+    # a fresh interpreter, so that import-time work is seen too
+    code = "\n".join([
+        "import contextlib, io, sys",
+        "from hurwitzcf import geometry",
+        "from hurwitzcf.cli import main",
+        "assert geometry.get_automaton().state_count == 13",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    assert main(['prototype', 'explore', '--export', sys.argv[1]]) == 0",
+        "assert geometry._HALF_OPEN_AUTOMATON is None",
+    ])
+    src = str(Path(hurwitzcf.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    subprocess.run([sys.executable, "-c", code, str(tmp_path / "table.csv")], env=env, check=True)
 
 
 def test_validity_three_way():

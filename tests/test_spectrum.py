@@ -2,10 +2,13 @@
 
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
+from hurwitzcf import spectrum
 from hurwitzcf.cf import CfSequence, evaluate
+from hurwitzcf.exactreal import ln_brackets
 from hurwitzcf.gaussian import ONE, ZERO, GaussianInt, GaussianRational
 from hurwitzcf.spectrum import (
     DigitExpansion,
@@ -83,6 +86,42 @@ def test_schedule_from_psi_with_log_factor():
     sched = schedule_from_psi(PsiFunction(Fraction(2), Fraction(1)), B, 4, 8)
     assert sched.v() == (4, 11, 26, 57, 120, 247, 502, 1013, 2036)
     assert sched.u == (3, 4, 5, 6, 7, 8, 9, 10)
+
+
+def _full_size_ln_arg_brackets(norm, v, bits):
+    """Reference: bracket ln(1 + norm**(v/2)) through the full-size argument."""
+    if v % 2 == 0:
+        return ln_brackets(Fraction(1 + norm ** (v // 2)), bits)
+    root = isqrt(norm**v)
+    lo, _ = ln_brackets(Fraction(1 + root), bits)
+    _, hi = ln_brackets(Fraction(2 + root), bits)
+    return lo, hi
+
+
+def test_ln_arg_brackets_match_full_size_reference():
+    # small bits put v = 1..64 on both sides of the v//2 >= bits switch
+    for norm in (2, 5, 10):
+        for bits in (4, 8, 16, 64):
+            for v in list(range(1, 65)) + [2 * bits + 1, 1001, 1024]:
+                lo, hi = spectrum._ln_arg_brackets(norm, v, bits)
+                ref_lo, ref_hi = _full_size_ln_arg_brackets(norm, v, bits)
+                if v // 2 < bits:
+                    assert (lo, hi) == (ref_lo, ref_hi)
+                else:
+                    # both contain ln(1 + norm**(v/2)); the asymptotic one is within 2**-(bits-1)
+                    assert lo <= ref_hi and ref_lo <= hi
+                    assert 0 < hi - lo < Fraction(1, 2 ** (bits - 1))
+
+
+def test_schedule_from_psi_matches_full_size_brackets(monkeypatch):
+    cases = [
+        (PsiFunction(Fraction(2), Fraction(1)), B, 4, 6),
+        (PsiFunction(Fraction(5, 2), Fraction(2)), GaussianInt(-3, -1), 7, 5),
+        (PsiFunction(Fraction(3), Fraction(1, 2)), GaussianInt(-1, 1), 64, 4),
+    ]
+    fast = [schedule_from_psi(*case).v() for case in cases]
+    monkeypatch.setattr(spectrum, "_ln_arg_brackets", _full_size_ln_arg_brackets)
+    assert fast == [schedule_from_psi(*case).v() for case in cases]
 
 
 def test_psi_shape_is_checked():
