@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import re as _re
 from fractions import Fraction
-from math import lcm as _lcm
 
 
 class GaussianInt:
@@ -332,14 +331,6 @@ class GaussianRational:
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
         return self
-
-    @classmethod
-    def from_fractions(cls, re: Fraction, im: Fraction) -> GaussianRational:
-        """Build from exact rational real and imaginary parts."""
-        re, im = Fraction(re), Fraction(im)
-        q = _lcm(re.denominator, im.denominator)
-        num = GaussianInt(re.numerator * (q // re.denominator), im.numerator * (q // im.denominator))
-        return cls(num, GaussianInt(q, 0))
 
     # -- exact components ---------------------------------------------
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .cf import CfSequence
 from .exactreal import QuadSurd, rational_between, sign_sqrt
-from .gaussian import ZERO, GaussianInt, GaussianRational, format_gaussian_int
+from .gaussian import ZERO, GaussianInt, format_gaussian_int
 from .hcf import digit_in_alphabet, hcf_expand  # hcf_expand: perfbench's tracer test reads it here
 
 
@@ -68,13 +68,6 @@ class Constraint:
     def rotate(self) -> Constraint:
         """Constraint for the region multiplied by i."""
         return constraint(self.a, -self.bim, self.bre, self.c, self.sense, self.strict)
-
-    def value_at(self, x: Fraction, y: Fraction) -> Fraction:
-        return self.a * (x * x + y * y) + 2 * (self.bre * x + self.bim * y) + self.c
-
-    def satisfied_at(self, x: Fraction, y: Fraction) -> bool:
-        v = self.sense * self.value_at(x, y)
-        return v > 0 or (v == 0 and not self.strict)
 
 
 def constraint(a: int, bre: int, bim: int, c: int, sense: int, strict: bool) -> Constraint:
@@ -140,10 +133,6 @@ class Region:
     def all_strict(self) -> bool:
         return all(con.strict for con in self.constraints)
 
-    def contains(self, z: GaussianRational) -> bool:
-        x, y = z.real, z.imag
-        return all(con.satisfied_at(x, y) for con in self.constraints)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Region):
             return NotImplemented
@@ -208,24 +197,22 @@ def fingerprint(region: Region) -> bytes:
 
 # ------------------------------------------------------------ interval filter
 
-def _axis_range(a: int, beta: int) -> tuple[Fraction, Fraction]:
-    """Exact range of a*u^2 + 2*beta*u over u in [-1/2, 1/2] (a >= 0)."""
-    quarter = Fraction(a, 4)
-    hi = quarter + abs(beta)
-    if a > 0 and 2 * abs(beta) <= a:
-        lo = Fraction(-beta * beta, a)
-    else:
-        lo = quarter - abs(beta)
-    return lo, hi
-
-
 def _interval_infeasible(con: Constraint) -> bool:
-    """True when the constraint alone fails everywhere on the closed unit box."""
-    xlo, xhi = _axis_range(con.a, con.bre)
-    ylo, yhi = _axis_range(con.a, con.bim)
-    lo, hi = xlo + ylo + con.c, xhi + yhi + con.c
+    """True when the constraint alone fails everywhere on the closed unit box.
+
+    On u in [-1/2, 1/2], a*u^2 + 2*b*u (a >= 0) peaks at a/4 + |b| and bottoms
+    out at -b^2/a when the vertex -b/a lies inside, else at a/4 - |b|.  The
+    bounds of the constraint's value are compared with 0 in integers: the upper
+    one scaled by 4, the lower one by 4*max(a, 1).
+    """
+    a, bre, bim = con.a, abs(con.bre), abs(con.bim)
     if con.sense > 0:
+        hi = 2 * a + 4 * (bre + bim + con.c)
         return hi < 0 or (hi == 0 and con.strict)
+    m = max(a, 1)
+    lo = 4 * m * con.c
+    for b in (bre, bim):
+        lo += -4 * b * b if 2 * b <= a else m * (a - 4 * b)
     return lo > 0 or (lo == 0 and con.strict)
 
 
@@ -239,7 +226,8 @@ _NEG_ONE_Q = QuadSurd(-1)
 _Interval = tuple[QuadSurd, bool, QuadSurd, bool]
 _UNIVERSE: _Interval = (_NEG_ONE_Q, True, _ONE_Q, True)
 
-_Point = tuple[Fraction, Fraction, Fraction, Fraction, int]
+_Point = tuple[Fraction, Fraction, Fraction, Fraction, int]  # (xp + xq*sqrt(d), yp + yq*sqrt(d))
+_ZERO = Fraction(0)
 
 
 def _quad_roots(A: Fraction, B: Fraction, C: Fraction) -> list[QuadSurd]:
@@ -265,133 +253,84 @@ def _curves(region: Region) -> list[tuple[int, int, int, int]]:
     return seen
 
 
-def _circle_data(curve: tuple[int, int, int, int]) -> int:
-    """Scaled squared radius a^2 r^2 = bre^2 + bim^2 - a*c of a circle curve."""
-    a, bre, bim, c = curve
-    return bre * bre + bim * bim - a * c
-
-
-def _line_circle_xroots(
+def _line_circle_points(
     line: tuple[int, int, int], circle: tuple[int, int, int, int]
-) -> list[QuadSurd]:
+) -> list[_Point]:
+    """Meeting points of the line 2*(lre*x + lim*y) + lc = 0 with a circle (a > 0)."""
     lre, lim, lc = line
     a, bre, bim, c = circle
     if lim == 0:
-        if lre == 0:
-            return []
-        return [QuadSurd(Fraction(-lc, 2 * lre))]
+        x0 = Fraction(-lc, 2 * lre)
+        K = a * x0 * x0 + 2 * bre * x0 + c
+        return [(x0, _ZERO, r.p, r.q, int(r.d)) for r in _quad_roots(Fraction(a), Fraction(2 * bim), K)]
     alpha = Fraction(-lre, lim)
     beta = Fraction(-lc, 2 * lim)
     A = a * (1 + alpha * alpha)
     B = 2 * a * alpha * beta + 2 * bre + 2 * bim * alpha
     C = a * beta * beta + 2 * bim * beta + c
-    if A == 0:  # degenerate: the "circle" is itself a line
-        if B == 0:
-            return []
-        return [QuadSurd(-C / B)]
-    return _quad_roots(A, B, C)
+    return [(r.p, r.q, alpha * r.p + beta, alpha * r.q, int(r.d)) for r in _quad_roots(A, B, C)]
 
 
-def _line_circle_points(
-    line: tuple[int, int, int], circle: tuple[int, int, int, int]
-) -> list[_Point]:
-    lre, lim, lc = line
-    a, bre, bim, c = circle
-    pts: list[_Point] = []
-    if lim == 0:
-        if lre == 0 or a == 0:
-            return []
-        x0 = Fraction(-lc, 2 * lre)
-        K = a * x0 * x0 + 2 * bre * x0 + c
-        for root in _quad_roots(Fraction(a), Fraction(2 * bim), K):
-            pts.append((x0, Fraction(0), root.p, root.q, int(root.d)))
-        return pts
-    alpha = Fraction(-lre, lim)
-    beta = Fraction(-lc, 2 * lim)
-    for root in _line_circle_xroots(line, circle):
-        pts.append((root.p, root.q, alpha * root.p + beta, alpha * root.q, int(root.d)))
-    return pts
-
-
-def _pair_geometry(
-    c1: tuple[int, int, int, int], c2: tuple[int, int, int, int]
-) -> tuple[list[QuadSurd], list[_Point]]:
-    """Critical x values and intersection points contributed by a curve pair."""
+def _pair_points(c1: tuple[int, int, int, int], c2: tuple[int, int, int, int]) -> list[_Point]:
+    """Meeting points of two distinct curves."""
     a1, bre1, bim1, cc1 = c1
     a2, bre2, bim2, cc2 = c2
     if a1 == 0 and a2 == 0:
         det = bre1 * bim2 - bim1 * bre2
         if det == 0:
-            return [], []
+            return []
         x = Fraction(bim1 * cc2 - bim2 * cc1, 2 * det)
         y = Fraction(bre2 * cc1 - bre1 * cc2, 2 * det)
-        return [QuadSurd(x)], [(x, Fraction(0), y, Fraction(0), 0)]
+        return [(x, _ZERO, y, _ZERO, 0)]
     if a1 == 0 or a2 == 0:
         line, circle = (c1, c2) if a1 == 0 else (c2, c1)
-        lre, lim, lc = line[1], line[2], line[3]
-        xs = _line_circle_xroots((lre, lim, lc), circle)
-        pts = _line_circle_points((lre, lim, lc), circle)
-        return xs, pts
-    # two circles: intersections lie on the radical line
+        return _line_circle_points(line[1:], circle)
+    # two circles meet on their radical line
     lre = a2 * bre1 - a1 * bre2
     lim = a2 * bim1 - a1 * bim2
-    lc = a2 * cc1 - a1 * cc2
     if lre == 0 and lim == 0:
-        return [], []
-    xs = _line_circle_xroots((lre, lim, lc), c1)
-    pts = _line_circle_points((lre, lim, lc), c1)
-    return xs, pts
+        return []
+    return _line_circle_points((lre, lim, a2 * cc1 - a1 * cc2), c1)
 
 
-def _critical_xs(region: Region) -> list[QuadSurd]:
+def _arrangement(region: Region) -> tuple[list[QuadSurd], list[_Point]]:
+    """Critical x values and candidate points of the region's curves, in one walk.
+
+    The candidate points are each circle's centre and four extreme points and
+    every meeting point of two curves.  The critical x values, sorted and within
+    the box, are the box edges, the vertical lines, each circle's leftmost and
+    rightmost points and every meeting point; no slice changes shape between two
+    consecutive ones.
+    """
     xs: list[QuadSurd] = [_NEG_HALF, _HALF]
-    curves = _curves(region)
-    for curve in curves:
-        a, bre, bim, c = curve
-        if a > 0:
-            D = _circle_data(curve)
-            if D > 0:
-                mid = Fraction(-bre, a)
-                xs.append(QuadSurd(mid, Fraction(-1, a), D))
-                xs.append(QuadSurd(mid, Fraction(1, a), D))
-            elif D == 0:
-                xs.append(QuadSurd(Fraction(-bre, a)))
-        elif bim == 0 and bre != 0:
-            xs.append(QuadSurd(Fraction(-c, 2 * bre)))
-    for i in range(len(curves)):
-        for j in range(i + 1, len(curves)):
-            pair_xs, _ = _pair_geometry(curves[i], curves[j])
-            xs.extend(pair_xs)
-    xs = [x for x in xs if not (x < _NEG_HALF or _HALF < x)]
-    xs.sort()
-    out: list[QuadSurd] = []
-    for x in xs:
-        if not out or out[-1] < x:
-            out.append(x)
-    return out
-
-
-def _candidate_points(region: Region) -> list[_Point]:
     pts: list[_Point] = []
     curves = _curves(region)
-    for curve in curves:
-        a, bre, bim, c = curve
+    for a, bre, bim, c in curves:
         if a == 0:
+            if bim == 0:
+                xs.append(QuadSurd(Fraction(-c, 2 * bre)))
             continue
-        D = _circle_data(curve)
+        D = bre * bre + bim * bim - a * c  # a^2 times the squared radius
         cx, cy = Fraction(-bre, a), Fraction(-bim, a)
-        pts.append((cx, Fraction(0), cy, Fraction(0), 0))
+        pts.append((cx, _ZERO, cy, _ZERO, 0))
         if D > 0:
             unit = Fraction(1, a)
-            pts.append((cx, -unit, cy, Fraction(0), D))
-            pts.append((cx, unit, cy, Fraction(0), D))
-            pts.append((cx, Fraction(0), cy, -unit, D))
-            pts.append((cx, Fraction(0), cy, unit, D))
-    for i in range(len(curves)):
-        for j in range(i + 1, len(curves)):
-            _, pair_pts = _pair_geometry(curves[i], curves[j])
-            pts.extend(pair_pts)
-    return pts
+            pts += [(cx, -unit, cy, _ZERO, D), (cx, unit, cy, _ZERO, D),
+                    (cx, _ZERO, cy, -unit, D), (cx, _ZERO, cy, unit, D)]
+            xs += [QuadSurd(cx, -unit, D), QuadSurd(cx, unit, D)]
+        elif D == 0:
+            xs.append(QuadSurd(cx))
+    for i, curve in enumerate(curves):
+        for other in curves[i + 1:]:
+            meets = _pair_points(curve, other)
+            pts += meets
+            xs += [QuadSurd(xp, xq, d) for xp, xq, _, _, d in meets]
+    xs = sorted(x for x in xs if not (x < _NEG_HALF or _HALF < x))
+    criticals: list[QuadSurd] = []
+    for x in xs:
+        if not criticals or criticals[-1] < x:
+            criticals.append(x)
+    return criticals, pts
 
 
 def _point_satisfies(con: Constraint, pt: _Point) -> bool:
@@ -484,7 +423,7 @@ def _slice_nonempty(region: Region, xs: Fraction) -> bool:
 
 
 def _is_empty_exact(region: Region) -> bool:
-    criticals = _critical_xs(region)
+    criticals, points = _arrangement(region)
     for left, right in zip(criticals, criticals[1:]):
         if left < right:
             xs = rational_between(left, right)
@@ -495,7 +434,7 @@ def _is_empty_exact(region: Region) -> bool:
     for x in criticals:
         if x.is_rational() and _slice_nonempty(region, x.p):
             return False
-    for pt in _candidate_points(region):
+    for pt in points:
         if all(_point_satisfies(con, pt) for con in region.constraints):
             return False
     return True
@@ -602,9 +541,10 @@ def _disk_centers(region: Region) -> list[GaussianInt] | None:
     return centers
 
 
-def _state_label(index: int, region: Region) -> str:
+def _state_label(index: int, region: Region, box: tuple[Constraint, ...]) -> str:
     centers = _disk_centers(region)
-    if centers is None:
+    edges = tuple(con for con in region.constraints if _is_box_curve(con))
+    if centers is None or edges != Region(box).constraints:
         return f"state{index}"
     if not centers:
         return "full"
@@ -687,7 +627,7 @@ class Automaton:
                 self._key_index[key] = idx
                 return idx
         idx = len(self.states)
-        self.states.append(AutomatonState(idx, _state_label(idx, region), region))
+        self.states.append(AutomatonState(idx, _state_label(idx, region, self.box), region))
         self._key_index[key] = idx
         self._fp_index.setdefault(fp, []).append(idx)
         return idx

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cf import CfSequence, ConvergentTable, convergents, evaluate
-from .exactreal import sqrt_brackets
+from .exactreal import sign_sqrt, sign_two_sqrt, sqrt_brackets
 from .gaussian import ZERO, GaussianInt, GaussianRational, _gauss_map
 
 
@@ -151,16 +151,16 @@ class SandwichBound:
         return num_lo / den_hi, num_hi / den_lo
 
     def cmp_sq(self, value_sq: Fraction) -> int:
-        """Exact sign of (bound^2 - value_sq), by adaptive refinement."""
-        bits = 16
-        while bits <= 4096:
-            lo, hi = self.sq_brackets(bits)
-            if value_sq < lo:
-                return 1
-            if value_sq > hi:
-                return -1
-            bits *= 2
-        raise ArithmeticError("sandwich bound comparison failed to converge")
+        """Exact sign of (bound^2 - value_sq), from one surd sign decision.
+
+        With v = value_sq and N the digit norm, clearing the positive denominator
+        of each bound^2 above leaves 24 - v*N*|q|^4 + 16*sqrt(2) for the upper
+        bound and 6 - v*|q|^4*(N + 1/2) - 4*sqrt(2) - v*|q|^4*sqrt(2N) for the lower.
+        """
+        vq4 = value_sq * self.q_norm**2
+        if self.side == "upper":
+            return sign_sqrt(24 - vq4 * self.digit_norm, 16, 2)
+        return sign_two_sqrt(6 - vq4 * (self.digit_norm + Fraction(1, 2)), -4, 2, -vq4, 2 * self.digit_norm)
 
 
 def _sandwich_and_table(

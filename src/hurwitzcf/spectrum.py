@@ -6,10 +6,9 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
-from math import isqrt
 
-from .cf import CfSequence, evaluate, fold, fold_unit, fold_unit_neg, mirror_negate
-from .exactreal import ln_brackets
+from .cf import CfSequence, convergents, evaluate, fold, fold_unit, fold_unit_neg, mirror_negate
+from .exactreal import ln_brackets, sqrt_brackets
 from .gaussian import (
     ONE,
     UNITS,
@@ -147,16 +146,17 @@ def _ln_arg_brackets(norm: int, v: int, bits: int) -> tuple[Fraction, Fraction]:
     """Rational bracket of L = ln(1 + norm**(v/2)).
 
     L = (v/2) ln(norm) + a tail in (0, 2**-(v//2)] for norm >= 2, so once v//2 >= bits
-    only ln(norm) is needed; below that the argument is small and bracketed directly.
+    only ln(norm) is needed; below that the argument is small and bracketed directly,
+    through a bracket of norm**(v/2) to bits fractional bits when v is odd.
     """
     if v // 2 >= bits:
         lo, hi = ln_brackets(norm, bits + v.bit_length())
         return Fraction(v, 2) * lo, Fraction(v, 2) * hi + Fraction(1, 1 << bits)
     if v % 2 == 0:
         return ln_brackets(1 + norm ** (v // 2), bits)
-    root = isqrt(norm**v)
-    lo, _ = ln_brackets(1 + root, bits)
-    _, hi = ln_brackets(2 + root, bits)
+    root_lo, root_hi = sqrt_brackets(norm**v, bits)
+    lo, _ = ln_brackets(1 + root_lo, bits)
+    _, hi = ln_brackets(1 + root_hi, bits)
     return lo, hi
 
 
@@ -287,16 +287,7 @@ def _canonical_stage(digits: tuple[GaussianInt, ...], value: GaussianRational, n
 
 # A stage's convergent matrix T = A(a_1)...A(a_n) = [[q_n, q_(n-1)], [p_n, p_(n-1)]]
 # of [0; a_1, ..., a_n], with A(a) = [[a, 1], [1, 0]], is carried as the
-# tuple (q_n, q_(n-1), p_n, p_(n-1)).
-
-def _tail_matrix(digits: tuple[GaussianInt, ...]) -> tuple[GaussianInt, ...]:
-    """T of [0; digits] by the convergent recurrence; used on the seed only."""
-    q, q_prev, p, p_prev = ONE, ZERO, ZERO, ONE
-    for a in digits:
-        q, q_prev = a * q + q_prev, q
-        p, p_prev = a * p + p_prev, p
-    return q, q_prev, p, p_prev
-
+# tuple (q_n, q_(n-1), p_n, p_(n-1)); the seed's comes from cf.convergents.
 
 def _fold_matrix(t: tuple[GaussianInt, ...], length: int, x: GaussianInt) -> tuple[GaussianInt, ...]:
     """T of fold(word, x) from the word's T, in five big products.
@@ -364,7 +355,9 @@ def build_xi(seed: tuple[GaussianInt, ...], schedule: FoldingSchedule, base: Gau
     stage_list = [XiStage(0, value, numerator, seed)]
     digits = seed
     base_norm = base.norm
-    matrix = _tail_matrix(seed)
+    table = convergents(CfSequence(ZERO, seed))
+    last = table.last_index
+    matrix = (table.q(last), table.q(last - 1), table.p(last), table.p(last - 1))
     unit = _associate_unit(matrix[0], power)
     for n in range(1, stages + 1):
         if unit is None:

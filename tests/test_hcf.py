@@ -157,16 +157,48 @@ def test_error_sandwich_brackets_are_ordered():
         error_sandwich(z, 5)
 
 
+SANDWICH_SAMPLES = [
+    GaussianRational(g(10), g(27)),
+    GaussianRational(g(5, -6), g(-2, 1) ** 4),
+    GaussianRational(g(137, -254), g(401, 38)),
+    GaussianRational(g(71), g(512)),
+]
+
+
 def test_error_sandwich_holds_on_samples():
-    samples = [
-        GaussianRational(g(10), g(27)),
-        GaussianRational(g(5, -6), g(-2, 1) ** 4),
-        GaussianRational(g(137, -254), g(401, 38)),
-        GaussianRational(g(71), g(512)),
-    ]
-    for z in samples:
+    for z in SANDWICH_SAMPLES:
         for n in range(len(hcf_expand(z).digits)):
             assert check_error_sandwich(z, n)
+
+
+def _refined_cmp_sq(bound, value_sq):
+    """Reference: the sign of bound^2 - value_sq by refining sq_brackets from 16 to 4096 bits."""
+    bits = 16
+    while bits <= 4096:
+        lo, hi = bound.sq_brackets(bits)
+        if value_sq < lo:
+            return 1
+        if value_sq > hi:
+            return -1
+        bits *= 2
+    raise ArithmeticError("sandwich bound comparison failed to converge")
+
+
+def test_cmp_sq_matches_bracket_refinement():
+    # the actual squared errors, and values squeezed against each bound from both sides
+    signs = set()
+    for z in SANDWICH_SAMPLES:
+        for n in range(len(hcf_expand(z).digits)):
+            for bound in error_sandwich(z, n):
+                values = [(z - convergents(hcf_expand(z).to_cf()).value(n)).norm()]
+                for bits in (8, 64, 200):
+                    lo, hi = bound.sq_brackets(bits)
+                    values += [lo, hi, lo * (1 - Fraction(1, 2**bits)), hi * (1 + Fraction(1, 2**bits))]
+                for value_sq in values:
+                    expected = _refined_cmp_sq(bound, value_sq)
+                    assert bound.cmp_sq(value_sq) == expected
+                    signs.add((bound.side, expected))
+    assert signs == {(side, s) for side in ("lower", "upper") for s in (-1, 1)}
 
 
 def test_hurwitz_quality_of_convergents():

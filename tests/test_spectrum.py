@@ -1,6 +1,7 @@
 """Folded-series numbers with pinned convergent denominators, schedules, encodings."""
 
 import random
+import time
 from fractions import Fraction
 from math import isqrt
 
@@ -105,8 +106,13 @@ def test_ln_arg_brackets_match_full_size_reference():
             for v in list(range(1, 65)) + [2 * bits + 1, 1001, 1024]:
                 lo, hi = spectrum._ln_arg_brackets(norm, v, bits)
                 ref_lo, ref_hi = _full_size_ln_arg_brackets(norm, v, bits)
-                if v // 2 < bits:
+                if v // 2 < bits and v % 2 == 0:
                     assert (lo, hi) == (ref_lo, ref_hi)
+                elif v // 2 < bits:
+                    # odd v: nested in the reference's [ln(1 + r), ln(2 + r)], r = isqrt(norm**v),
+                    # which never narrows, and as narrow as the asymptotic bracket
+                    assert ref_lo <= lo and hi <= ref_hi
+                    assert 0 < hi - lo < Fraction(1, 2 ** (bits - 1))
                 else:
                     # both contain ln(1 + norm**(v/2)); the asymptotic one is within 2**-(bits-1)
                     assert lo <= ref_hi and ref_lo <= hi
@@ -122,6 +128,14 @@ def test_schedule_from_psi_matches_full_size_brackets(monkeypatch):
     fast = [schedule_from_psi(*case).v() for case in cases]
     monkeypatch.setattr(spectrum, "_ln_arg_brackets", _full_size_ln_arg_brackets)
     assert fast == [schedule_from_psi(*case).v() for case in cases]
+
+
+def test_schedule_from_psi_odd_start_with_log_factor_finishes():
+    # the odd-v bracket used to stay 1/sqrt(norm**v) wide, so no precision separated it
+    start = time.perf_counter()
+    sched = schedule_from_psi(PsiFunction(Fraction(2), Fraction(1)), GaussianInt(-1, 1), 1, 2)
+    assert time.perf_counter() - start < 2.0
+    assert sched.v() == (1, 4, 12)
 
 
 def test_psi_shape_is_checked():
