@@ -14,7 +14,6 @@ from .gaussian import (
     GaussianRational,
     _check_power_budget,
     _gauss_map,
-    exact_div,
     format_gaussian_int,
     parse_gaussian_int,
 )
@@ -26,7 +25,7 @@ DESK_NORM_CAP = 1 << 25
 # Work budget: the largest component size, in bits, of base**power that certify
 # will build a certificate for.  A cold certify grows about 4x per doubling of
 # the power; the largest admitted call, (-2+i)**84000 at about 97.5k bits, took
-# 58 s on a 2-CPU machine.
+# 24 s on a 2-CPU machine.
 MAX_CERTIFY_BITS = 100_000
 
 ETA_SQ = {
@@ -165,15 +164,27 @@ def verify_certificate(cert: ZarembaCertificate) -> tuple[tuple[str, bool], ...]
     """
     den = cert.base ** cert.power
     num = cert.numerator
-    head, expansion, last = _gauss_map(num.re, num.im, den.re, den.im)
+    return _checks(cert, den, _gauss_map(num.re, num.im, den.re, den.im))
+
+
+def _checks(cert: ZarembaCertificate, den: GaussianInt, gauss) -> tuple[tuple[str, bool], ...]:
+    """verify_certificate's transcript from its Gauss-map pass over numerator / den.
+
+    A canonical expansion of numerator / den evaluates to that fraction by
+    construction, so the digits are evaluated only when they are not canonical.
+    """
+    head, expansion, last = gauss
+    num = cert.numerator
     in_domain = head == (0, 0)
     digits_ok = bool(cert.digits) and all(digit_in_alphabet(d) for d in cert.digits)
-    try:
-        value = evaluate(CfSequence(ZERO, cert.digits))
-        evaluated = value.num * den == num * value.den
-    except (ArithmeticError, ValueError):
-        evaluated = False
     canonical = in_domain and expansion == [(d.re, d.im) for d in cert.digits]
+    evaluated = canonical
+    if not canonical:
+        try:
+            value = evaluate(CfSequence(ZERO, cert.digits))
+            evaluated = value.num * den == num * value.den
+        except (ArithmeticError, ValueError):
+            pass
     valid = digits_ok and is_valid(cert.digits) is not Validity.INVALID
     return (
         ("evaluation", evaluated),
@@ -221,55 +232,68 @@ def certificate_transcript(cert: ZarembaCertificate) -> tuple[tuple[str, bool], 
     return verify_certificate(cert) + (("digit_window", digit_window_ok(cert)),)
 
 
-# Certificates that certify built and verified, each with its transcript.
-_CACHE: dict[tuple[tuple[int, int], int], tuple[ZarembaCertificate, tuple[tuple[str, bool], ...]]] = {}
+# Certificates that certify built and verified, each with its transcript and
+# eps = u**2 = +-1 for the unit u with q_n = u * base**power, where p_n / q_n is
+# the last convergent of the digits.
+_CACHE: dict[tuple[tuple[int, int], int], tuple[ZarembaCertificate, tuple[tuple[str, bool], ...], int]] = {}
 
 
-def _folded_step(base: GaussianInt, power: int) -> tuple[GaussianInt, tuple[GaussianInt, ...]]:
+def _fold_plan(base: GaussianInt, power: int) -> tuple[int, GaussianInt | None]:
+    """The child power and the middle digit (None for a unit fold) that build base**power."""
     key = base.key()
     if key == (2, 0):
         if power % 2 == 0:
-            child, middle = certify(base, (power - 2) // 2), _gi(4)
-        else:
-            child, middle = certify(base, (power - 3) // 2), _gi(8)
-    elif key == (3, 0):
-        if power % 2 == 0:
-            child, middle = certify(base, power // 2), None
-        else:
-            child, middle = certify(base, (power - 1) // 2), _gi(3)
-    elif key == (5, 0):
-        if power % 2 == 0:
-            child, middle = certify(base, power // 2), None
-        else:
-            child, middle = certify(base, (power - 1) // 2), _gi(5)
-    else:
-        if power % 2 == 0:
-            child, middle = certify(base, power // 2), None
-        else:
-            child, middle = certify(base, (power - 1) // 2), base
+            return (power - 2) // 2, _gi(4)
+        return (power - 3) // 2, _gi(8)
+    if power % 2 == 0:
+        return power // 2, None
+    return (power - 1) // 2, base
+
+
+def _folded_step(base: GaussianInt, power: int) -> tuple[GaussianInt, tuple[GaussianInt, ...], GaussianInt, tuple]:
+    """Numerator, digits, denominator and Gauss-map pass of the folded certificate for base**power.
+
+    The child c / B, B = base**k, has q_n = u B and p_n = u c, so the folding
+    lemma gives each candidate's numerator over base**power in closed form
+    (spectrum._fold_matrix and _unit_fold_matrix with eps = u**2):
+      fold(word, +-middle): den = middle B**2, numerator = middle B c + sigma eps,
+        sigma = (-1)**n sign(+-);
+      fold_unit / fold_unit_neg: den = B**2, numerator = B c - s eps,
+        s = sign (-1)**(n - 1).
+    Prefer a folded word that is its own canonical expansion, read off the one
+    Gauss-map pass that verification uses; the mirrored unit / mirrored-sign
+    fold is an equally valid folding step, built only when the first is not
+    canonical.  If neither is, the first candidate's fraction still is the
+    target, so certify its canonical digits instead.  A canonical word is
+    stored as folded.tail itself, sharing digit objects with the child.
+    """
+    child_power, middle = _fold_plan(base, power)
+    child = certify(base, child_power)
+    eps = _CACHE[(base.key(), child_power)][2]
+    scale = base ** child_power
+    bc = scale * child.numerator
     cf = CfSequence(ZERO, child.digits)
+    odd = len(child.digits) & 1
     if middle is None:
-        candidates = (fold_unit(cf), fold_unit_neg(cf))
-        expected = 2 * len(child.digits)
+        den = scale * scale
+        s = eps if odd else -eps
+        candidates = ((fold_unit, bc - s), (fold_unit_neg, bc + s))
     else:
-        candidates = (fold(cf, middle), fold(cf, -middle))
-        expected = 2 * len(child.digits) + 1
-    # Prefer a folded word that is already its own canonical expansion; the
-    # mirrored unit / mirrored-sign fold is an equally valid folding step, and
-    # if neither word is canonical the folded fraction still is the target, so
-    # certify its canonical digits instead.  A canonical word is stored as
-    # folded.tail itself, sharing digit objects with the child certificate.
-    den = base ** power
+        den = middle * scale * scale
+        mbc = middle * bc
+        sigma = -eps if odd else eps
+        candidates = ((lambda w: fold(w, middle), mbc + sigma), (lambda w: fold(w, -middle), mbc - sigma))
     tried = []
-    for folded in candidates:
-        assert len(folded.tail) == expected
-        value = evaluate(folded)
-        head, expansion, _ = _gauss_map(value.num.re, value.num.im, value.den.re, value.den.im)
-        if head == (0, 0) and expansion == [(d.re, d.im) for d in folded.tail]:
-            return exact_div(value.num * den, value.den), folded.tail
-        tried.append((value, expansion))
-    value, expansion = tried[0]
-    return exact_div(value.num * den, value.den), tuple(GaussianInt(re, im) for re, im in expansion)
+    for make, numerator in candidates:
+        gauss = _gauss_map(numerator.re, numerator.im, den.re, den.im)
+        head, expansion, _ = gauss
+        if head == (0, 0):
+            folded = make(cf).tail
+            if expansion == [(d.re, d.im) for d in folded]:
+                return numerator, folded, den, gauss
+        tried.append((numerator, gauss))
+    numerator, gauss = tried[0]
+    return numerator, tuple(GaussianInt(re, im) for re, im in gauss[1]), den, gauss
 
 
 def certify(base: GaussianInt | int, power: int) -> ZarembaCertificate:
@@ -287,10 +311,12 @@ def certify(base: GaussianInt | int, power: int) -> ZarembaCertificate:
     seed = _SEEDS[key].get(power)
     if seed is not None:
         numerator, digits = seed
+        den = base ** power
+        gauss = _gauss_map(numerator.re, numerator.im, den.re, den.im)
     else:
-        numerator, digits = _folded_step(base, power)
+        numerator, digits, den, gauss = _folded_step(base, power)
     cert = ZarembaCertificate(base, power, numerator, ETA_SQ[key], digits)
-    transcript = certificate_transcript(cert)
+    transcript = _checks(cert, den, gauss) + (("digit_window", digit_window_ok(cert)),)
     if not all(ok for _, ok in transcript):
         failing = ", ".join(name for name, ok in transcript if not ok)
         raise CertificateError(
@@ -298,7 +324,9 @@ def certify(base: GaussianInt | int, power: int) -> ZarembaCertificate:
             f" power {power}: {failing}",
             transcript,
         )
-    _CACHE[(key, power)] = (cert, transcript)
+    # The digits passed as canonical, so num = p_n * last and den = q_n * last:
+    # u = conj(last) and u**2 is -1 exactly when last is imaginary.
+    _CACHE[(key, power)] = (cert, transcript, -1 if gauss[2][1] else 1)
     return cert
 
 

@@ -110,9 +110,11 @@ def test_zaremba_certify(capsys, tmp_path):
 
 
 def test_zaremba_certify_verifies_each_certificate_once(capsys, monkeypatch):
+    # certify checks the Gauss-map pass it built the certificate from, and
+    # verify_certificate runs a fresh pass; both go through _checks
     calls = []
-    original = zaremba.verify_certificate
-    monkeypatch.setattr(zaremba, "verify_certificate", lambda cert: calls.append(cert) or original(cert))
+    original = zaremba._checks
+    monkeypatch.setattr(zaremba, "_checks", lambda cert, *rest: calls.append(cert) or original(cert, *rest))
     monkeypatch.setattr(zaremba, "_CACHE", {})
     code, out, err = run(capsys, "zaremba", "certify", "--base", "-2+i", "--power", "2048")
     assert code == 0 and err == ""

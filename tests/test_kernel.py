@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hurwitzcf.cf import CfSequence, evaluate
+from hurwitzcf.cf import CfSequence, convergents, evaluate
 from hurwitzcf.gaussian import (
     ZERO,
     GaussianInt,
@@ -137,6 +137,23 @@ def test_unreduced_inputs_keep_digits_and_return_the_common_factor():
         assert (head, digits) == boxed_expand(p, q)
         assert last.canonical_associate()[0] == common.canonical_associate()[0]
         assert gauss_gcd(p * common, q * common) == common.canonical_associate()[0]
+
+
+def test_last_remainder_scales_the_last_convergent():
+    # On unreduced num/den the pass leaves num = p_n * last and den = q_n * last
+    # exactly, p_n / q_n the last convergent of [head; digits].
+    rng = random.Random("kernel-convergent")
+    for bits in (1, 3, 12, 64, 300):
+        for _ in range(12):
+            num, den = random_gaussian(rng, bits), random_gaussian(rng, bits)
+            common = random_gaussian(rng, rng.choice([0, 2, 40]))
+            if den.is_zero() or common.is_zero():
+                continue
+            num, den = num * common, den * common
+            head, digits, last = kernel(num, den)
+            table = convergents(CfSequence(head, digits))
+            assert num == table.p(table.last_index) * last
+            assert den == table.q(table.last_index) * last
 
 
 def test_zero_and_integral_inputs():

@@ -6,9 +6,12 @@ from math import isqrt
 
 import pytest
 
+import hurwitzcf
 from hurwitzcf import zaremba
-from hurwitzcf.gaussian import GaussianInt, GaussianRational, gauss_gcd
-from hurwitzcf.hcf import hcf_expand
+from hurwitzcf.cf import CfSequence, convergents, evaluate, fold, fold_unit, fold_unit_neg
+from hurwitzcf.gaussian import ZERO, GaussianInt, GaussianRational, _gauss_map, exact_div, gauss_gcd
+from hurwitzcf.geometry import Validity, is_valid
+from hurwitzcf.hcf import digit_in_alphabet, hcf_expand
 from hurwitzcf.zaremba import (
     DESK_NORM_CAP,
     ETA_SQ,
@@ -231,21 +234,27 @@ def test_tampered_certificates_yield_transcripts_not_exceptions():
 
 
 def test_folded_candidate_outside_the_domain_is_not_canonical(monkeypatch):
-    # A child word [0; 1] folds to [0; 1, 4, -1] = 3/4 and [0; 1, -4, -1] = 5/4,
-    # both outside F, so neither candidate may be stored as canonical.
-    child = ZarembaCertificate(g(2), 1, g(1), 64, (g(1),))
-    monkeypatch.setattr(zaremba, "certify", lambda base, power: child)
-    numerator, digits = zaremba._folded_step(g(2), 4)
-    assert numerator == g(12)
-    assert digits == hcf_expand(GaussianRational(g(3), g(4))).digits == (g(-4),)
+    # The child -1/2 = [0; -2] folds to [0; -2, 4, 2] = -9/16, outside F, and to
+    # [0; -2, -4, 2] = -7/16, inside F but not canonical (-7/16 = [0; -2, -3, -2]).
+    # Neither word may be stored; the first candidate's fraction keeps its
+    # canonical digits, and the certificate fails the domain check.
+    child = ZarembaCertificate(g(2), 1, g(-1), 64, (g(-2),))
+    monkeypatch.setattr(zaremba, "_CACHE", {((2, 0), 1): (child, (), 1)})
+    numerator, digits, den, gauss = zaremba._folded_step(g(2), 4)
+    assert (numerator, den) == (g(-9), g(16))
+    assert digits == hcf_expand(GaussianRational(g(-9), g(16))).digits == (g(2), g(4), g(-2))
+    assert gauss[0] == (-1, 0)
+    assert (numerator, digits) == _ref_folded_step(g(2), 4)
+    cert = ZarembaCertificate(g(2), 4, numerator, 64, digits)
+    assert zaremba._checks(cert, den, gauss) == verify_certificate(cert) == _ref_verify_certificate(cert)
+    assert {n for n, ok in verify_certificate(cert) if not ok} == {"evaluation", "fundamental_domain", "canonical_expansion"}
 
 
-def test_certifying_a_fresh_power_runs_no_gcd_and_no_expansion(monkeypatch):
-    import hurwitzcf
-
-    calls = {"gauss_gcd": 0, "hcf_expand": 0}
+def _count_calls(monkeypatch, *targets):
+    """Count calls of each (module, name) function through every hurwitzcf module that holds it."""
+    calls = {name: 0 for _, name in targets}
     modules = [m for n, m in sys.modules.items() if n.startswith("hurwitzcf") and m is not None]
-    for name, module in (("gauss_gcd", hurwitzcf.gaussian), ("hcf_expand", hurwitzcf.hcf)):
+    for module, name in targets:
         original = getattr(module, name)
 
         def counted(*args, _name=name, _original=original):
@@ -255,9 +264,154 @@ def test_certifying_a_fresh_power_runs_no_gcd_and_no_expansion(monkeypatch):
         for mod in modules:
             if getattr(mod, name, None) is original:
                 monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+def test_certifying_a_fresh_power_runs_no_gcd_and_no_expansion(monkeypatch):
+    calls = _count_calls(monkeypatch, (hurwitzcf.gaussian, "gauss_gcd"), (hurwitzcf.hcf, "hcf_expand"))
     monkeypatch.setattr(zaremba, "_CACHE", {})
     cert = certify(g(-2, 1), 40)
     assert all(ok for _, ok in certificate_transcript(cert))
     assert calls == {"gauss_gcd": 0, "hcf_expand": 0}
     GaussianRational(g(4), g(6))
     assert calls["gauss_gcd"] == 1
+
+
+def test_certifying_makes_one_pass_and_no_evaluation_per_certificate(monkeypatch):
+    monkeypatch.setattr(zaremba, "_CACHE", {})
+    calls = _count_calls(
+        monkeypatch,
+        (hurwitzcf.cf, "evaluate"),
+        (hurwitzcf.gaussian, "exact_div"),
+        (hurwitzcf.gaussian, "_gauss_map"),
+    )
+    cert = certify(g(-2, 1), 1024)
+    assert all(ok for _, ok in zaremba._CACHE[(cert.base.key(), 1024)][1])
+    # powers 1024, 512, ..., 8 folded and the seed 4: one verifying pass each
+    assert len(zaremba._CACHE) == 9
+    assert calls == {"evaluate": 0, "exact_div": 0, "_gauss_map": 9}
+
+
+# The parent implementation, kept as the reference: it evaluated every folded
+# word by back-substitution and verified evaluation by cross-multiplication.
+def _ref_folded_step(base, power):
+    key = base.key()
+    if key == (2, 0):
+        if power % 2 == 0:
+            child, middle = certify(base, (power - 2) // 2), g(4)
+        else:
+            child, middle = certify(base, (power - 3) // 2), g(8)
+    elif key == (3, 0):
+        if power % 2 == 0:
+            child, middle = certify(base, power // 2), None
+        else:
+            child, middle = certify(base, (power - 1) // 2), g(3)
+    elif key == (5, 0):
+        if power % 2 == 0:
+            child, middle = certify(base, power // 2), None
+        else:
+            child, middle = certify(base, (power - 1) // 2), g(5)
+    else:
+        if power % 2 == 0:
+            child, middle = certify(base, power // 2), None
+        else:
+            child, middle = certify(base, (power - 1) // 2), base
+    cf = CfSequence(ZERO, child.digits)
+    if middle is None:
+        candidates = (fold_unit(cf), fold_unit_neg(cf))
+        expected = 2 * len(child.digits)
+    else:
+        candidates = (fold(cf, middle), fold(cf, -middle))
+        expected = 2 * len(child.digits) + 1
+    den = base ** power
+    tried = []
+    for folded in candidates:
+        assert len(folded.tail) == expected
+        value = evaluate(folded)
+        head, expansion, _ = _gauss_map(value.num.re, value.num.im, value.den.re, value.den.im)
+        if head == (0, 0) and expansion == [(d.re, d.im) for d in folded.tail]:
+            return exact_div(value.num * den, value.den), folded.tail
+        tried.append((value, expansion))
+    value, expansion = tried[0]
+    return exact_div(value.num * den, value.den), tuple(GaussianInt(re, im) for re, im in expansion)
+
+
+def _ref_verify_certificate(cert):
+    den = cert.base ** cert.power
+    num = cert.numerator
+    head, expansion, last = _gauss_map(num.re, num.im, den.re, den.im)
+    in_domain = head == (0, 0)
+    digits_ok = bool(cert.digits) and all(digit_in_alphabet(d) for d in cert.digits)
+    try:
+        value = evaluate(CfSequence(ZERO, cert.digits))
+        evaluated = value.num * den == num * value.den
+    except (ArithmeticError, ValueError):
+        evaluated = False
+    canonical = in_domain and expansion == [(d.re, d.im) for d in cert.digits]
+    valid = digits_ok and is_valid(cert.digits) is not Validity.INVALID
+    return (
+        ("evaluation", evaluated),
+        ("coprime", last[0] * last[0] + last[1] * last[1] == 1),
+        ("fundamental_domain", in_domain),
+        ("digit_bound", digits_ok and cert.max_digit_norm() <= cert.eta_sq),
+        ("canonical_expansion", canonical),
+        ("validity", valid),
+    )
+
+
+def _chosen_candidate(cert):
+    """0 or 1 for the folded word certify stored, None for canonical digits of a non-canonical fold."""
+    child_power, middle = zaremba._fold_plan(cert.base, cert.power)
+    cf = CfSequence(ZERO, certify(cert.base, child_power).digits)
+    words = (fold_unit(cf), fold_unit_neg(cf)) if middle is None else (fold(cf, middle), fold(cf, -middle))
+    tails = [w.tail for w in words]
+    return tails.index(cert.digits) if cert.digits in tails else None
+
+
+FALLBACK_POWERS = {20, 21, 40, 41, 42, 43, *range(80, 88), *range(160, 176)}
+
+
+def test_closed_form_folding_matches_the_evaluating_reference():
+    for base in supported_bases():
+        key = base.key()
+        chosen = {}
+        for power in range(1, 201):
+            cert = certify(base, power)
+            cached, transcript, eps = zaremba._CACHE[(key, power)]
+            assert cached is cert
+            assert transcript == _ref_verify_certificate(cert) + (("digit_window", digit_window_ok(cert)),)
+            if power <= 50:
+                # eps = u**2 for the unit u with q_n = u * base**power; larger powers
+                # rest on the kernel identity checked in test_kernel.py
+                table = convergents(CfSequence(ZERO, cert.digits))
+                q, p = table.q(table.last_index), table.p(table.last_index)
+                (u,) = [u for u in (g(1), g(-1), g(0, 1), g(0, -1)) if q == u * cert.denominator()]
+                assert p == u * cert.numerator and u * u == g(eps)
+            if power not in zaremba._SEEDS[key]:
+                assert (cert.numerator, cert.digits) == _ref_folded_step(base, power), (base, power)
+                chosen[power] = _chosen_candidate(cert)
+        corner = key in ((-2, 1), (-2, -1))
+        assert {p for p, c in chosen.items() if c is None} == (FALLBACK_POWERS if corner else set())
+        assert {p for p, c in chosen.items() if c == 1} == ({10} if corner else set())
+
+
+def test_tampered_transcripts_match_the_evaluating_reference():
+    cert = certify(g(-2, 1), 20)
+    assert _chosen_candidate(cert) is None
+    folded = fold_unit(CfSequence(ZERO, certify(g(-2, 1), 10).digits)).tail
+    cases = {
+        # the folded word has the certificate's value but is not its canonical expansion
+        "non-canonical": dataclasses.replace(cert, digits=folded),
+        "zero suffix": dataclasses.replace(cert, digits=cert.digits[:-1] + (g(0),)),
+        "shifted": dataclasses.replace(cert, numerator=cert.numerator + g(1)),
+        "outside": dataclasses.replace(cert, numerator=cert.numerator + cert.denominator()),
+        "empty": dataclasses.replace(cert, digits=()),
+    }
+    failed = {}
+    for name, bad in cases.items():
+        transcript = verify_certificate(bad)
+        assert transcript == _ref_verify_certificate(bad), name
+        failed[name] = {n for n, ok in transcript if not ok}
+    assert "canonical_expansion" in failed["non-canonical"] and "evaluation" not in failed["non-canonical"]
+    assert {"evaluation", "canonical_expansion"} <= failed["zero suffix"]
+    assert {"evaluation", "canonical_expansion"} <= failed["shifted"]
