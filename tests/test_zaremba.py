@@ -1,6 +1,7 @@
 """Bounded-digit certificates for power denominators and the brute-force optimum."""
 
 import dataclasses
+import random
 import sys
 from math import isqrt
 
@@ -209,6 +210,108 @@ def test_brute_force_cap():
     with pytest.raises(ValueError, match="norm at least 2"):
         brute_force_min_K(g(1))
     assert (g(2) ** 12).norm <= DESK_NORM_CAP
+
+
+def test_brute_force_at_the_cap():
+    # 5792 is the largest real denominator within the cap, so its scan meets
+    # the largest intermediates the int64 headroom assertion covers.
+    assert g(5792).norm <= DESK_NORM_CAP < g(5793).norm
+    res = brute_force_min_K(5792)
+    head, expansion, last = _gauss_map(res.numerator.re, res.numerator.im, 5792, 0)
+    assert head == (0, 0)
+    assert last[0] ** 2 + last[1] ** 2 == 1
+    assert expansion == [(d.re, d.im) for d in res.digits]
+    assert max(d.norm for d in res.digits) == res.k_sq
+
+
+def _ref_candidates(dre, dim, nrm):
+    """The scalar scan's candidates, in its order."""
+    bound = isqrt(nrm // 2) + 2
+    even = nrm % 2 == 0
+    for are in range(-bound, bound + 1):
+        for aim in range(-bound, bound + 1):
+            if are == 0 and aim == 0:
+                continue
+            if even and (are + aim) % 2 == 0:
+                continue
+            tre = 2 * (are * dre + aim * dim)
+            if tre < -nrm or tre >= nrm:
+                continue
+            tim = 2 * (aim * dre - are * dim)
+            if tim < -nrm or tim >= nrm:
+                continue
+            yield are, aim
+
+
+def _ref_brute_scan(dre, dim, nrm):
+    """The scalar scan the lockstep one replaced: one pruned expansion per candidate."""
+    best = 1 << 62
+    best_re = 0
+    best_im = 0
+    for are, aim in _ref_candidates(dre, dim, nrm):
+        nre, nim = are, aim
+        cre, cim = dre, dim
+        kmax = 0
+        while nre != 0 or nim != 0:
+            nn = nre * nre + nim * nim
+            tr = cre * nre + cim * nim
+            ti = cim * nre - cre * nim
+            qre = (2 * tr + nn) // (2 * nn)
+            qim = (2 * ti + nn) // (2 * nn)
+            dk = qre * qre + qim * qim
+            if dk >= best:
+                break
+            if dk > kmax:
+                kmax = dk
+            rre = cre - (qre * nre - qim * nim)
+            rim = cim - (qre * nim + qim * nre)
+            cre, cim = nre, nim
+            nre, nim = rre, rim
+        else:
+            # Not pruned, so kmax < best; the last remainder is the gcd.
+            if cre * cre + cim * cim == 1:
+                best = kmax
+                best_re = are
+                best_im = aim
+    return best_re, best_im, best
+
+
+def _differential_dens():
+    dens = [den for group in SCAN_CLASSES.values() for den in group]
+    rng = random.Random(20240917)
+    drawn = []
+    while len(drawn) < 300:
+        den = g(rng.randint(-64, 64), rng.randint(-64, 64))
+        if 2 <= den.norm <= 1 << 12:
+            drawn.append(den)
+    # norms 2^13 .. 2^17: general odd and even, a power of 1+i, of 2+i and of 3
+    large = [g(97, -64), g(120, -67), g(-150, 111), g(1, 1) ** 16, g(2, 1) ** 7, g(243)]
+    return dens + drawn + large
+
+
+DIFFERENTIAL_DENS = _differential_dens()
+
+
+@pytest.fixture(scope="module")
+def ref_scans():
+    return {den: _ref_brute_scan(den.re, den.im, den.norm) for den in DIFFERENTIAL_DENS}
+
+
+@pytest.mark.parametrize("chunk", [zaremba._CHUNK, 7, 64])
+def test_lockstep_scan_matches_the_scalar_scan(monkeypatch, ref_scans, chunk):
+    # Small pools put tied candidates both in one pool and in pools apart.
+    monkeypatch.setattr(zaremba, "_CHUNK", chunk)
+    for den in DIFFERENTIAL_DENS:
+        assert zaremba._brute_scan(den.re, den.im, den.norm) == ref_scans[den], den
+
+
+def test_candidates_are_the_scalar_scans_in_its_order():
+    for den in (den for den in DIFFERENTIAL_DENS if den.norm <= 1 << 12):
+        total, emit = zaremba._candidates(den.re, den.im, den.norm)
+        numbers, are, aim = emit(0, total)
+        expected = list(_ref_candidates(den.re, den.im, den.norm))
+        assert list(zip(are.tolist(), aim.tolist())) == expected, den
+        assert (numbers[1:] > numbers[:-1]).all()
 
 
 def test_tampered_certificates_yield_transcripts_not_exceptions():
