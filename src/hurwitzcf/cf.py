@@ -121,6 +121,30 @@ def fold_unit_neg(cf: CfSequence) -> CfSequence:
     return CfSequence(cf.head, body + (last - 1, last + 1) + mirror(body))
 
 
+def _fold_step(
+    cf: CfSequence, x: GaussianInt, q: GaussianInt, p: GaussianInt
+) -> tuple[CfSequence, GaussianInt, GaussianInt]:
+    """The Folding Lemma: the fold by x and its last convergent pair, from the word's.
+
+    For p/q the word's last convergent p_n/q_n (either sign of the pair will
+    do) and y = (-1)^n x, the folded word's last convergent is
+    (1 + y q p)/(y q^2): with A(a) = [[a, 1], [1, 0]] and D = diag(1, -1),
+    A(-a) = -D A(a) D makes the mirrored half (-1)^n D T^t D for the word's
+    convergent matrix T, and det T = (-1)^n leaves only that pair.  For
+    x = +-1 the word is fold_unit / fold_unit_neg, which absorb the unit,
+    and the pair is y times its last convergent.  Any head will do; the
+    pair costs three big products and no recurrence.
+    """
+    if x == ONE:
+        folded = fold_unit(cf)
+    elif x == -ONE:
+        folded = fold_unit_neg(cf)
+    else:
+        folded = fold(cf, x)
+    yq = fold_sign(len(cf.tail)) * x * q
+    return folded, yq * q, ONE + yq * p
+
+
 def fold_sign(n: int) -> int:
     """(-1)^n, the sign of the folding correction for a length-n tail."""
     return -1 if n & 1 else 1

@@ -171,6 +171,14 @@ I = GaussianInt(0, 1)
 UNITS = (GaussianInt(1, 0), GaussianInt(0, 1), GaussianInt(-1, 0), GaussianInt(0, -1))
 
 
+def _associate_unit(z: GaussianInt, w: GaussianInt) -> GaussianInt | None:
+    """The unit u with z == u * w, or None: O(n) work, no division."""
+    for u in UNITS:
+        if z == u * w:
+            return u
+    return None
+
+
 class BudgetError(ValueError):
     """A request whose exact arithmetic would exceed the work budget."""
 

@@ -15,7 +15,7 @@ from math import gcd
 
 import numpy as np
 
-from .cf import CfSequence
+from .cf import CfSequence, fold, fold_unit
 from .exactreal import QuadSurd, rational_between, sign_sqrt
 from .gaussian import ZERO, GaussianInt, format_gaussian_int
 from .hcf import digit_in_alphabet, hcf_expand  # hcf_expand: perfbench's tracer test reads it here
@@ -761,8 +761,6 @@ def verify_folding_program(seed, middle: GaussianInt | int = GaussianInt(-2, 1),
     depth to the seed word, checking each result and its reversal.  Returns the
     number of words checked.
     """
-    from .cf import fold, fold_unit
-
     seed_cf = CfSequence(ZERO, _coerce_digits(seed))
     middle = GaussianInt.from_any(middle)
     _check_program_word(seed_cf.tail)

@@ -7,15 +7,15 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
 
-from .cf import CfSequence, convergents, evaluate, fold, fold_unit, fold_unit_neg, mirror_negate
+from .cf import CfSequence, _fold_step, convergents, evaluate, mirror_negate
 from .exactreal import ln_brackets, sqrt_brackets
 from .gaussian import (
     ONE,
-    UNITS,
     ZERO,
     BudgetError,
     GaussianInt,
     GaussianRational,
+    _associate_unit,
     _check_power_budget,
     exact_div,
     gauss_gcd,
@@ -285,53 +285,12 @@ def _canonical_stage(digits: tuple[GaussianInt, ...], value: GaussianRational, n
         raise AssertionError(f"stage {n}: stream is not the canonical expansion")
 
 
-# A stage's convergent matrix T = A(a_1)...A(a_n) = [[q_n, q_(n-1)], [p_n, p_(n-1)]]
-# of [0; a_1, ..., a_n], with A(a) = [[a, 1], [1, 0]], is carried as the
-# tuple (q_n, q_(n-1), p_n, p_(n-1)); the seed's comes from cf.convergents.
-
-def _fold_matrix(t: tuple[GaussianInt, ...], length: int, x: GaussianInt) -> tuple[GaussianInt, ...]:
-    """T of fold(word, x) from the word's T, in five big products.
-
-    A(-a) = -D A(a) D with D = diag(1, -1) turns the mirrored half into
-    (-1)^n D T^t D, so T' = T A(x) (-1)^n D T^t D; with det T = (-1)^n and
-    y = (-1)^n x this is [[y q^2, 1 - y q p], [1 + y q p, -y p^2]].
-    """
-    q, _, p, _ = t
-    y = -x if length & 1 else x
-    yq, yp = y * q, y * p
-    yqp = yq * p
-    return yq * q, ONE - yqp, ONE + yqp, -(yp * p)
-
-
-def _unit_fold_matrix(t: tuple[GaussianInt, ...], length: int, sign: int) -> tuple[GaussianInt, ...]:
-    """T of fold_unit (sign 1) or fold_unit_neg (sign -1) from the word's T, in three big products.
-
-    The folded word is body, a_n + sign, a_n - sign, mirror(body), so
-    T' = T_body A(a_n + sign) A(a_n - sign) T_body^t with T_body = T A(a_n)^-1.
-    The middle factor is w w^t + sign W with w = (a_n, 1) and W = [[0, 1], [-1, 0]];
-    T_body w = (q_n, p_n) and T_body W T_body^t = det(T_body) W = (-1)^(n-1) W,
-    so T' = [[q^2, q p + s], [q p - s, p^2]] with s = sign (-1)^(n-1).
-    """
-    q, _, p, _ = t
-    s = sign if length & 1 else -sign
-    qp = q * p
-    return q**2, qp + s, qp - s, p**2
-
-
-def _associate_unit(z: GaussianInt, w: GaussianInt) -> GaussianInt | None:
-    """The unit u with z == u * w, or None: O(n) work, no division."""
-    for u in UNITS:
-        if z == u * w:
-            return u
-    return None
-
-
 def build_xi(seed: tuple[GaussianInt, ...], schedule: FoldingSchedule, base: GaussianInt,
              stages: int | None = None) -> XiNumber:
     """Fold the seed along the schedule, pinning stage m to denominator base**v_m.
 
-    Each stage costs a constant number of big products: the folded word's
-    convergent matrix comes in closed form from the last one's q_n and p_n
+    Each stage costs a constant number of big products: cf._fold_step gives
+    the folded word's last convergent pair (q_n, p_n) from the last one's
     (only the seed runs the recurrence), and base**v_n =
     (base**v_(n-1))**2 * base**u_n is computed once and shared by the
     numerator, the partial and the check that the stream's last convergent
@@ -342,6 +301,8 @@ def build_xi(seed: tuple[GaussianInt, ...], schedule: FoldingSchedule, base: Gau
     seed = tuple(GaussianInt.from_any(d) for d in seed)
     if stages is None:
         stages = schedule.stage_count
+    if stages < 0:
+        raise ValueError("stage count must be nonnegative")
     if stages > schedule.stage_count:
         raise ValueError("schedule is shorter than the requested stage count")
     v = schedule.v()
@@ -356,9 +317,8 @@ def build_xi(seed: tuple[GaussianInt, ...], schedule: FoldingSchedule, base: Gau
     digits = seed
     base_norm = base.norm
     table = convergents(CfSequence(ZERO, seed))
-    last = table.last_index
-    matrix = (table.q(last), table.q(last - 1), table.p(last), table.p(last - 1))
-    unit = _associate_unit(matrix[0], power)
+    q, p = table.q(table.last_index), table.p(table.last_index)
+    unit = _associate_unit(q, power)
     for n in range(1, stages + 1):
         if unit is None:
             raise AssertionError(f"stage {n}: denominator is not an associate of base**v")
@@ -366,33 +326,24 @@ def build_xi(seed: tuple[GaussianInt, ...], schedule: FoldingSchedule, base: Gau
         series_sign = -1 if n > 1 or len(seed) % 2 == 1 else 1
         coefficient = GaussianInt(series_sign * (-1) ** length, 0) * unit * unit
         step = schedule.u[n - 1]
-        word = CfSequence(ZERO, digits)
-        if step == 0:
-            lift = power
-            if coefficient == ONE:
-                folded, matrix = fold_unit(word), _unit_fold_matrix(matrix, length, 1)
-            else:
-                folded, matrix = fold_unit_neg(word), _unit_fold_matrix(matrix, length, -1)
-        else:
-            # base_norm >= 2, so base_norm**step < 8 only for step <= 2.
-            if base_norm ** min(step, 3) < 8:
-                raise ValueError(f"stage {n}: middle digit norm {base_norm ** step} is below 8")
-            middle = base**step
-            lift = middle * power
-            x = coefficient * middle
-            folded, matrix = fold(word, x), _fold_matrix(matrix, length, x)
+        # base_norm >= 2, so base_norm**step < 8 only for 1 <= step <= 2.
+        if step and base_norm ** min(step, 3) < 8:
+            raise ValueError(f"stage {n}: middle digit norm {base_norm ** step} is below 8")
+        middle = base**step
+        folded, q, p = _fold_step(CfSequence(ZERO, digits), coefficient * middle, q, p)
         digits = folded.tail
         if len(digits) != 2 * length + (0 if step == 0 else 1):
             raise AssertionError(f"stage {n}: unexpected stream length")
         # lift = base**(v_n - v_(n-1)), so power becomes base**v_n.
+        lift = middle * power
         numerator = numerator * lift + GaussianInt(series_sign, 0)
         power = power * lift
         if divmod(numerator, base)[1] == ZERO:
             raise AssertionError(f"stage {n}: numerator shares a factor with the base")
         # The last convergent p/q is reduced and so is numerator / base**v_n,
         # so they are equal exactly when q = u base**v_n and p = u numerator.
-        unit = _associate_unit(matrix[0], power)
-        if unit is None or matrix[2] != unit * numerator:
+        unit = _associate_unit(q, power)
+        if unit is None or p != unit * numerator:
             raise AssertionError(f"stage {n}: folded stream disagrees with the series")
         partial = GaussianRational._raw(numerator, power)
         _canonical_stage(digits, partial, n)

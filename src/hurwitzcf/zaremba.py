@@ -8,12 +8,13 @@ from typing import Iterable
 
 import numpy as np
 
-from .cf import CfSequence, evaluate, fold, fold_unit, fold_unit_neg
+from .cf import CfSequence, _fold_step, evaluate
 from .gaussian import (
     ONE,
     ZERO,
     GaussianInt,
     GaussianRational,
+    _associate_unit,
     _check_power_budget,
     _gauss_map,
     format_gaussian_int,
@@ -235,64 +236,55 @@ def certificate_transcript(cert: ZarembaCertificate) -> tuple[tuple[str, bool], 
 
 
 # Certificates that certify built and verified, each with its transcript and
-# eps = u**2 = +-1 for the unit u with q_n = u * base**power, where p_n / q_n is
-# the last convergent of the digits.
-_CACHE: dict[tuple[tuple[int, int], int], tuple[ZarembaCertificate, tuple[tuple[str, bool], ...], int]] = {}
+# the unit u with q_n = u * base**power and p_n = u * numerator, where p_n / q_n
+# is the last convergent of the digits.
+_CACHE: dict[tuple[tuple[int, int], int], tuple[ZarembaCertificate, tuple[tuple[str, bool], ...], GaussianInt]] = {}
 
 
-def _fold_plan(base: GaussianInt, power: int) -> tuple[int, GaussianInt | None]:
-    """The child power and the middle digit (None for a unit fold) that build base**power."""
+def _fold_plan(base: GaussianInt, power: int) -> tuple[int, GaussianInt]:
+    """The child power and the middle digit (ONE for a unit fold) that build base**power."""
     key = base.key()
     if key == (2, 0):
         if power % 2 == 0:
             return (power - 2) // 2, _gi(4)
         return (power - 3) // 2, _gi(8)
     if power % 2 == 0:
-        return power // 2, None
+        return power // 2, ONE
     return (power - 1) // 2, base
 
 
 def _folded_step(base: GaussianInt, power: int) -> tuple[GaussianInt, tuple[GaussianInt, ...], GaussianInt, tuple]:
     """Numerator, digits, denominator and Gauss-map pass of the folded certificate for base**power.
 
-    The child c / B, B = base**k, has q_n = u B and p_n = u c, so the folding
-    lemma gives each candidate's numerator over base**power in closed form
-    (spectrum._fold_matrix and _unit_fold_matrix with eps = u**2):
-      fold(word, +-middle): den = middle B**2, numerator = middle B c + sigma eps,
-        sigma = (-1)**n sign(+-);
-      fold_unit / fold_unit_neg: den = B**2, numerator = B c - s eps,
-        s = sign (-1)**(n - 1).
+    The child c / B, B = base**k, has last convergent (q_n, p_n) = (u B, u c),
+    so cf._fold_step gives each candidate fold by +-middle (a unit fold for
+    middle = ONE) with its last convergent pair (q', p'); q' = w base**power
+    for a unit w, and the numerator over base**power is conj(w) p'.
     Prefer a folded word that is its own canonical expansion, read off the one
-    Gauss-map pass that verification uses; the mirrored unit / mirrored-sign
-    fold is an equally valid folding step, built only when the first is not
-    canonical.  If neither is, the first candidate's fraction still is the
-    target, so certify its canonical digits instead.  A canonical word is
-    stored as folded.tail itself, sharing digit objects with the child.
+    Gauss-map pass that verification uses; the fold by -middle is an equally
+    valid folding step, built only when the first is not canonical.  If
+    neither is, the first candidate's fraction still is the target, so
+    certify its canonical digits instead.  A canonical word is stored as
+    folded.tail itself, sharing digit objects with the child.
     """
     child_power, middle = _fold_plan(base, power)
     child = certify(base, child_power)
-    eps = _CACHE[(base.key(), child_power)][2]
+    unit = _CACHE[(base.key(), child_power)][2]
     scale = base ** child_power
-    bc = scale * child.numerator
-    cf = CfSequence(ZERO, child.digits)
-    odd = len(child.digits) & 1
-    if middle is None:
-        den = scale * scale
-        s = eps if odd else -eps
-        candidates = ((fold_unit, bc - s), (fold_unit_neg, bc + s))
-    else:
-        den = middle * scale * scale
-        mbc = middle * bc
-        sigma = -eps if odd else eps
-        candidates = ((lambda w: fold(w, middle), mbc + sigma), (lambda w: fold(w, -middle), mbc - sigma))
+    den = middle * scale * scale
+    word = CfSequence(ZERO, child.digits)
+    q, p = unit * scale, unit * child.numerator
     tried = []
-    for make, numerator in candidates:
+    for x in (middle, -middle):
+        folded, q_fold, p_fold = _fold_step(word, x, q, p)
+        w = _associate_unit(q_fold, den)
+        if w is None:
+            raise AssertionError(f"power {power}: folded denominator is not an associate of base**power")
+        numerator = w.conj() * p_fold
         gauss = _gauss_map(numerator.re, numerator.im, den.re, den.im)
         head, expansion, _ = gauss
-        if head == (0, 0):
-            folded = make(cf).tail
-            if expansion == [(d.re, d.im) for d in folded]:
-                return numerator, folded, den, gauss
+        if head == (0, 0) and expansion == [(d.re, d.im) for d in folded.tail]:
+            return numerator, folded.tail, den, gauss
         tried.append((numerator, gauss))
     numerator, gauss = tried[0]
     return numerator, tuple(GaussianInt(re, im) for re, im in gauss[1]), den, gauss
@@ -327,8 +319,8 @@ def certify(base: GaussianInt | int, power: int) -> ZarembaCertificate:
             transcript,
         )
     # The digits passed as canonical, so num = p_n * last and den = q_n * last:
-    # u = conj(last) and u**2 is -1 exactly when last is imaginary.
-    _CACHE[(key, power)] = (cert, transcript, -1 if gauss[2][1] else 1)
+    # u = conj(last).
+    _CACHE[(key, power)] = (cert, transcript, GaussianInt(gauss[2][0], -gauss[2][1]))
     return cert
 
 

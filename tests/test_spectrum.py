@@ -222,6 +222,9 @@ def test_build_input_validation():
         build_xi(unit_seed(B, 4), FoldingSchedule(5, (3,)), B)
     with pytest.raises(ValueError, match="schedule is shorter"):
         build_xi(seed, FoldingSchedule(4, (3,)), B, stages=2)
+    for stages in (-1, -2):
+        with pytest.raises(ValueError, match="stage count must be nonnegative"):
+            build_xi(seed, FoldingSchedule(4, (3,)), B, stages=stages)
     with pytest.raises(ValueError, match="below 8"):
         build_xi(seed, FoldingSchedule(4, (1,)), B)
 

@@ -1,5 +1,5 @@
-"""The xi builder's fast paths against slow oracles: closed-form fold matrices
-against the convergent recurrence, the one-pass tail sandwich against the
+"""The xi builder's fast paths against slow oracles: the closed-form folding
+step against the convergent recurrence, the one-pass tail sandwich against the
 per-m formula, and the up-front work budget."""
 
 import dataclasses
@@ -8,9 +8,11 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hurwitzcf import gaussian, spectrum
-from hurwitzcf.cf import CfSequence, convergents, fold, fold_unit, fold_unit_neg
+from hurwitzcf.cf import CfSequence, _fold_step, convergents, fold, fold_unit, fold_unit_neg
 from hurwitzcf.gaussian import UNITS, ZERO, GaussianInt
 from hurwitzcf.spectrum import (
     MAX_POWER_BITS,
@@ -33,11 +35,23 @@ def g(re, im=0):
     return GaussianInt(re, im)
 
 
-def oracle_matrix(digits):
-    """(q_n, q_(n-1), p_n, p_(n-1)) of [0; digits] from cf.convergents."""
-    table = convergents(CfSequence(ZERO, digits))
-    n = table.last_index
-    return table.q(n), table.q(n - 1), table.p(n), table.p(n - 1)
+def last_pair(cf):
+    """(q_n, p_n), the last convergent of cf, from cf.convergents."""
+    table = convergents(cf)
+    return table.q(table.last_index), table.p(table.last_index)
+
+
+def oracle_pair(folded, x, length):
+    """What _fold_step returns with the word folded, by x, from a length-long tail.
+
+    That is the last convergent of the folded word, times y = (-1)**length * x
+    when x = +-1 and the word is the unit fold.
+    """
+    q, p = last_pair(folded)
+    if x in (g(1), g(-1)):
+        y = -x if length & 1 else x
+        return y * q, y * p
+    return q, p
 
 
 def old_sandwich(xi, m):
@@ -49,30 +63,30 @@ def old_sandwich(xi, m):
     return scale <= 4 * gap.norm <= 9 * scale
 
 
-def random_word(rng, length):
-    out = []
-    while len(out) < length:
-        d = g(rng.randint(-6, 6), rng.randint(-6, 6))
-        if d.norm >= 2:
-            out.append(d)
-    return tuple(out)
+small = st.builds(GaussianInt, st.integers(-6, 6), st.integers(-6, 6))
+digit = small.filter(lambda d: d.norm >= 2)
+middles = st.one_of(
+    st.sampled_from(UNITS),
+    digit,
+    st.builds(lambda k, u: u * B**k, st.integers(8, 80), st.sampled_from(UNITS)),
+)
 
 
-def test_matrix_helpers_match_the_recurrence():
-    rng = random.Random(41)
-    middles = list(UNITS) + [g(3), g(-3), g(2, -5), g(-4, 1), B**7, -(B**6)]
-    seen = set()
-    for length in range(1, 10):
-        for _ in range(12):
-            word = random_word(rng, length)
-            t = oracle_matrix(word)
-            cf = CfSequence(ZERO, word)
-            x = rng.choice(middles)
-            assert spectrum._fold_matrix(t, length, x) == oracle_matrix(fold(cf, x).tail)
-            assert spectrum._unit_fold_matrix(t, length, 1) == oracle_matrix(fold_unit(cf).tail)
-            assert spectrum._unit_fold_matrix(t, length, -1) == oracle_matrix(fold_unit_neg(cf).tail)
-            seen.add((length % 2, x.re < 0 or (x.re == 0 and x.im < 0)))
-    assert len(seen) == 4  # both parities with both signs of the middle digit
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(small, st.lists(digit, min_size=1, max_size=9), middles, st.booleans())
+def test_fold_step_matches_the_recurrence(head, word, x, negate):
+    cf = CfSequence(head, tuple(word))
+    q, p = last_pair(cf)
+    if negate:  # the step takes the convergent pair up to sign
+        q, p = -q, -p
+    folded, q_fold, p_fold = _fold_step(cf, x, q, p)
+    if x == g(1):
+        assert folded == fold_unit(cf)
+    elif x == g(-1):
+        assert folded == fold_unit_neg(cf)
+    else:
+        assert folded == fold(cf, x)
+    assert (q_fold, p_fold) == oracle_pair(folded, x, len(word))
 
 
 def _seeds():
@@ -96,19 +110,21 @@ def _schedules(rng, base, v0):
             yield schedule
 
 
-def _record_matrices(monkeypatch):
-    """Patch the closed-form helpers so each matrix build_xi computes is kept, in order."""
+def _record_steps(monkeypatch):
+    """Patch spectrum's _fold_step so each (x, word length, q', p') build_xi computes is kept, in order."""
     recorded = []
-    for name in ("_fold_matrix", "_unit_fold_matrix"):
-        def wrapped(*args, _helper=getattr(spectrum, name)):
-            recorded.append(_helper(*args))
-            return recorded[-1]
-        monkeypatch.setattr(spectrum, name, wrapped)
+
+    def wrapped(cf, x, q, p, _step=spectrum._fold_step):
+        folded, q_fold, p_fold = _step(cf, x, q, p)
+        recorded.append((x, len(cf.tail), q_fold, p_fold))
+        return folded, q_fold, p_fold
+
+    monkeypatch.setattr(spectrum, "_fold_step", wrapped)
     return recorded
 
 
 def test_build_xi_matrices_equal_the_full_stream_convergents(monkeypatch):
-    recorded = _record_matrices(monkeypatch)
+    recorded = _record_steps(monkeypatch)
     rng = random.Random(7)
     kinds = set()
     built = 0
@@ -126,7 +142,9 @@ def test_build_xi_matrices_equal_the_full_stream_convergents(monkeypatch):
             assert len(recorded) == xi.stage_count
             for n in range(1, xi.stage_count + 1):
                 digits, previous = xi.digits(n), xi.digits(n - 1)
-                assert recorded[n - 1] == oracle_matrix(digits)
+                x, length, q, p = recorded[n - 1]
+                assert length == len(previous)
+                assert (q, p) == oracle_pair(CfSequence(ZERO, digits), x, length)
                 if len(digits) == 2 * len(previous):
                     kinds.add(("unit", digits[len(previous) - 1] == previous[-1] + 1))
                 else:
@@ -153,22 +171,24 @@ def test_cli_schedules_match_the_full_stream_convergents(monkeypatch, base, tau,
             w.extend((extra, x))
         schedule = FoldingSchedule(schedule.v0, tuple(w))
         stages = len(schedule.u)
-    recorded = _record_matrices(monkeypatch)
+    recorded = _record_steps(monkeypatch)
     xi = build_xi(unit_seed(base, schedule.v0), schedule, base, stages=stages)
-    assert recorded == [oracle_matrix(xi.digits(n)) for n in range(1, stages + 1)]
+    assert len(recorded) == stages
+    for n, (x, length, q, p) in enumerate(recorded, 1):
+        assert length == len(xi.digits(n - 1))
+        assert (q, p) == oracle_pair(CfSequence(ZERO, xi.digits(n)), x, length)
 
 
 @pytest.mark.parametrize("corrupt", [
-    lambda t: (t[0] + 1,) + t[1:],         # q is no associate of base**v_n
-    lambda t: t[:2] + (-t[2],) + t[3:],    # p is not the matching unit times the numerator
+    lambda r: (r[0], r[1] + 1, r[2]),    # q is no associate of base**v_n
+    lambda r: (r[0], r[1], -r[2]),       # p is not the matching unit times the numerator
 ])
 def test_stage_check_rejects_a_wrong_matrix(monkeypatch, corrupt):
     # The unit fold of unit_seed(B, 4) has unit 1, the general fold of the
     # certificate seed does not; each case needs its own half of the check.
-    cases = (("_fold_matrix", certify(B, 4).digits, (3,)), ("_unit_fold_matrix", unit_seed(B, 4), (0,)))
-    for helper, seed, u in cases:
-        original = getattr(spectrum, helper)
-        monkeypatch.setattr(spectrum, helper, lambda *args, _f=original: corrupt(_f(*args)))
+    original = spectrum._fold_step
+    monkeypatch.setattr(spectrum, "_fold_step", lambda *args: corrupt(original(*args)))
+    for seed, u in ((certify(B, 4).digits, (3,)), (unit_seed(B, 4), (0,))):
         with pytest.raises(AssertionError, match="stage 1: folded stream disagrees with the series"):
             build_xi(seed, FoldingSchedule(4, u), B)
 

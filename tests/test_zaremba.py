@@ -342,7 +342,8 @@ def test_folded_candidate_outside_the_domain_is_not_canonical(monkeypatch):
     # Neither word may be stored; the first candidate's fraction keeps its
     # canonical digits, and the certificate fails the domain check.
     child = ZarembaCertificate(g(2), 1, g(-1), 64, (g(-2),))
-    monkeypatch.setattr(zaremba, "_CACHE", {((2, 0), 1): (child, (), 1)})
+    # [0; -2] has (q_1, p_1) = (-2, 1) = -1 * (2, -1), so the child's unit is -1.
+    monkeypatch.setattr(zaremba, "_CACHE", {((2, 0), 1): (child, (), g(-1))})
     numerator, digits, den, gauss = zaremba._folded_step(g(2), 4)
     assert (numerator, den) == (g(-9), g(16))
     assert digits == hcf_expand(GaussianRational(g(-9), g(16))).digits == (g(2), g(4), g(-2))
@@ -351,6 +352,19 @@ def test_folded_candidate_outside_the_domain_is_not_canonical(monkeypatch):
     cert = ZarembaCertificate(g(2), 4, numerator, 64, digits)
     assert zaremba._checks(cert, den, gauss) == verify_certificate(cert) == _ref_verify_certificate(cert)
     assert {n for n, ok in verify_certificate(cert) if not ok} == {"evaluation", "fundamental_domain", "canonical_expansion"}
+
+
+def test_a_folded_denominator_off_the_base_power_raises(monkeypatch):
+    monkeypatch.setattr(zaremba, "_CACHE", {})
+    original = zaremba._fold_step
+
+    def shifted(*args):
+        folded, q, p = original(*args)
+        return folded, q + 1, p
+
+    monkeypatch.setattr(zaremba, "_fold_step", shifted)
+    with pytest.raises(AssertionError, match="power 8: folded denominator is not an associate of base"):
+        certify(g(-2, 1), 16)
 
 
 def _count_calls(monkeypatch, *targets):
@@ -466,7 +480,7 @@ def _chosen_candidate(cert):
     """0 or 1 for the folded word certify stored, None for canonical digits of a non-canonical fold."""
     child_power, middle = zaremba._fold_plan(cert.base, cert.power)
     cf = CfSequence(ZERO, certify(cert.base, child_power).digits)
-    words = (fold_unit(cf), fold_unit_neg(cf)) if middle is None else (fold(cf, middle), fold(cf, -middle))
+    words = (fold_unit(cf), fold_unit_neg(cf)) if middle == g(1) else (fold(cf, middle), fold(cf, -middle))
     tails = [w.tail for w in words]
     return tails.index(cert.digits) if cert.digits in tails else None
 
@@ -480,16 +494,15 @@ def test_closed_form_folding_matches_the_evaluating_reference():
         chosen = {}
         for power in range(1, 201):
             cert = certify(base, power)
-            cached, transcript, eps = zaremba._CACHE[(key, power)]
+            cached, transcript, unit = zaremba._CACHE[(key, power)]
             assert cached is cert
             assert transcript == _ref_verify_certificate(cert) + (("digit_window", digit_window_ok(cert)),)
             if power <= 50:
-                # eps = u**2 for the unit u with q_n = u * base**power; larger powers
-                # rest on the kernel identity checked in test_kernel.py
+                # the cached unit has q_n = u * base**power and p_n = u * numerator;
+                # larger powers rest on the kernel identity checked in test_kernel.py
                 table = convergents(CfSequence(ZERO, cert.digits))
                 q, p = table.q(table.last_index), table.p(table.last_index)
-                (u,) = [u for u in (g(1), g(-1), g(0, 1), g(0, -1)) if q == u * cert.denominator()]
-                assert p == u * cert.numerator and u * u == g(eps)
+                assert q == unit * cert.denominator() and p == unit * cert.numerator
             if power not in zaremba._SEEDS[key]:
                 assert (cert.numerator, cert.digits) == _ref_folded_step(base, power), (base, power)
                 chosen[power] = _chosen_candidate(cert)
