@@ -1,9 +1,11 @@
-"""Exact sign decisions and rational enclosures for square roots and logarithms."""
+"""Exact sign decisions and rational enclosures for square roots and logarithms.
+
+The sign tests take ints or Fractions alike; geometry runs them on integers.
+"""
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import total_ordering
 from math import isqrt
 
 
@@ -26,7 +28,7 @@ def sqrt_brackets(x: Fraction | int, bits: int) -> tuple[Fraction, Fraction]:
     return lo, hi
 
 
-def sign_sqrt(u: Fraction, v: Fraction, d: Fraction) -> int:
+def sign_sqrt(u: Fraction | int, v: Fraction | int, d: Fraction | int) -> int:
     """Exact sign of u + v*sqrt(d) for rational u, v and rational d >= 0."""
     if d < 0:
         raise ValueError("negative radicand")
@@ -43,7 +45,9 @@ def sign_sqrt(u: Fraction, v: Fraction, d: Fraction) -> int:
     return su if lhs > rhs else sv
 
 
-def sign_two_sqrt(u: Fraction, v: Fraction, d1: Fraction, w: Fraction, d2: Fraction) -> int:
+def sign_two_sqrt(
+    u: Fraction | int, v: Fraction | int, d1: Fraction | int, w: Fraction | int, d2: Fraction | int
+) -> int:
     """Exact sign of u + v*sqrt(d1) + w*sqrt(d2)."""
     if w == 0 or d2 == 0:
         return sign_sqrt(u, v, d1)
@@ -60,74 +64,6 @@ def sign_two_sqrt(u: Fraction, v: Fraction, d1: Fraction, w: Fraction, d2: Fract
     if s == 0:
         return 0
     return s_p if s > 0 else s_q
-
-
-@total_ordering
-class QuadSurd:
-    """The exact real number p + q*sqrt(d), rational p, q, and rational d >= 0."""
-
-    __slots__ = ("p", "q", "d")
-
-    def __init__(self, p: Fraction | int, q: Fraction | int = 0, d: Fraction | int = 0) -> None:
-        p, q, d = Fraction(p), Fraction(q), Fraction(d)
-        if d < 0:
-            raise ValueError("negative radicand")
-        if q == 0 or d == 0:
-            q, d = Fraction(0), Fraction(0)
-        self.p, self.q, self.d = p, q, d
-
-    def is_rational(self) -> bool:
-        return self.q == 0
-
-    def sign(self) -> int:
-        return sign_sqrt(self.p, self.q, self.d)
-
-    def cmp(self, other: QuadSurd) -> int:
-        return sign_two_sqrt(self.p - other.p, self.q, self.d, -other.q, other.d)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, QuadSurd):
-            return NotImplemented
-        return self.cmp(other) == 0
-
-    def __lt__(self, other: QuadSurd) -> bool:
-        return self.cmp(other) < 0
-
-    def __hash__(self) -> int:
-        if self.q == 0:
-            return hash(self.p)
-        return hash((self.p, self.q, self.d))
-
-    def enclosure(self, bits: int) -> tuple[Fraction, Fraction]:
-        """Rational bracket lo <= self <= hi."""
-        if self.q == 0:
-            return self.p, self.p
-        r_lo, r_hi = sqrt_brackets(self.d, bits)
-        if self.q > 0:
-            return self.p + self.q * r_lo, self.p + self.q * r_hi
-        return self.p + self.q * r_hi, self.p + self.q * r_lo
-
-    def __repr__(self) -> str:
-        if self.q == 0:
-            return f"QuadSurd({self.p})"
-        return f"QuadSurd({self.p} + {self.q}*sqrt({self.d}))"
-
-
-def rational_between(a: QuadSurd, b: QuadSurd) -> Fraction:
-    """A rational strictly between a and b (requires a < b)."""
-    if a.is_rational() and b.is_rational():
-        if not a.p < b.p:
-            raise ValueError("rational_between needs a < b")
-        return (a.p + b.p) / 2
-    bits = 16
-    while True:
-        _, a_hi = a.enclosure(bits)
-        b_lo, _ = b.enclosure(bits)
-        if a_hi < b_lo:
-            return (a_hi + b_lo) / 2
-        bits *= 2
-        if bits > 1 << 20:
-            raise ArithmeticError("rational_between failed to separate values")
 
 
 def _dyadic_round(x: Fraction, bits: int, up: bool) -> Fraction:

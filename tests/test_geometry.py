@@ -1,5 +1,7 @@
 """Prototype-set geometry, the successor automaton, and word validity."""
 
+import functools
+import hashlib
 import itertools
 import os
 import random
@@ -9,12 +11,14 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hurwitzcf
 from hurwitzcf import geometry
-from hurwitzcf.exactreal import QuadSurd, rational_between
 from hurwitzcf.gaussian import ZERO, GaussianInt, GaussianRational
 from hurwitzcf.geometry import (
+    Constraint,
     Region,
     Validity,
     _interval_infeasible,
@@ -39,6 +43,9 @@ from hurwitzcf.geometry import (
     verify_folding_program,
 )
 from hurwitzcf.hcf import allowed_successors, hcf_expand
+
+import fraction_reference as ref
+from fraction_reference import QuadSurd, rational_between
 
 
 def g(re, im=0):
@@ -188,7 +195,9 @@ def test_set_up_and_explore_build_no_half_open_state(tmp_path):
 # ------------------------------------------------ reference emptiness walkers
 # The interval filter in Fractions and the two curve-pair walks as they were
 # before geometry._arrangement: one walk for the critical x values, one for
-# the candidate points, with each line-circle meeting solved twice.
+# the candidate points, with each line-circle meeting solved twice.  Roots,
+# slices and point tests come from fraction_reference, the Fraction-surd path
+# that geometry's integer surds replaced.
 
 def _ref_axis_range(a, beta):
     quarter = Fraction(a, 4)
@@ -225,7 +234,7 @@ def _ref_line_circle_xroots(line, circle):
         if B == 0:
             return []
         return [QuadSurd(-C / B)]
-    return geometry._quad_roots(A, B, C)
+    return ref._quad_roots(A, B, C)
 
 
 def _ref_line_circle_points(line, circle):
@@ -237,7 +246,7 @@ def _ref_line_circle_points(line, circle):
             return []
         x0 = Fraction(-lc, 2 * lre)
         K = a * x0 * x0 + 2 * bre * x0 + c
-        for root in geometry._quad_roots(Fraction(a), Fraction(2 * bim), K):
+        for root in ref._quad_roots(Fraction(a), Fraction(2 * bim), K):
             pts.append((x0, Fraction(0), root.p, root.q, int(root.d)))
         return pts
     alpha = Fraction(-lre, lim)
@@ -319,15 +328,15 @@ def _ref_candidate_points(region):
 def _ref_is_empty_exact(region):
     criticals = _ref_critical_xs(region)
     for left, right in zip(criticals, criticals[1:]):
-        if left < right and geometry._slice_nonempty(region, rational_between(left, right)):
+        if left < right and ref._slice_nonempty(region, rational_between(left, right)):
             return False
     if region.all_strict():
         return True
     for x in criticals:
-        if x.is_rational() and geometry._slice_nonempty(region, x.p):
+        if x.is_rational() and ref._slice_nonempty(region, x.p):
             return False
     return not any(
-        all(geometry._point_satisfies(con, pt) for con in region.constraints)
+        all(ref._point_satisfies(con, pt) for con in region.constraints)
         for pt in _ref_candidate_points(region)
     )
 
@@ -338,6 +347,7 @@ def recorded_builds():
     seen = {"_is_empty_uncached": [], "_is_empty_exact": []}
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(geometry, "_EMPTY_MEMO", {})
+        mp.setattr(geometry, "_arrangement", functools.cache(geometry._arrangement.__wrapped__))
         for name, regions in seen.items():
             def wrapped(region, _stage=getattr(geometry, name), _regions=regions):
                 _regions.append(region)
@@ -374,26 +384,161 @@ def test_interval_filter_matches_fraction_reference(recorded_builds):
     assert verdicts == {True, False}
 
 
+def _as_ref_surd(s):
+    p, q, r, d = s
+    return QuadSurd(Fraction(p, r), Fraction(q, r), d)
+
+
+def _as_ref_point(pt):
+    x0, x1, y0, y1, r, d = pt
+    return (Fraction(x0, r), Fraction(x1, r), Fraction(y0, r), Fraction(y1, r), d)
+
+
+def _ref_point_xy(pt):
+    xp, xq, yp, yq, d = pt
+    return QuadSurd(xp, xq, d), QuadSurd(yp, yq, d)
+
+
+_REF_HALF, _REF_NEG_HALF = QuadSurd(Fraction(1, 2)), QuadSurd(Fraction(-1, 2))
+
+
 def test_arrangement_matches_reference_walkers(recorded_builds):
     _, _, _, open_exact, half_open_exact = recorded_builds
     for region in open_exact + random.Random(5).sample(half_open_exact, 12):
-        criticals, points = geometry._arrangement(region)
-        ref_criticals = _ref_critical_xs(region)
-        assert points == _ref_candidate_points(region)
+        criticals, points = geometry._arrangement(geometry._curves(region))
+        ref_points = [_ref_point_xy(pt) for pt in _ref_candidate_points(region)]
+        # the reference's points in its order, compared as values; the closed box keeps some
+        assert [_ref_point_xy(_as_ref_point(pt)) for pt in points] == [
+            xy for xy in ref_points if all(_REF_NEG_HALF <= v <= _REF_HALF for v in xy)
+        ]
+        criticals = [_as_ref_surd(x) for x in criticals]
+        assert all(left < right for left, right in zip(criticals, criticals[1:]))
         # the reference also cut at the radical line of circles that never meet;
         # every cut kept is one of its cuts, and every cut dropped meets no point
+        ref_criticals = _ref_critical_xs(region)
         assert all(x in ref_criticals for x in criticals)
-        point_xs = [QuadSurd(xp, xq, d) for xp, xq, _, _, d in points]
+        point_xs = [x for x, _ in ref_points]
         assert not any(x in point_xs for x in ref_criticals if x not in criticals)
 
 
 def test_exact_emptiness_matches_reference(recorded_builds):
     _, _, _, open_exact, half_open_exact = recorded_builds
     assert len(open_exact) == 14 and len(half_open_exact) > 150
-    sample = open_exact + random.Random(3).sample(half_open_exact, 40)
+    sample = open_exact + random.Random(3).sample(half_open_exact, 80)
     verdicts = [_is_empty_exact(region) for region in sample]
     assert verdicts == [_ref_is_empty_exact(region) for region in sample]
     assert set(verdicts) == {True, False}
+    # every slice the integer path takes, against the Fraction slice at the same x
+    slices = 0
+    for region in sample:
+        criticals, _ = geometry._arrangement(geometry._curves(region))
+        xs = [geometry._rational_between(left, right) for left, right in zip(criticals, criticals[1:])]
+        for (u, w), left, right in zip(xs, criticals, criticals[1:]):
+            assert _as_ref_surd(left) < QuadSurd(Fraction(u, w)) < _as_ref_surd(right)
+        xs += [(p, r) for p, q, r, _ in criticals if q == 0]
+        for u, w in xs:
+            assert geometry._slice_nonempty(region, u, w) is ref._slice_nonempty(region, Fraction(u, w))
+            slices += 1
+    assert slices > 500
+
+
+# ------------------------------------------- integer surds against Fractions
+
+_surds = st.tuples(
+    st.integers(-40, 40), st.integers(-40, 40), st.integers(-30, 30).filter(bool), st.integers(0, 50)
+).map(lambda t: geometry._surd(*t))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_surds, _surds, st.integers(1, 5), st.integers(1, 4), st.integers(0, 12))
+def test_integer_surd_order_matches_fraction_surds(s, t, k, m, bits):
+    assert s[2] > 0 and (s[1] != 0) == (s[3] != 0)
+    ref_s, ref_t = _as_ref_surd(s), _as_ref_surd(t)
+    assert geometry._cmp(s, t) == ref_s.cmp(ref_t)
+    # exact ties: the same value scaled through by k, and sqrt(d) written as sqrt(m^2 d) / m
+    p, q, r, d = s
+    for same in ((k * p, k * q, k * r, d), geometry._surd(m * p, q, m * r, m * m * d)):
+        assert geometry._cmp(same, s) == 0 and _as_ref_surd(same) == ref_s
+        assert geometry._cmp(same, t) == ref_s.cmp(ref_t)
+    # a square radicand folds: (p - m + sqrt(m^2)) / r is the rational p / r
+    assert geometry._surd(p - m, 1, r, m * m) == (p, 0, r, 0)
+    f = geometry._floor_scaled(s, bits)
+    assert QuadSurd(Fraction(f, 1 << bits)) <= ref_s < QuadSurd(Fraction(f + 1, 1 << bits))
+    if ref_s < ref_t:
+        u, w = geometry._rational_between(s, t)
+        assert ref_s < QuadSurd(Fraction(u, w)) < ref_t
+
+
+_curve_keys = st.tuples(
+    st.integers(0, 3), st.integers(-6, 6), st.integers(-6, 6), st.integers(-12, 12)
+).filter(lambda t: t[0] or t[1] or t[2]).map(lambda t: constraint(*t, 1, True).curve_key())
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_curve_keys, _curve_keys, _curve_keys)
+def test_meeting_points_and_point_predicate_match_fractions(c1, c2, c3):
+    if c1 == c2:
+        return
+    points = geometry._pair_points(c1, c2)
+    ref_points = _ref_pair_geometry(c1, c2)[1]
+    assert [_ref_point_xy(_as_ref_point(pt)) for pt in points] == [_ref_point_xy(pt) for pt in ref_points]
+    arrangement_points = geometry._arrangement(tuple(dict.fromkeys((c1, c2, c3))))[1]
+    for pt in points + list(arrangement_points):
+        for curve in (c1, c2, c3):
+            for sense in (1, -1):
+                for strict in (True, False):
+                    con = Constraint(*curve, sense, strict)
+                    verdict = geometry._point_satisfies(con, pt)
+                    assert verdict is ref._point_satisfies(con, _as_ref_point(pt))
+                    if pt in points and curve in (c1, c2):
+                        assert verdict is not strict  # on the curve: a tie in either sense
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    st.lists(st.tuples(_curve_keys, st.sampled_from((1, -1)), st.booleans()), min_size=1, max_size=3),
+    st.booleans(),
+)
+def test_exact_emptiness_matches_reference_on_random_regions(cons, half_open):
+    box = geometry._BOX_HALF_OPEN if half_open else geometry._BOX_OPEN
+    region = Region(box + tuple(Constraint(*curve, sense, strict) for curve, sense, strict in cons))
+    assert _is_empty_exact(region) is _ref_is_empty_exact(region)
+
+
+def test_square_radicands_fold_to_rationals():
+    # t^2 - 4: the roots are the rationals -2 and 2, not 0 -+ sqrt(16)/2
+    assert geometry._quad_roots(1, 0, -4) == [(-2, 0, 1, 0), (2, 0, 1, 0)]
+    assert geometry._surd(0, 1, 1, 4) == (2, 0, 1, 0)
+    # the circle |z|^2 = 1/4 touches the box edges x = -+1/2: rational criticals, so the
+    # rational-critical slices see them
+    criticals, points = geometry._arrangement(((4, 0, 0, -1),))
+    assert criticals == ((-1, 0, 2, 0), (1, 0, 2, 0))
+    assert all(pt[1] == pt[3] == pt[5] == 0 for pt in points) and len(points) == 5
+
+
+def _verdict_words():
+    """The desk-mix word pool under its 4 symmetries, then 400 random words.
+
+    The pool is perfbench's (seed 20231018: 128 words of 2-4 digits with
+    components up to |3|); the random words have 1-5 digits with components
+    up to |7|.
+    """
+    small = tuple((re, im) for re in range(-3, 4) for im in range(-3, 4) if re * re + im * im >= 2)
+    rng = random.Random(20231018)
+    pool = [tuple(rng.choice(small) for _ in range(rng.randint(2, 4))) for _ in range(128)]
+    words = [tuple((sr * re, si * im) for re, im in w) for sr, si in ((1, 1), (-1, -1), (1, -1), (-1, 1)) for w in pool]
+    big = tuple((re, im) for re in range(-7, 8) for im in range(-7, 8) if re * re + im * im >= 2)
+    rng = random.Random(912)
+    return words + [tuple(rng.choice(big) for _ in range(rng.randint(1, 5))) for _ in range(400)]
+
+
+def test_verdicts_of_the_912_word_set_are_pinned():
+    # digest recorded with the Fraction-surd exact path: 795 Valid, 6 boundary-only, 111 Invalid
+    words = _verdict_words()
+    assert len(words) == 912
+    lines = [f"{w}:{is_valid(tuple(GaussianInt(*d) for d in w)).value}" for w in words]
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "717256acd538d91554217bb1752b3ff213ec7e1da5daf19625911186ff5c33eb"
 
 
 def test_exact_emptiness_sees_a_disk_between_grid_points():
