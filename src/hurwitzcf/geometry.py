@@ -1,11 +1,14 @@
 """Exact planar regions driving the digit-successor automaton and validity checks.
 
 A region is an intersection of integer circle/line constraints clipped to the
-unit box.  All emptiness and equality decisions are exact: cheap interval and
-grid filters answer first, and a complete slice decomposition settles whatever
-they cannot.  That exact path runs on plain integers: every root, meeting
-point, critical x value and slice bound is a quadratic surd (p + q*sqrt(d))/r
-held as an int tuple, so each comparison is an integer sign test.
+unit box; a constraint is a plain int tuple and is its own sort and memo key.
+All emptiness and equality decisions are exact: a per-constraint interval
+bound answers first, and a complete slice decomposition settles whatever it
+cannot.  That exact path runs on plain integers: every root, meeting point,
+critical x value and slice bound is a quadratic surd (p + q*sqrt(d))/r held as
+an int tuple, so each comparison is an integer sign test.  A region's
+fingerprint is its exact membership of a 9x9 grid of eighths in the closed
+box: equal regions share it, so states with different fingerprints differ.
 """
 
 from __future__ import annotations
@@ -14,17 +17,15 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cache, cmp_to_key
 from math import gcd, isqrt
-
-import numpy as np
+from typing import NamedTuple
 
 from .cf import CfSequence, fold, fold_unit
 from .exactreal import sign_sqrt, sign_two_sqrt
-from .gaussian import ZERO, GaussianInt, format_gaussian_int
+from .gaussian import ZERO, BudgetError, GaussianInt, format_gaussian_int
 from .hcf import digit_in_alphabet, hcf_expand  # hcf_expand: perfbench's tracer test reads it here
 
 
-@dataclass(frozen=True)
-class Constraint:
+class Constraint(NamedTuple):
     """sense * (a*|z|^2 + 2*(bre*x + bim*y) + c) > 0, or >= 0 when not strict."""
 
     a: int
@@ -34,11 +35,8 @@ class Constraint:
     sense: int
     strict: bool
 
-    def key(self) -> tuple[int, int, int, int, int, bool]:
-        return (self.a, self.bre, self.bim, self.c, self.sense, self.strict)
-
     def curve_key(self) -> tuple[int, int, int, int]:
-        return (self.a, self.bre, self.bim, self.c)
+        return self[:4]
 
     @property
     def is_constant(self) -> bool:
@@ -121,18 +119,15 @@ class Region:
                 if not con.constant_satisfied():
                     unsat_constant = con
                 continue
-            body = (con.a, con.bre, con.bim, con.c, con.sense)
+            body = con[:5]
             kept = by_body.get(body)
             if kept is None or (con.strict and not kept.strict):  # the strict one implies the other
                 by_body[body] = con
         cons = list(by_body.values())
         if unsat_constant is not None:
             cons.append(unsat_constant)
-        self.constraints = tuple(sorted(cons, key=Constraint.key))
-        self._fingerprint: bytes | None = None
-
-    def key(self) -> tuple[tuple[int, int, int, int, int, bool], ...]:
-        return tuple(con.key() for con in self.constraints)
+        self.constraints = tuple(sorted(cons))
+        self._fingerprint: int | None = None
 
     def all_strict(self) -> bool:
         return all(con.strict for con in self.constraints)
@@ -163,40 +158,6 @@ def region_conjugate(region: Region) -> Region:
 
 def region_rotate(region: Region) -> Region:
     return canonicalize(Region(tuple(con.rotate() for con in region.constraints)))
-
-
-# ---------------------------------------------------------------- grid filter
-
-_GRID_SCALE = 64
-_GRID_COEFF_LIMIT = 1 << 40
-_AXIS = np.arange(-_GRID_SCALE // 2, _GRID_SCALE // 2 + 1, dtype=np.int64)
-_KX, _KY = (arr.ravel() for arr in np.meshgrid(_AXIS, _AXIS, indexing="ij"))
-_KN = _KX * _KX + _KY * _KY
-
-
-def _grid_mask(region: Region) -> np.ndarray | None:
-    """Boolean membership of the 65x65 rational grid, or None if unsafe in int64."""
-    mask = np.ones(_KX.shape, dtype=bool)
-    for con in region.constraints:
-        if max(abs(con.a), abs(con.bre), abs(con.bim), abs(con.c)) > _GRID_COEFF_LIMIT:
-            return None
-        vals = con.a * _KN + 128 * (con.bre * _KX + con.bim * _KY) + 4096 * con.c
-        if con.sense > 0:
-            mask &= (vals > 0) if con.strict else (vals >= 0)
-        else:
-            mask &= (vals < 0) if con.strict else (vals <= 0)
-        if not mask.any():
-            return mask
-    return mask
-
-
-def fingerprint(region: Region) -> bytes:
-    """Packed grid membership bits; different fingerprints prove different regions."""
-    if region._fingerprint is None:
-        mask = _grid_mask(region)
-        assert mask is not None, "fingerprint needs small constraint coefficients"
-        region._fingerprint = np.packbits(mask).tobytes()
-    return region._fingerprint
 
 
 # ------------------------------------------------------------ interval filter
@@ -294,12 +255,7 @@ def _column_roots(a: int, bim: int, kn: int, w: int) -> list[_Surd]:
 
 
 def _curves(region: Region) -> tuple[tuple[int, int, int, int], ...]:
-    seen: list[tuple[int, int, int, int]] = []
-    for con in region.constraints:
-        ck = con.curve_key()
-        if ck not in seen and not (ck[0] == 0 and ck[1] == 0 and ck[2] == 0):
-            seen.append(ck)
-    return tuple(seen)
+    return tuple(dict.fromkeys(con.curve_key() for con in region.constraints if not con.is_constant))
 
 
 def _line_circle_points(
@@ -405,6 +361,25 @@ def _point_satisfies(con: Constraint, pt: _Point) -> bool:
     return s > 0 or (s == 0 and not con.strict)
 
 
+_FINGERPRINT_POINTS: tuple[_Point, ...] = tuple(
+    (kx, 0, ky, 0, 8, 0) for kx in range(-4, 5) for ky in range(-4, 5)
+)
+
+
+def fingerprint(region: Region) -> int:
+    """Bit j is set when the region holds _FINGERPRINT_POINTS[j], the 9x9 grid of eighths.
+
+    Equal regions have equal fingerprints, so different ones prove different regions.
+    """
+    if region._fingerprint is None:
+        region._fingerprint = sum(
+            1 << j
+            for j, pt in enumerate(_FINGERPRINT_POINTS)
+            if all(_point_satisfies(con, pt) for con in region.constraints)
+        )
+    return region._fingerprint
+
+
 def _iv_intersect(i1: _Interval, i2: _Interval) -> _Interval | None:
     lo1, lc1, hi1, hc1 = i1
     lo2, lc2, hi2, hc2 = i2
@@ -501,17 +476,16 @@ def _is_empty_exact(region: Region) -> bool:
     return True
 
 
-_EMPTY_MEMO: dict[tuple, bool] = {}
+_EMPTY_MEMO: dict[tuple[Constraint, ...], bool] = {}
 
 
 def is_empty(region: Region) -> bool:
     """Exact emptiness of a box-clipped region."""
-    key = region.key()
-    cached = _EMPTY_MEMO.get(key)
+    cached = _EMPTY_MEMO.get(region.constraints)
     if cached is not None:
         return cached
     result = _is_empty_uncached(region)
-    _EMPTY_MEMO[key] = result
+    _EMPTY_MEMO[region.constraints] = result
     return result
 
 
@@ -527,12 +501,8 @@ def _is_empty_uncached(region: Region) -> bool:
         senses = {con.sense for con in group}
         if len(senses) == 2 and any(con.strict for con in group):
             return True
-    for con in region.constraints:
-        if _interval_infeasible(con):
-            return True
-    mask = _grid_mask(region)
-    if mask is not None and mask.any():
-        return False
+    if any(_interval_infeasible(con) for con in region.constraints):
+        return True
     return _is_empty_exact(region)
 
 
@@ -665,8 +635,8 @@ class Automaton:
     def __init__(self, box: tuple[Constraint, ...] = _BOX_OPEN) -> None:
         self.box = box
         self.states: list[AutomatonState] = []
-        self._key_index: dict[tuple, int] = {}
-        self._fp_index: dict[bytes, list[int]] = {}
+        self._key_index: dict[tuple[Constraint, ...], int] = {}
+        self._fp_index: dict[int, list[int]] = {}
         self._transitions: dict[tuple[int, tuple[int, int]], int | None] = {}
         self.full_index = self._identify(Region(box))
 
@@ -678,7 +648,7 @@ class Automaton:
         return self.states[index].label
 
     def _identify(self, region: Region) -> int:
-        key = region.key()
+        key = region.constraints
         found = self._key_index.get(key)
         if found is not None:
             return found
@@ -815,15 +785,29 @@ def _check_program_word(digits: tuple[GaussianInt, ...]) -> None:
         raise AssertionError(f"folding program produced a bad reversal: {list(map(str, rev))}")
 
 
+# Checking folded words costs about 5 us per digit on a 2-CPU host (1.6 s for
+# the 349 013 digits of depth 8 on a 3-digit seed), so the budget is about 5 s.
+MAX_FOLDING_DIGITS = 1 << 20
+
+
 def verify_folding_program(seed, middle: GaussianInt | int = GaussianInt(-2, 1), depth: int = 4) -> int:
     """Check that both folding moves preserve open validity and fullness.
 
     Applies every composition of fold-by-middle and unit-fold up to the given
     depth to the seed word, checking each result and its reversal.  Returns the
-    number of words checked.
+    number of words checked.  Raises BudgetError before any fold when the words
+    would pass MAX_FOLDING_DIGITS digits in all.
     """
     seed_cf = CfSequence(ZERO, _coerce_digits(seed))
     middle = GaussianInt.from_any(middle)
+    total, words, length = 0, 1, len(seed_cf.tail)
+    for _ in range(depth + 1):  # a fold turns n digits into at most 2n + 1
+        total += words * length
+        if total > MAX_FOLDING_DIGITS:
+            raise BudgetError(
+                f"folding depth {depth} exceeds the work budget of {MAX_FOLDING_DIGITS} digits checked"
+            )
+        words, length = 2 * words, 2 * length + 1
     _check_program_word(seed_cf.tail)
     count = 1
     level = [seed_cf]

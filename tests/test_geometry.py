@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 import hurwitzcf
 from hurwitzcf import geometry
-from hurwitzcf.gaussian import ZERO, GaussianInt, GaussianRational
+from hurwitzcf.gaussian import ZERO, BudgetError, GaussianInt, GaussianRational
 from hurwitzcf.geometry import (
     Constraint,
     Region,
@@ -30,6 +31,7 @@ from hurwitzcf.geometry import (
     cylinder_one,
     explore_automaton,
     export_state_table,
+    fingerprint,
     frontier_digits,
     get_automaton,
     half_open_box_region,
@@ -423,7 +425,8 @@ def test_arrangement_matches_reference_walkers(recorded_builds):
 
 def test_exact_emptiness_matches_reference(recorded_builds):
     _, _, _, open_exact, half_open_exact = recorded_builds
-    assert len(open_exact) == 14 and len(half_open_exact) > 150
+    # every open-build region that passes the interval bound reaches the exact path
+    assert len(open_exact) == 87 and len(half_open_exact) > 1000
     sample = open_exact + random.Random(3).sample(half_open_exact, 80)
     verdicts = [_is_empty_exact(region) for region in sample]
     assert verdicts == [_ref_is_empty_exact(region) for region in sample]
@@ -547,9 +550,68 @@ def test_exact_emptiness_sees_a_disk_between_grid_points():
     scale = 128**2 * 100**2
     disk = constraint(scale, -39 * 128 * 100**2, -128 * 100**2, (39**2 + 1) * 100**2 - 128**2, -1, True)
     region = Region(geometry._BOX_OPEN + (disk,))
-    assert not geometry._grid_mask(region).any()
+    # (kx/64, ky/64) lies in the disk when (2kx - 39)^2 + (2ky - 1)^2 < (128/100)^2
+    assert not any(
+        100**2 * ((2 * kx - 39) ** 2 + (2 * ky - 1) ** 2) < 128**2 for kx in range(-32, 33) for ky in range(-32, 33)
+    )
+    assert fingerprint(region) == 0
     assert not _is_empty_exact(region)
     assert _is_empty_exact(Region(region.constraints + (constraint(0, 1, 0, 0, -1, True),)))  # x < 0
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    st.lists(st.tuples(_curve_keys, st.sampled_from((1, -1)), st.booleans()), min_size=1, max_size=3),
+    st.booleans(),
+)
+def test_fingerprint_bits_are_exact_grid_membership(cons, half_open):
+    box = geometry._BOX_HALF_OPEN if half_open else geometry._BOX_OPEN
+    region = Region(box + tuple(Constraint(*curve, sense, strict) for curve, sense, strict in cons))
+    fp = fingerprint(region)
+    for j, (kx, ky) in enumerate((kx, ky) for kx in range(-4, 5) for ky in range(-4, 5)):
+        holds = all(  # v is 64 times the constraint's signed value at (kx/8, ky/8)
+            (v := con.sense * (con.a * (kx * kx + ky * ky) + 16 * (con.bre * kx + con.bim * ky) + 64 * con.c)) > 0
+            or (v == 0 and not con.strict)
+            for con in region.constraints
+        )
+        assert (fp >> j) & 1 == holds
+    assert fp >> 81 == 0
+    # sense * (F + sense) > 0 follows from sense * F > 0: adding it leaves the set, hence the bits
+    for con in region.constraints:
+        if not con.is_constant:
+            looser = constraint(con.a, con.bre, con.bim, con.c + con.sense, con.sense, con.strict)
+            assert fingerprint(Region(region.constraints + (looser,))) == fp
+
+
+def test_fingerprint_of_huge_coefficients():
+    # a disk with coefficients past 2^40 that holds the grid point (1/8, 1/8) alone
+    big = 1 << 44
+    disk = constraint(64 * big, -8 * big, -8 * big, 2 * big - 1, -1, True)
+    huge = Region(geometry._BOX_OPEN + (disk,))
+    assert max(map(abs, disk[:4])) > 1 << 40 and not is_empty(huge)
+    assert fingerprint(huge) == 1 << (5 * 9 + 5)
+
+
+def test_automaton_state_tables_are_pinned(recorded_builds):
+    # digests recorded before the grid filter and the old keys were removed
+    _, half_open, *_ = recorded_builds
+    open_table = export_state_table(get_automaton())
+    half_open_table = export_state_table(half_open, 3)
+    assert hashlib.sha256(open_table.encode()).hexdigest() == (
+        "2a2664d8cb066133c1e688b486c44e5cd95f8140b0d8f7c0bb5522f51a896f83"
+    )
+    assert hashlib.sha256(half_open_table.encode()).hexdigest() == (
+        "8574659126262dc9f889c9203c8e1f58d6cf68a3e2ec05714c2e51e63c36184f"
+    )
+
+
+def test_constraints_are_their_own_keys():
+    con = constraint(1, -1, 0, 0, 1, True)
+    assert con == (1, -1, 0, 0, 1, True) and hash(con) == hash((1, -1, 0, 0, 1, True))
+    assert con.curve_key() == (1, -1, 0, 0)
+    region = chain(g(2, 1))
+    assert list(region.constraints) == sorted(region.constraints)
+    assert is_empty(region) is geometry._EMPTY_MEMO[region.constraints]
 
 
 def test_state_labels_are_unique(recorded_builds):
@@ -613,6 +675,16 @@ def test_verify_folding_program_counts_words():
     seed = (g(2, -3), g(-1, -2), g(-3, 1))
     assert verify_folding_program(seed, middle=g(-2, 1), depth=1) == 3
     assert verify_folding_program(seed, middle=g(-2, 1), depth=2) == 7
+
+
+def test_folding_program_refuses_an_over_budget_depth():
+    seed = (g(2, -3), g(-1, -2), g(-3, 1))
+    for depth in (12, 16, 10**6):
+        start = time.perf_counter()
+        with pytest.raises(BudgetError, match="work budget"):
+            verify_folding_program(seed, middle=g(-2, 1), depth=depth)
+        assert time.perf_counter() - start < 1.0
+    assert verify_folding_program(seed, middle=g(-2, 1), depth=4) == 31
 
 
 def test_folding_program_rejects_bad_seed():
