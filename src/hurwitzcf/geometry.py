@@ -5,10 +5,13 @@ unit box; a constraint is a plain int tuple and is its own sort and memo key.
 All emptiness and equality decisions are exact: a per-constraint interval
 bound answers first, and a complete slice decomposition settles whatever it
 cannot.  That exact path runs on plain integers: every root, meeting point,
-critical x value and slice bound is a quadratic surd (p + q*sqrt(d))/r held as
-an int tuple, so each comparison is an integer sign test.  A region's
-fingerprint is its exact membership of a 9x9 grid of eighths in the closed
-box: equal regions share it, so states with different fingerprints differ.
+critical x value and sample point is a quadratic surd (p + q*sqrt(d))/r held
+as an int tuple, and every exact decision is one point test, _point_satisfies.
+A vertical slice is sampled at every constraint's roots on it within the box
+and at a rational between each two consecutive ones, and it is nonempty
+exactly when one sample passes.  A region's fingerprint is its exact
+membership of a 9x9 grid of eighths in the closed box: equal regions share
+it, so states with different fingerprints differ.
 """
 
 from __future__ import annotations
@@ -188,13 +191,9 @@ def _interval_infeasible(con: Constraint) -> bool:
 
 _Surd = tuple[int, int, int, int]
 _Point = tuple[int, int, int, int, int, int]
-_Interval = tuple[_Surd, bool, _Surd, bool]
 
 _HALF: _Surd = (1, 0, 2, 0)
 _NEG_HALF: _Surd = (-1, 0, 2, 0)
-_ONE: _Surd = (1, 0, 1, 0)
-_NEG_ONE: _Surd = (-1, 0, 1, 0)
-_UNIVERSE: _Interval = (_NEG_ONE, True, _ONE, True)
 
 
 def _surd(p: int, q: int, r: int, d: int) -> _Surd:
@@ -306,6 +305,15 @@ def _in_box_range(s: _Surd) -> bool:
     return _cmp(s, _NEG_HALF) >= 0 and _cmp(s, _HALF) <= 0
 
 
+def _distinct_sorted(values: list[_Surd]) -> list[_Surd]:
+    """The values within [-1/2, 1/2], sorted, each once."""
+    out: list[_Surd] = []
+    for s in sorted(filter(_in_box_range, values), key=cmp_to_key(_cmp)):
+        if not out or _cmp(out[-1], s) < 0:
+            out.append(s)
+    return out
+
+
 @cache
 def _arrangement(curves: tuple[tuple[int, int, int, int], ...]) -> tuple[tuple[_Surd, ...], tuple[_Point, ...]]:
     """Critical x values and candidate points of a curve set, in one walk.
@@ -339,13 +347,8 @@ def _arrangement(curves: tuple[tuple[int, int, int, int], ...]) -> tuple[tuple[_
             meets = _pair_points(curve, other)
             pts += meets
             xs += [(x0, x1, r, d) for x0, x1, _, _, r, d in meets]
-    xs = sorted(filter(_in_box_range, xs), key=cmp_to_key(_cmp))
-    criticals: list[_Surd] = []
-    for x in xs:
-        if not criticals or _cmp(criticals[-1], x) < 0:
-            criticals.append(x)
     in_box = [pt for pt in pts if _in_box_range(pt[:2] + pt[4:]) and _in_box_range(pt[2:])]  # x, y as surds
-    return tuple(criticals), tuple(in_box)
+    return tuple(_distinct_sorted(xs)), tuple(in_box)
 
 
 def _point_satisfies(con: Constraint, pt: _Point) -> bool:
@@ -359,6 +362,10 @@ def _point_satisfies(con: Constraint, pt: _Point) -> bool:
         surd = 2 * (bre * x1 + bim * y1)
     s = con.sense * sign_sqrt(rat, surd, d)
     return s > 0 or (s == 0 and not con.strict)
+
+
+def _holds(cons: tuple[Constraint, ...], pt: _Point) -> bool:
+    return all(_point_satisfies(con, pt) for con in cons)
 
 
 _FINGERPRINT_POINTS: tuple[_Point, ...] = tuple(
@@ -375,90 +382,39 @@ def fingerprint(region: Region) -> int:
         region._fingerprint = sum(
             1 << j
             for j, pt in enumerate(_FINGERPRINT_POINTS)
-            if all(_point_satisfies(con, pt) for con in region.constraints)
+            if _holds(region.constraints, pt)
         )
     return region._fingerprint
 
 
-def _iv_intersect(i1: _Interval, i2: _Interval) -> _Interval | None:
-    lo1, lc1, hi1, hc1 = i1
-    lo2, lc2, hi2, hc2 = i2
-    c = _cmp(lo1, lo2)
-    if c > 0:
-        lo, lc = lo1, lc1
-    elif c < 0:
-        lo, lc = lo2, lc2
-    else:
-        lo, lc = lo1, lc1 and lc2
-    c = _cmp(hi1, hi2)
-    if c < 0:
-        hi, hc = hi1, hc1
-    elif c > 0:
-        hi, hc = hi2, hc2
-    else:
-        hi, hc = hi1, hc1 and hc2
-    c = _cmp(lo, hi)
-    if c < 0:
-        return (lo, lc, hi, hc)
-    if c == 0 and lc and hc:
-        return (lo, True, hi, True)
-    return None
-
-
-def _slice_sets(con: Constraint, u: int, w: int) -> list[_Interval]:
-    """Feasible y-intervals of one constraint on the vertical line x = u/w (w > 0)."""
-    a, bim = con.a, con.bim
-    kn = a * u * u + 2 * con.bre * u * w + con.c * w * w  # w^2 times the value at y = 0
-    if a == 0 and bim == 0:
-        v = con.sense * kn
-        return [_UNIVERSE] if (v > 0 or (v == 0 and not con.strict)) else []
-    if a == 0:
-        ystar = _surd(-kn, 0, 2 * bim * w * w, 0)
-        if con.sense * bim > 0:
-            return [(ystar, not con.strict, _ONE, True)]
-        return [(_NEG_ONE, True, ystar, not con.strict)]
-    roots = _column_roots(a, bim, kn, w)
-    if con.sense > 0:  # exterior of the disk
-        if not roots:
-            return [_UNIVERSE]
-        if len(roots) == 1:
-            if not con.strict:
-                return [_UNIVERSE]
-            y0 = roots[0]
-            return [(_NEG_ONE, True, y0, False), (y0, False, _ONE, True)]
-        ylo, yhi = roots
-        closed = not con.strict
-        return [(_NEG_ONE, True, ylo, closed), (yhi, closed, _ONE, True)]
-    # interior of the disk
-    if not roots:
-        return []
-    if len(roots) == 1:
-        return [] if con.strict else [(roots[0], True, roots[0], True)]
-    ylo, yhi = roots
-    closed = not con.strict
-    return [(ylo, closed, yhi, closed)]
-
-
 def _slice_nonempty(region: Region, u: int, w: int) -> bool:
-    feasible: list[_Interval] = [_UNIVERSE]
-    for con in region.constraints:
-        sets = _slice_sets(con, u, w)
-        if not sets:
-            return False
-        new: list[_Interval] = []
-        for iv in feasible:
-            for s in sets:
-                merged = _iv_intersect(iv, s)
-                if merged is not None:
-                    new.append(merged)
-        if not new:
-            return False
-        feasible = new
-    return True
+    """Whether a box-clipped region meets the vertical line x = u/w (w > 0).
+
+    On the line each constraint changes sign only at its own roots in y, so
+    membership is constant strictly between two consecutive roots: the roots
+    within the box and one rational between each two consecutive ones are the
+    sample points of the slice (Collins's cylindrical decomposition in one
+    dimension), and the slice is nonempty exactly when one of them passes.
+    """
+    ys = [_NEG_HALF, _HALF]
+    for a, bre, bim, c, _, _ in region.constraints:
+        kn = a * u * u + 2 * bre * u * w + c * w * w  # w^2 times the value at y = 0
+        if a:
+            ys += _column_roots(a, bim, kn, w)
+        elif bim:
+            ys.append(_surd(-kn, 0, 2 * bim * w * w, 0))
+    ys = _distinct_sorted(ys)
+    ys += [(n, 0, m, 0) for n, m in (_rational_between(lo, hi) for lo, hi in zip(ys, ys[1:]))]
+    return any(_holds(region.constraints, (u * r, 0, p * w, q * w, w * r, d)) for p, q, r, d in ys)
 
 
 def _is_empty_exact(region: Region) -> bool:
-    """Exact emptiness of a box-clipped region by slices and candidate points."""
+    """Exact emptiness of a box-clipped region by slices and candidate points.
+
+    The slices strictly between consecutive critical x values come first, then
+    those at rational critical x values, then the candidate points; each of
+    them is decided by point tests alone.
+    """
     criticals, points = _arrangement(_curves(region))
     for left, right in zip(criticals, criticals[1:]):
         if _slice_nonempty(region, *_rational_between(left, right)):
@@ -469,11 +425,8 @@ def _is_empty_exact(region: Region) -> bool:
         if q == 0 and _slice_nonempty(region, p, r):
             return False
     # box edges first: line tests are the cheapest, and they reject candidates on an open edge
-    cons = sorted(region.constraints, key=lambda con: not _is_box_curve(con))
-    for pt in points:
-        if all(_point_satisfies(con, pt) for con in cons):
-            return False
-    return True
+    cons = tuple(sorted(region.constraints, key=lambda con: not _is_box_curve(con)))
+    return not any(_holds(cons, pt) for pt in points)
 
 
 _EMPTY_MEMO: dict[tuple[Constraint, ...], bool] = {}
@@ -778,15 +731,17 @@ def is_full(digits) -> bool:
 
 
 def _check_program_word(digits: tuple[GaussianInt, ...]) -> None:
-    if is_valid(digits) is not Validity.VALID or not is_full(digits):
+    # open-valid and full is one open run that ends in the full state
+    auto = get_automaton()
+    if auto.run(digits) != auto.full_index:
         raise AssertionError(f"folding program produced a bad word: {list(map(str, digits))}")
     rev = tuple(reversed(digits))
-    if is_valid(rev) is not Validity.VALID or not is_full(rev):
+    if auto.run(rev) != auto.full_index:
         raise AssertionError(f"folding program produced a bad reversal: {list(map(str, rev))}")
 
 
-# Checking folded words costs about 5 us per digit on a 2-CPU host (1.6 s for
-# the 349 013 digits of depth 8 on a 3-digit seed), so the budget is about 5 s.
+# Checking folded words costs about 1.5-2 us per digit on a 2-CPU host (0.5-0.7 s
+# for the 349 013 digits of depth 8 on a 3-digit seed), so the budget is about 2 s.
 MAX_FOLDING_DIGITS = 1 << 20
 
 

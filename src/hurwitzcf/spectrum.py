@@ -7,8 +7,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
 
-from .cf import CfSequence, _fold_step, convergents, evaluate, mirror_negate
-from .exactreal import ln_brackets, sqrt_brackets
+from .cf import CfSequence, _fold_step, convergents, mirror_negate
+from .exactreal import _dyadic_round, ln_brackets, sqrt_brackets
 from .gaussian import (
     ONE,
     ZERO,
@@ -18,7 +18,6 @@ from .gaussian import (
     _associate_unit,
     _check_power_budget,
     exact_div,
-    gauss_gcd,
 )
 from .geometry import is_full
 from .hcf import hcf_expand
@@ -264,17 +263,13 @@ def unit_seed(base: GaussianInt, v0: int) -> tuple[GaussianInt, ...]:
     return expansion.digits
 
 
-def _seed_checks(seed: tuple[GaussianInt, ...], base_power: GaussianInt) -> GaussianRational:
+def _seed_checks(seed: tuple[GaussianInt, ...]) -> None:
     try:
         seed_full = is_full(seed) and is_full(mirror_negate(seed))
     except ValueError as exc:
         raise ValueError("seed digits must form an open-valid word") from exc
     if not seed_full:
         raise ValueError("seed word must drive the full state back to itself, forwards and mirrored")
-    value = evaluate(CfSequence(ZERO, seed))
-    if not (value * base_power).is_gaussian_int():
-        raise ValueError("seed value must have denominator base**v0")
-    return value
 
 
 def _canonical_stage(digits: tuple[GaussianInt, ...], value: GaussianRational, n: int) -> None:
@@ -307,21 +302,25 @@ def build_xi(seed: tuple[GaussianInt, ...], schedule: FoldingSchedule, base: Gau
         raise ValueError("schedule is shorter than the requested stage count")
     v = schedule.v()
     _check_power_budget(base, v[stages], MAX_POWER_BITS)
+    _seed_checks(seed)
     power = base ** v[0]
-    value = _seed_checks(seed, power)
-    numerator = (value * power).num
-    if gauss_gcd(numerator, base).norm != 1:
-        raise ValueError("seed numerator must be coprime to the base")
+    table = convergents(CfSequence(ZERO, seed))
+    q, p = table.q(table.last_index), table.p(table.last_index)
+    # p/q is reduced and v0 >= 1, so the seed value is a numerator coprime to the
+    # base over base**v0 exactly when q = unit * base**v0; a proper divisor q of
+    # base**v0 leaves a numerator that shares a factor with the base.
+    unit = _associate_unit(q, power)
+    if unit is None:
+        if power % q == ZERO:
+            raise ValueError("seed numerator must be coprime to the base")
+        raise ValueError("seed value must have denominator base**v0")
+    numerator = unit.conj() * p
+    value = GaussianRational._raw(numerator, power)
     _canonical_stage(seed, value, 0)
     stage_list = [XiStage(0, value, numerator, seed)]
     digits = seed
     base_norm = base.norm
-    table = convergents(CfSequence(ZERO, seed))
-    q, p = table.q(table.last_index), table.p(table.last_index)
-    unit = _associate_unit(q, power)
     for n in range(1, stages + 1):
-        if unit is None:
-            raise AssertionError(f"stage {n}: denominator is not an associate of base**v")
         length = len(digits)
         series_sign = -1 if n > 1 or len(seed) % 2 == 1 else 1
         coefficient = GaussianInt(series_sign * (-1) ** length, 0) * unit * unit
@@ -414,7 +413,8 @@ def estimate_exponent(xi: XiNumber, depth: int | None = None) -> tuple[tuple[Fra
     out = []
     for m in range(limit):
         ratio = Fraction(v[m + 1], v[m])
-        out.append((_dyadic_out(ratio - eta_hi / v[m], False), _dyadic_out(ratio + theta_hi / v[m], True)))
+        lo, hi = ratio - eta_hi / v[m], ratio + theta_hi / v[m]
+        out.append((_dyadic_round(lo, 64, False), _dyadic_round(hi, 64, True)))  # outward: still an enclosure
     return tuple(out)
 
 
@@ -422,13 +422,6 @@ def estimate_exponent(xi: XiNumber, depth: int | None = None) -> tuple[tuple[Fra
 def _ln_bracket(x: Fraction) -> tuple[Fraction, Fraction]:
     """The 64-bit ln_brackets of x, computed once per x."""
     return ln_brackets(x, 64)
-
-
-def _dyadic_out(x: Fraction, up: bool) -> Fraction:
-    """Round to a 64-bit dyadic, outward so the bracket stays an enclosure."""
-    scaled = x * (1 << 64)
-    n, d = scaled.numerator, scaled.denominator
-    return Fraction(-((-n) // d) if up else n // d, 1 << 64)
 
 
 def w_variant_schedules(schedule: FoldingSchedule, base: GaussianInt, count: int) -> tuple[FoldingSchedule, ...]:

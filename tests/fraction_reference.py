@@ -1,11 +1,12 @@
-"""The Fraction-based exact geometry that geometry's integer surds replaced.
+"""A Fraction-based exact geometry, the slow reference for geometry's differential tests.
 
-Kept as the slow reference for differential tests: the quadratic surd
-p + q*sqrt(d) over rationals, a rational strictly between two of them, and
-the slice and candidate-point predicates of the exact emptiness path, all
-in Fractions.  Two fixes over the old library code: a perfect-square
-radicand folds into p at construction, and a surd is unhashable, because
-equal values can be written with different radicands.
+It holds the quadratic surd p + q*sqrt(d) over rationals, a rational
+strictly between two of them, the point predicate, and a slice predicate in
+Fractions.  The slice predicate is an independent algorithm: it intersects
+each constraint's feasible y-intervals on the line, while the library samples
+points on it.  Two fixes over the library's former Fraction code: a
+perfect-square radicand folds into p at construction, and a surd is
+unhashable, because equal values can be written with different radicands.
 """
 
 from __future__ import annotations

@@ -1,6 +1,7 @@
-"""Which library modules may import what."""
+"""Which library modules may import what, and the library names the benchmark reads."""
 
 import ast
+import importlib
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "hurwitzcf"
@@ -21,3 +22,26 @@ def test_only_the_oracle_imports_numpy():
     modules = sorted(SRC.glob("*.py"))
     assert len(modules) >= 8
     assert [path.stem for path in modules if "numpy" in _imported_roots(path)] == ["zaremba"]
+
+
+PERFBENCH = SRC.parent.parent / "perfbench"
+
+
+def _traced_targets() -> list[tuple[str, str]]:
+    """The (module, function) pairs of perfbench/tracing.py's TARGETS, read from its source."""
+    tree = ast.parse((PERFBENCH / "tracing.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["TARGETS"]:
+            return [(row.elts[0].value, row.elts[1].value) for row in node.value.elts]
+    raise AssertionError("perfbench/tracing.py defines no TARGETS")
+
+
+def test_the_names_perfbench_reads_resolve():
+    # the benchmark rebinds these functions and reads these caches; a rename breaks it silently
+    targets = _traced_targets()
+    assert len(targets) >= 20
+    names = targets + [("zaremba", "_CACHE"), ("zaremba", "_brute_scan_fast"),
+                       ("geometry", "_EMPTY_MEMO"), ("geometry", "hcf_expand")]
+    missing = [f"{module}.{name}" for module, name in names
+               if not hasattr(importlib.import_module(f"hurwitzcf.{module}"), name)]
+    assert missing == []

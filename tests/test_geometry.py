@@ -197,9 +197,10 @@ def test_set_up_and_explore_build_no_half_open_state(tmp_path):
 # ------------------------------------------------ reference emptiness walkers
 # The interval filter in Fractions and the two curve-pair walks as they were
 # before geometry._arrangement: one walk for the critical x values, one for
-# the candidate points, with each line-circle meeting solved twice.  Roots,
-# slices and point tests come from fraction_reference, the Fraction-surd path
-# that geometry's integer surds replaced.
+# the candidate points, with each line-circle meeting solved twice.  Roots
+# and point tests come from fraction_reference, the Fraction-surd path that
+# geometry's integer surds replaced; its slices intersect y-intervals, where
+# geometry samples points.
 
 def _ref_axis_range(a, beta):
     quarter = Fraction(a, 4)
@@ -445,6 +446,29 @@ def test_exact_emptiness_matches_reference(recorded_builds):
     assert slices > 500
 
 
+def test_exact_verdicts_of_both_builds_are_pinned(recorded_builds):
+    # digest recorded with the interval-algebra slices: one character per region, open build first
+    _, _, _, open_exact, half_open_exact = recorded_builds
+    assert (len(open_exact), len(half_open_exact)) == (87, 1129)
+    verdicts = "".join("01"[_is_empty_exact(region)] for region in open_exact + half_open_exact)
+    assert verdicts.count("1") == 117
+    assert hashlib.sha256(verdicts.encode()).hexdigest() == (
+        "7ee2ba9771fb6cd8a5d6fec2405c58f3a071e16aa47eea2cedaf74398b3ff43a"
+    )
+
+
+def test_a_slice_through_a_single_point():
+    # the closed disk of radius 1/4 about (0, 1/4) and the half-plane y <= 0 share (0, 0) alone,
+    # so only the root y = 0 of the line x = 0 lies in the region
+    disk = constraint(4, 0, -1, 0, -1, False)
+    below = constraint(0, 0, 1, 0, -1, False)
+    region = Region(geometry._BOX_OPEN + (disk, below))
+    assert geometry._slice_nonempty(region, 0, 1)
+    assert not geometry._slice_nonempty(region, 1, 8)
+    assert not _is_empty_exact(region)
+    assert _is_empty_exact(Region(geometry._BOX_OPEN + (disk, constraint(0, 0, 1, 0, -1, True))))  # y < 0
+
+
 # ------------------------------------------- integer surds against Fractions
 
 _surds = st.tuples(
@@ -685,6 +709,15 @@ def test_folding_program_refuses_an_over_budget_depth():
             verify_folding_program(seed, middle=g(-2, 1), depth=depth)
         assert time.perf_counter() - start < 1.0
     assert verify_folding_program(seed, middle=g(-2, 1), depth=4) == 31
+
+
+def test_folding_program_runs_the_automaton_once_per_word(monkeypatch):
+    runs = []
+    run = geometry.Automaton.run
+    monkeypatch.setattr(geometry.Automaton, "run", lambda self, digits: runs.append(digits) or run(self, digits))
+    seed = (g(2, -3), g(-1, -2), g(-3, 1))
+    assert verify_folding_program(seed, middle=g(-2, 1), depth=4) == 31
+    assert len(runs) == 62  # each word and its reversal
 
 
 def test_folding_program_rejects_bad_seed():
