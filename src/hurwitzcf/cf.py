@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .gaussian import ONE, ZERO, GaussianInt, GaussianRational, parse_gaussian_int
+from .gaussian import ONE, ZERO, GaussianInt, GaussianRational, _mul3, parse_gaussian_int
 
 
 class CfUndefinedError(ArithmeticError):
@@ -133,7 +133,8 @@ def _fold_step(
     convergent matrix T, and det T = (-1)^n leaves only that pair.  For
     x = +-1 the word is fold_unit / fold_unit_neg, which absorb the unit,
     and the pair is y times its last convergent.  Any head will do; the
-    pair costs three big products and no recurrence.
+    pair costs three big Gaussian products (gaussian._mul3, three int
+    products each) and no recurrence.
     """
     if x == ONE:
         folded = fold_unit(cf)
@@ -141,8 +142,8 @@ def _fold_step(
         folded = fold_unit_neg(cf)
     else:
         folded = fold(cf, x)
-    yq = fold_sign(len(cf.tail)) * x * q
-    return folded, yq * q, ONE + yq * p
+    yq = _mul3(fold_sign(len(cf.tail)) * x, q)
+    return folded, _mul3(yq, q), ONE + _mul3(yq, p)
 
 
 def fold_sign(n: int) -> int:

@@ -395,8 +395,10 @@ def _slice_nonempty(region: Region, u: int, w: int) -> bool:
     within the box and one rational between each two consecutive ones are the
     sample points of the slice (Collins's cylindrical decomposition in one
     dimension), and the slice is nonempty exactly when one of them passes.
+    Every region carries the box's horizontal edges, so y = -1/2 and 1/2 are
+    among the roots.
     """
-    ys = [_NEG_HALF, _HALF]
+    ys: list[_Surd] = []
     for a, bre, bim, c, _, _ in region.constraints:
         kn = a * u * u + 2 * bre * u * w + c * w * w  # w^2 times the value at y = 0
         if a:

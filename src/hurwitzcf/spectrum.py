@@ -17,6 +17,7 @@ from .gaussian import (
     GaussianRational,
     _associate_unit,
     _check_power_budget,
+    _mul3,
     exact_div,
 )
 from .geometry import is_full
@@ -272,8 +273,13 @@ def _seed_checks(seed: tuple[GaussianInt, ...]) -> None:
         raise ValueError("seed word must drive the full state back to itself, forwards and mirrored")
 
 
+def _norm_at_least_8(d: GaussianInt) -> bool:
+    """d.norm >= 8 without squaring a big digit: a component outside (-3, 3) gives norm >= 9."""
+    return not (-3 < d.re < 3 and -3 < d.im < 3) or d.norm >= 8
+
+
 def _canonical_stage(digits: tuple[GaussianInt, ...], value: GaussianRational, n: int) -> None:
-    if all(d.norm >= 8 for d in digits):
+    if all(map(_norm_at_least_8, digits)):
         return
     expansion = hcf_expand(value)
     if expansion.integer_part != ZERO or expansion.digits != digits:
@@ -334,9 +340,9 @@ def build_xi(seed: tuple[GaussianInt, ...], schedule: FoldingSchedule, base: Gau
         if len(digits) != 2 * length + (0 if step == 0 else 1):
             raise AssertionError(f"stage {n}: unexpected stream length")
         # lift = base**(v_n - v_(n-1)), so power becomes base**v_n.
-        lift = middle * power
-        numerator = numerator * lift + GaussianInt(series_sign, 0)
-        power = power * lift
+        lift = _mul3(middle, power)
+        numerator = _mul3(numerator, lift) + GaussianInt(series_sign, 0)
+        power = _mul3(power, lift)
         if divmod(numerator, base)[1] == ZERO:
             raise AssertionError(f"stage {n}: numerator shares a factor with the base")
         # The last convergent p/q is reduced and so is numerator / base**v_n,
@@ -367,11 +373,11 @@ def _tail_sandwiches(xi: XiNumber) -> tuple[bool, ...]:
     gap, lift = ZERO, ONE
     for k in range(top, 0, -1):
         step = xi.base ** (v[k] - v[k - 1])
-        gap = gap + (numerators[k] - numerators[k - 1] * step) * lift
+        gap = gap + _mul3(numerators[k] - _mul3(numerators[k - 1], step), lift)
         if k <= top - 2:
             verdicts[k - 1] = _sandwich_holds(gap, lift)
         if k > 1:
-            lift = lift * step
+            lift = _mul3(lift, step)
     return tuple(verdicts)
 
 

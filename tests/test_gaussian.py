@@ -1,9 +1,12 @@
 """Exact Gaussian integer and Gaussian rational arithmetic."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hurwitzcf.gaussian import (
     ONE,
@@ -11,6 +14,7 @@ from hurwitzcf.gaussian import (
     ZERO,
     GaussianInt,
     GaussianRational,
+    _mul3,
     exact_div,
     format_gaussian_int,
     format_gaussian_rational,
@@ -44,6 +48,42 @@ def test_powers_and_units():
         assert u.is_unit()
         assert (u * u.conj()) == ONE
     assert not g(1, 1).is_unit()
+
+
+def _four_product(z, w):
+    """z * w by the schoolbook formula, independent of GaussianInt.__mul__."""
+    return g(z.re * w.re - z.im * w.im, z.re * w.im + z.im * w.re)
+
+
+components = st.one_of(st.integers(-10, 10), st.integers(-(2**200), 2**200), st.integers(-(2**4000), 2**4000))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.builds(GaussianInt, components, components), st.builds(GaussianInt, components, components))
+def test_three_product_matches_four_product(z, w):
+    assert _mul3(z, w) == z * w == _four_product(z, w)
+    assert _mul3(z, z) == z * z
+    assert _mul3(w, z) == _mul3(z, w)
+
+
+def test_three_product_edge_cases():
+    rng = random.Random(14)
+    big = [g(rng.getrandbits(100_000) - (1 << 99_999), rng.getrandbits(100_000) - (1 << 99_999)) for _ in range(3)]
+    big += [-big[0], big[1].conj()]
+    small = [g(re, im) for re in (-2, -1, 0, 1, 2) for im in (-2, -1, 0, 1, 2)]
+    lopsided = [g(re * 3**n, im * 5**n) for n in (40, 900) for re in (-1, 0, 1) for im in (-1, 0, 1)]
+    pairs = list(itertools.product(small + lopsided, repeat=2))
+    pairs += list(itertools.product(big, big + small[::4] + lopsided[::3]))
+    pairs += [(z, z) for z in small + lopsided + big]  # one object as both operands
+    for z, w in pairs:
+        assert _mul3(z, w) == _four_product(z, w), (z, w)
+    # the powers take their odd-bit products from _mul3
+    for z in small + lopsided[:9]:
+        product = ONE
+        for k in range(40):
+            assert z**k == product
+            product = _four_product(product, z)
+    assert big[0] ** 3 == _four_product(_four_product(big[0], big[0]), big[0])
 
 
 def test_divmod_nearest_remainder_small():

@@ -457,6 +457,16 @@ def test_exact_verdicts_of_both_builds_are_pinned(recorded_builds):
     )
 
 
+def test_every_exact_region_carries_the_horizontal_box_edges(recorded_builds):
+    # _slice_nonempty takes y = -1/2 and 1/2 from these edges' roots and adds no samples of its own
+    _, _, _, open_exact, half_open_exact = recorded_builds
+    for box, regions in ((geometry._BOX_OPEN, open_exact), (geometry._BOX_HALF_OPEN, half_open_exact)):
+        edges = {con.curve_key() for con in box if con.bim}
+        assert len(edges) == 2
+        for region in regions:
+            assert edges <= {con.curve_key() for con in region.constraints}, region.constraints
+
+
 def test_a_slice_through_a_single_point():
     # the closed disk of radius 1/4 about (0, 1/4) and the half-plane y <= 0 share (0, 0) alone,
     # so only the root y = 0 of the line x = 0 lies in the region

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hurwitzcf import gaussian, spectrum
+from hurwitzcf import cf, gaussian, spectrum
 from hurwitzcf.cf import CfSequence, _fold_step, convergents, fold, fold_unit, fold_unit_neg
 from hurwitzcf.gaussian import UNITS, ZERO, GaussianInt
 from hurwitzcf.spectrum import (
@@ -21,6 +21,7 @@ from hurwitzcf.spectrum import (
     PsiFunction,
     build_xi,
     check_tail_sandwich,
+    estimate_exponent,
     schedule_from_psi,
     schedule_from_tau,
     unit_seed,
@@ -210,6 +211,41 @@ def test_one_pass_sandwich_matches_the_per_m_formula():
         verdicts = [check_tail_sandwich(xi, m) for m in range(xi.stage_count - 2)]
         assert verdicts == [old_sandwich(xi, m) for m in range(xi.stage_count - 2)]
         assert all(verdicts)
+
+
+@pytest.mark.parametrize("base, tau, stages", [(B, "5/2", 6), (g(-3, -1), "2", 9)])
+def test_three_product_pipeline_matches_plain_products(monkeypatch, base, tau, stages):
+    def observe():  # what `hurwitzcf xi --stages <stages>` computes
+        schedule = schedule_from_tau(Fraction(tau), Fraction(1), base, stages + 1)
+        xi = build_xi(unit_seed(base, schedule.v0), schedule, base, stages=stages)
+        return (
+            [(s.numerator, s.digits, s.partial) for s in xi.stages],
+            estimate_exponent(xi, stages + 1),
+            [check_tail_sandwich(xi, m) for m in range(stages - 2)],
+        )
+
+    fast = observe()
+    calls = []
+
+    def plain(z, w):
+        calls.append(max(abs(z.re), abs(z.im), abs(w.re), abs(w.im)).bit_length())
+        return z * w
+
+    for module in (gaussian, cf, spectrum):
+        monkeypatch.setattr(module, "_mul3", plain)
+    slow = observe()
+    assert max(calls) > 1000  # the big products went through the patch
+    assert fast == slow
+    assert all(fast[2])
+
+
+def test_digit_norm_test_matches_the_norm():
+    for re in range(-6, 7):
+        for im in range(-6, 7):
+            d = g(re, im)
+            assert spectrum._norm_at_least_8(d) is (d.norm >= 8), d
+    for d in (B**40, -(B**41), g(0, 3**50), g(2, -(3**50)), g(-(3**50), 1)):
+        assert spectrum._norm_at_least_8(d) and d.norm >= 8
 
 
 def _tampered(xi, m, delta):
