@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .gaussian import ONE, ZERO, GaussianInt, GaussianRational, _mul3, parse_gaussian_int
+from .gaussian import ONE, ZERO, GaussianInt, GaussianRational, _box, _mul3, _rational, parse_gaussian_int
 
 
 class CfUndefinedError(ArithmeticError):
@@ -55,34 +55,40 @@ def convergents(cf: CfSequence) -> ConvergentTable:
     """Run p_n = a_n p_(n-1) + p_(n-2), q_n likewise, from p_(-1) = 1, q_(-1) = 0."""
     ps = [ONE, cf.head]
     qs = [ZERO, ONE]
+    pre, pim, p1re, p1im = cf.head.re, cf.head.im, 1, 0
+    qre, qim, q1re, q1im = 1, 0, 0, 0
     for a in cf.tail:
-        ps.append(a * ps[-1] + ps[-2])
-        qs.append(a * qs[-1] + qs[-2])
+        are, aim = a.re, a.im
+        pre, pim, p1re, p1im = are * pre - aim * pim + p1re, are * pim + aim * pre + p1im, pre, pim
+        qre, qim, q1re, q1im = are * qre - aim * qim + q1re, are * qim + aim * qre + q1im, qre, qim
+        ps.append(_box(pre, pim))
+        qs.append(_box(qre, qim))
     return ConvergentTable(tuple(ps), tuple(qs))
 
 
 def evaluate(cf: CfSequence) -> GaussianRational:
     """Exact value by back-substitution; raises CfUndefinedError on a zero suffix."""
-    num, den = None, None
-    n = len(cf.tail)
-    for j in range(n, 0, -1):
-        a = cf.tail[j - 1]
-        if num is None:
-            num, den = a, ONE
-        else:
-            if num.is_zero():
-                raise CfUndefinedError(
-                    f"undefined finite continued fraction: suffix starting at digit {j + 1} "
-                    "evaluates to zero"
-                )
-            num, den = a * num + den, num
-    if num is None:
-        return GaussianRational._raw(cf.head, ONE)
-    if num.is_zero():
+    tail = cf.tail
+    head = cf.head
+    if not tail:
+        return _rational(head.re, head.im, 1, 0)
+    # The suffix [a_j; a_(j+1), ...] is nre + nim i over dre + dim i.
+    nre, nim, dre, dim = tail[-1].re, tail[-1].im, 1, 0
+    for j in range(len(tail) - 1, 0, -1):
+        if not (nre or nim):
+            raise CfUndefinedError(
+                f"undefined finite continued fraction: suffix starting at digit {j + 1} "
+                "evaluates to zero"
+            )
+        a = tail[j - 1]
+        are, aim = a.re, a.im
+        nre, nim, dre, dim = are * nre - aim * nim + dre, are * nim + aim * nre + dim, nre, nim
+    if not (nre or nim):
         raise CfUndefinedError(
             "undefined finite continued fraction: suffix starting at digit 1 evaluates to zero"
         )
-    return GaussianRational._raw(cf.head * num + den, num)
+    hre, him = head.re, head.im
+    return _rational(hre * nre - him * nim + dre, hre * nim + him * nre + dim, nre, nim)
 
 
 def mirror(digits: tuple[GaussianInt, ...]) -> tuple[GaussianInt, ...]:

@@ -20,6 +20,9 @@ class GaussianInt:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("GaussianInt is immutable")
 
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError("GaussianInt is immutable")
+
     # -- constructors -------------------------------------------------
 
     @classmethod
@@ -35,18 +38,18 @@ class GaussianInt:
 
     def __add__(self, other: int | GaussianInt) -> GaussianInt:
         if isinstance(other, int):
-            return GaussianInt(self.re + other, self.im)
+            return _box(self.re + other, self.im)
         if isinstance(other, GaussianInt):
-            return GaussianInt(self.re + other.re, self.im + other.im)
+            return _box(self.re + other.re, self.im + other.im)
         return NotImplemented
 
     __radd__ = __add__
 
     def __sub__(self, other: int | GaussianInt) -> GaussianInt:
         if isinstance(other, int):
-            return GaussianInt(self.re - other, self.im)
+            return _box(self.re - other, self.im)
         if isinstance(other, GaussianInt):
-            return GaussianInt(self.re - other.re, self.im - other.im)
+            return _box(self.re - other.re, self.im - other.im)
         return NotImplemented
 
     def __rsub__(self, other: int | GaussianInt) -> GaussianInt:
@@ -54,9 +57,9 @@ class GaussianInt:
 
     def __mul__(self, other: int | GaussianInt) -> GaussianInt:
         if isinstance(other, int):
-            return GaussianInt(self.re * other, self.im * other)
+            return _box(self.re * other, self.im * other)
         if isinstance(other, GaussianInt):
-            return GaussianInt(
+            return _box(
                 self.re * other.re - self.im * other.im,
                 self.re * other.im + self.im * other.re,
             )
@@ -65,7 +68,7 @@ class GaussianInt:
     __rmul__ = __mul__
 
     def __neg__(self) -> GaussianInt:
-        return GaussianInt(-self.re, -self.im)
+        return _box(-self.re, -self.im)
 
     def __pos__(self) -> GaussianInt:
         return self
@@ -73,12 +76,12 @@ class GaussianInt:
     def __pow__(self, exponent: int) -> GaussianInt:
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("GaussianInt powers must have a nonnegative int exponent")
-        result = GaussianInt(1, 0)
+        result = _box(1, 0)
         re, im = self.re, self.im
         n = exponent
         while n:
             if n & 1:
-                result = _mul3(result, GaussianInt(re, im))
+                result = _mul3(result, _box(re, im))
             n >>= 1
             if n:
                 # (re + im i)^2 in two int products; the last bit needs no square.
@@ -87,7 +90,7 @@ class GaussianInt:
 
     def conj(self) -> GaussianInt:
         """Complex conjugate."""
-        return GaussianInt(self.re, -self.im)
+        return _box(self.re, -self.im)
 
     @property
     def norm(self) -> int:
@@ -103,7 +106,7 @@ class GaussianInt:
             raise ZeroDivisionError("division by zero Gaussian integer")
         n = other.norm
         t = self * other.conj()
-        q = GaussianInt(_round_half_up(t.re, n), _round_half_up(t.im, n))
+        q = _box(_round_half_up(t.re, n), _round_half_up(t.im, n))
         return q, self - q * other
 
     def __floordiv__(self, other: int | GaussianInt) -> GaussianInt:
@@ -122,12 +125,8 @@ class GaussianInt:
 
     def canonical_associate(self) -> tuple[GaussianInt, GaussianInt]:
         """Return (a, u) with a = self*u, u a unit, and a in {re > 0, im >= 0} or a = 0."""
-        z, u = self, GaussianInt(1, 0)
-        for _ in range(3):
-            if z.is_zero() or (z.re > 0 and z.im >= 0):
-                return z, u
-            z, u = z * GaussianInt(0, 1), u * GaussianInt(0, 1)
-        return z, u
+        are, aim, ure, uim = _canonical(self.re, self.im, 1, 0)
+        return _box(are, aim), _box(ure, uim)
 
     # -- hashing / display --------------------------------------------
 
@@ -158,6 +157,42 @@ class GaussianInt:
         return (self.re, self.im)
 
 
+_new = object.__new__
+_set_re = GaussianInt.re.__set__
+_set_im = GaussianInt.im.__set__
+
+
+def _box(re: int, im: int) -> GaussianInt:
+    """GaussianInt(re, im) through the slot descriptors, without the type check.
+
+    Only for ints the library computed from components it holds; user input
+    goes through the constructor, which refuses bool and non-int components.
+    """
+    z = _new(GaussianInt)
+    _set_re(z, re)
+    _set_im(z, im)
+    return z
+
+
+def _canonical(re: int, im: int, xre: int, xim: int) -> tuple[int, int, int, int]:
+    """Multiply re + im i and xre + xim i by the unit u that puts the first in {re > 0, im >= 0}.
+
+    The four cases are u = 1, i, -1, -i; zero is left as it is (u = 1).
+    Returns both products as int pairs.
+    """
+    if re > 0:
+        if im >= 0:
+            return re, im, xre, xim
+        return -im, re, -xim, xre
+    if im > 0:
+        return im, -re, xim, -xre
+    if re:
+        return -re, -im, -xre, -xim
+    if im:
+        return -im, re, -xim, xre
+    return re, im, xre, xim
+
+
 def _mul3(z: GaussianInt, w: GaussianInt) -> GaussianInt:
     """z * w in three int products (Gauss; Knuth, TAOCP vol. 2, 4.6.4).
 
@@ -168,7 +203,7 @@ def _mul3(z: GaussianInt, w: GaussianInt) -> GaussianInt:
     """
     a, b, c, d = z.re, z.im, w.re, w.im
     k = c * (a + b)
-    return GaussianInt(k - b * (c + d), k + a * (d - c))
+    return _box(k - b * (c + d), k + a * (d - c))
 
 
 def _check_components(re: object, im: object) -> None:
@@ -185,9 +220,10 @@ UNITS = (GaussianInt(1, 0), GaussianInt(0, 1), GaussianInt(-1, 0), GaussianInt(0
 
 
 def _associate_unit(z: GaussianInt, w: GaussianInt) -> GaussianInt | None:
-    """The unit u with z == u * w, or None: O(n) work, no division."""
-    for u in UNITS:
-        if z == u * w:
+    """The unit u with z == u * w, or None: O(n) work, no division or product."""
+    zre, zim, wre, wim = z.re, z.im, w.re, w.im
+    for u, (ure, uim) in zip(UNITS, ((wre, wim), (-wim, wre), (-wre, -wim), (wim, -wre))):
+        if zre == ure and zim == uim:
             return u
     return None
 
@@ -226,13 +262,19 @@ def _round_half_up(numerator: int, denominator: int) -> int:
 
 def exact_div(a: GaussianInt, b: GaussianInt) -> GaussianInt:
     """Exact quotient a/b in Z[i]; raises if b does not divide a."""
+    a = GaussianInt.from_any(a)
     if b.is_zero():
         raise ZeroDivisionError("division by zero Gaussian integer")
-    n = b.norm
-    t = a * b.conj()
-    if t.re % n or t.im % n:
-        raise ValueError(f"{b} does not divide {a} in Z[i]")
-    return GaussianInt(t.re // n, t.im // n)
+    return _box(*_exact_quo(a.re, a.im, b.re, b.im, b.norm))
+
+
+def _exact_quo(are: int, aim: int, bre: int, bim: int, n: int) -> tuple[int, int]:
+    """(are + aim i)/(bre + bim i) for n = |b|^2 > 0, as an int pair; raises if b does not divide a."""
+    qre, rre = divmod(are * bre + aim * bim, n)
+    qim, rim = divmod(aim * bre - are * bim, n)
+    if rre or rim:
+        raise ValueError(f"{_box(bre, bim)} does not divide {_box(are, aim)} in Z[i]")
+    return qre, qim
 
 
 def _gauss_map(
@@ -294,9 +336,11 @@ def gauss_gcd(a: int | GaussianInt, b: int | GaussianInt) -> GaussianInt:
     if b.is_zero():
         if a.is_zero():
             raise ValueError("gcd(0, 0) is undefined")
-        return a.canonical_associate()[0]
-    _, _, (gre, gim) = _gauss_map(a.re, a.im, b.re, b.im)
-    return GaussianInt(gre, gim).canonical_associate()[0]
+        gre, gim = a.re, a.im
+    else:
+        _, _, (gre, gim) = _gauss_map(a.re, a.im, b.re, b.im)
+    gre, gim, _, _ = _canonical(gre, gim, 0, 0)
+    return _box(gre, gim)
 
 
 def nearest_gaussian(z: GaussianRational | GaussianInt | int) -> GaussianInt:
@@ -305,11 +349,75 @@ def nearest_gaussian(z: GaussianRational | GaussianInt | int) -> GaussianInt:
         return GaussianInt(z, 0)
     if isinstance(z, GaussianInt):
         return z
-    re, im = z.real, z.imag
-    return GaussianInt(
-        _round_half_up(re.numerator, re.denominator),
-        _round_half_up(im.numerator, im.denominator),
-    )
+    tre, tim, n = _times_conj_den(z)
+    return _box(_round_half_up(tre, n), _round_half_up(tim, n))
+
+
+def _times_conj_den(z: GaussianRational) -> tuple[int, int, int]:
+    """(t.re, t.im, n) with t = num * conj(den) and n = |den|^2, so z = t/n."""
+    nre, nim, dre, dim = z.num.re, z.num.im, z.den.re, z.den.im
+    return nre * dre + nim * dim, nim * dre - nre * dim, dre * dre + dim * dim
+
+
+def _gcd(are: int, aim: int, bre: int, bim: int) -> tuple[int, int, int]:
+    """gcd(a, b) for b != 0, up to a unit, as (re, im, norm)."""
+    gre, gim = _gauss_map(are, aim, bre, bim)[2]
+    return gre, gim, gre * gre + gim * gim
+
+
+def _cancel(are: int, aim: int, bre: int, bim: int) -> tuple[int, int, int, int]:
+    """a/g and b/g for g = gcd(a, b), b != 0, as int pairs."""
+    gre, gim, gn = _gcd(are, aim, bre, bim)
+    if gn == 1:
+        return are, aim, bre, bim
+    return *_exact_quo(are, aim, gre, gim, gn), *_exact_quo(bre, bim, gre, gim, gn)
+
+
+def _fill(self: GaussianRational, nre: int, nim: int, dre: int, dim: int) -> GaussianRational:
+    """Store the reduced fraction num/den (den != 0) in self, den turned canonical; 0 as 0/1."""
+    if nre or nim:
+        dre, dim, nre, nim = _canonical(dre, dim, nre, nim)
+        _set_num(self, _box(nre, nim))
+        _set_den(self, _box(dre, dim))
+    else:
+        _set_num(self, ZERO)
+        _set_den(self, ONE)
+    return self
+
+
+def _rational(nre: int, nim: int, dre: int, dim: int) -> GaussianRational:
+    """The GaussianRational of a fraction already known to be reduced, den != 0."""
+    return _fill(_new(GaussianRational), nre, nim, dre, dim)
+
+
+def _add(nre: int, nim: int, bre: int, bim: int, mre: int, mim: int, dre: int, dim: int) -> GaussianRational:
+    """n/b + m/d for reduced fractions, by gcd splitting (Henrici; Knuth, TAOCP vol. 2, 4.5.1).
+
+    With g = gcd(b, d), s = b/g and t = n (d/g) + m s, t is prime to s and
+    to d/g, so t/(s d) reduces by gcd(t, g) alone.
+    """
+    gre, gim, gn = _gcd(bre, bim, dre, dim)
+    if gn == 1:
+        return _rational(nre * dre - nim * dim + mre * bre - mim * bim,
+                         nre * dim + nim * dre + mre * bim + mim * bre,
+                         bre * dre - bim * dim, bre * dim + bim * dre)
+    sre, sim = _exact_quo(bre, bim, gre, gim, gn)
+    ere, eim = _exact_quo(dre, dim, gre, gim, gn)
+    tre = nre * ere - nim * eim + mre * sre - mim * sim
+    tim = nre * eim + nim * ere + mre * sim + mim * sre
+    hre, him, hn = _gcd(tre, tim, gre, gim)
+    if hn != 1:
+        tre, tim = _exact_quo(tre, tim, hre, him, hn)
+        dre, dim = _exact_quo(dre, dim, hre, him, hn)
+    return _rational(tre, tim, sre * dre - sim * dim, sre * dim + sim * dre)
+
+
+def _mul(nre: int, nim: int, bre: int, bim: int, mre: int, mim: int, dre: int, dim: int) -> GaussianRational:
+    """(n/b) (m/d) for reduced fractions, b, d != 0: cancel gcd(n, d) and gcd(m, b) first."""
+    nre, nim, dre, dim = _cancel(nre, nim, dre, dim)
+    mre, mim, bre, bim = _cancel(mre, mim, bre, bim)
+    return _rational(nre * mre - nim * mim, nre * mim + nim * mre,
+                     bre * dre - bim * dim, bre * dim + bim * dre)
 
 
 class GaussianRational:
@@ -326,44 +434,30 @@ class GaussianRational:
         den = GaussianInt.from_any(den)
         if den.is_zero():
             raise ZeroDivisionError("zero denominator in Gaussian rational")
-        if num.is_zero():
-            num, den = ZERO, ONE
-        else:
-            g = gauss_gcd(num, den)
-            if not g.is_unit():
-                num, den = exact_div(num, g), exact_div(den, g)
-            den, u = den.canonical_associate()
-            num = num * u
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        _fill(self, *_cancel(num.re, num.im, den.re, den.im))
 
     def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("GaussianRational is immutable")
+
+    def __delattr__(self, name: str) -> None:
         raise AttributeError("GaussianRational is immutable")
 
     @classmethod
     def _raw(cls, num: GaussianInt, den: GaussianInt) -> GaussianRational:
         """Build from a fraction already known to be reduced (skips the gcd)."""
-        self = object.__new__(cls)
-        if num.is_zero():
-            num, den = ZERO, ONE
-        else:
-            den, u = den.canonical_associate()
-            num = num * u
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-        return self
+        return _rational(num.re, num.im, den.re, den.im)
 
     # -- exact components ---------------------------------------------
 
     @property
     def real(self) -> Fraction:
-        t = self.num * self.den.conj()
-        return Fraction(t.re, self.den.norm)
+        tre, _, n = _times_conj_den(self)
+        return Fraction(tre, n)
 
     @property
     def imag(self) -> Fraction:
-        t = self.num * self.den.conj()
-        return Fraction(t.im, self.den.norm)
+        _, tim, n = _times_conj_den(self)
+        return Fraction(tim, n)
 
     def norm(self) -> Fraction:
         """The exact squared modulus |self|^2."""
@@ -382,7 +476,8 @@ class GaussianRational:
         w = self._coerce(other)
         if w is None:
             return NotImplemented
-        return GaussianRational(self.num * w.den + w.num * self.den, self.den * w.den)
+        n, b, m, d = self.num, self.den, w.num, w.den
+        return _add(n.re, n.im, b.re, b.im, m.re, m.im, d.re, d.im)
 
     __radd__ = __add__
 
@@ -390,7 +485,8 @@ class GaussianRational:
         w = self._coerce(other)
         if w is None:
             return NotImplemented
-        return GaussianRational(self.num * w.den - w.num * self.den, self.den * w.den)
+        n, b, m, d = self.num, self.den, w.num, w.den
+        return _add(n.re, n.im, b.re, b.im, -m.re, -m.im, d.re, d.im)
 
     def __rsub__(self, other: object) -> GaussianRational:
         w = self._coerce(other)
@@ -402,7 +498,8 @@ class GaussianRational:
         w = self._coerce(other)
         if w is None:
             return NotImplemented
-        return GaussianRational(self.num * w.num, self.den * w.den)
+        n, b, m, d = self.num, self.den, w.num, w.den
+        return _mul(n.re, n.im, b.re, b.im, m.re, m.im, d.re, d.im)
 
     __rmul__ = __mul__
 
@@ -410,7 +507,10 @@ class GaussianRational:
         w = self._coerce(other)
         if w is None:
             return NotImplemented
-        return GaussianRational(self.num * w.den, self.den * w.num)
+        if w.num.is_zero():
+            raise ZeroDivisionError("zero denominator in Gaussian rational")
+        n, b, m, d = self.num, self.den, w.den, w.num
+        return _mul(n.re, n.im, b.re, b.im, m.re, m.im, d.re, d.im)
 
     def __rtruediv__(self, other: object) -> GaussianRational:
         w = self._coerce(other)
@@ -437,9 +537,8 @@ class GaussianRational:
 
     def in_fundamental_domain(self) -> bool:
         """Exact membership in F = [-1/2, 1/2) x [-1/2, 1/2)."""
-        half = Fraction(1, 2)
-        re, im = self.real, self.imag
-        return -half <= re < half and -half <= im < half
+        tre, tim, n = _times_conj_den(self)
+        return -n <= 2 * tre < n and -n <= 2 * tim < n
 
     # -- hashing / display ----------------------------------------------
 
@@ -461,6 +560,10 @@ class GaussianRational:
 
     def __str__(self) -> str:
         return format_gaussian_rational(self)
+
+
+_set_num = GaussianRational.num.__set__
+_set_den = GaussianRational.den.__set__
 
 
 def format_gaussian_int(z: GaussianInt) -> str:

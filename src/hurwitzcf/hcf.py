@@ -4,10 +4,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import starmap
 
 from .cf import CfSequence, ConvergentTable, convergents, evaluate
-from .exactreal import sign_sqrt, sign_two_sqrt, sqrt_brackets
-from .gaussian import ZERO, GaussianInt, GaussianRational, _gauss_map
+from .exactreal import sign_sqrt, sign_two_sqrt
+from .gaussian import GaussianInt, GaussianRational, _box, _gauss_map
 
 
 @dataclass(frozen=True)
@@ -38,7 +39,7 @@ def hcf_expand(z: GaussianRational | GaussianInt | int) -> HcfExpansion:
         return HcfExpansion(GaussianInt.from_any(z), ())
     num, den = z.num, z.den
     (hre, him), digits, _ = _gauss_map(num.re, num.im, den.re, den.im)
-    return HcfExpansion(GaussianInt(hre, him), tuple(GaussianInt(re, im) for re, im in digits))
+    return HcfExpansion(_box(hre, him), tuple(starmap(_box, digits)))
 
 
 @dataclass(frozen=True)
@@ -104,57 +105,23 @@ def allowed_successors(a: GaussianInt) -> SuccessorRule:
     return SuccessorRule(a, "two_branch", True, corner.conj(), decayed)
 
 
-def successor_consistent(digits: tuple[GaussianInt, ...]) -> bool:
-    """Every adjacent digit pair satisfies the maximal successor predicate."""
-    for a, b in zip(digits, digits[1:]):
-        if not allowed_successors(a).allows(b):
-            return False
-    return True
-
-
-def is_reversible_real(digits: tuple[GaussianInt, ...] | list[GaussianInt]) -> bool:
-    """Reversal validity for real-integer digit sequences: |a_k| = 2 needs a_(k-1)a_k > 0."""
-    seq = [GaussianInt.from_any(d) for d in digits]
-    for d in seq:
-        if d.im != 0:
-            raise ValueError("rule applies to real-integer sequences only")
-        if abs(d.re) < 2:
-            raise ValueError("real digits must have modulus at least 2")
-    return all(
-        seq[k - 1].re * seq[k].re > 0
-        for k in range(1, len(seq))
-        if abs(seq[k].re) == 2
-    )
-
-
 class SandwichBound:
-    """One side of the approximation sandwich; exposes exact brackets of its square."""
+    """One side of the approximation sandwich, compared exactly through its square.
+
+    U^2 = (24 + 16*sqrt(2)) / (N |q|^4) and L^2 = (6 - 4*sqrt(2)) / (|q|^4 (N + 1/2 + sqrt(2N)))
+    for N the norm of the next digit and q the convergent's denominator.
+    """
 
     def __init__(self, side: str, digit_norm: int, q_norm: int) -> None:
         self.side = side  # "lower" | "upper"
         self.digit_norm = digit_norm
         self.q_norm = q_norm
 
-    def sq_brackets(self, bits: int) -> tuple[Fraction, Fraction]:
-        """Rational lo <= bound^2 <= hi."""
-        q4 = Fraction(self.q_norm) ** 2
-        s2_lo, s2_hi = sqrt_brackets(2, bits)
-        if self.side == "upper":
-            # U^2 = (24 + 16*sqrt(2)) / (N * |q|^4)
-            den = self.digit_norm * q4
-            return (24 + 16 * s2_lo) / den, (24 + 16 * s2_hi) / den
-        # L^2 = (6 - 4*sqrt(2)) / (|q|^4 * (N + 1/2 + sqrt(2N)))
-        r_lo, r_hi = sqrt_brackets(2 * self.digit_norm, bits)
-        num_lo, num_hi = 6 - 4 * s2_hi, 6 - 4 * s2_lo
-        den_lo = q4 * (self.digit_norm + Fraction(1, 2) + r_lo)
-        den_hi = q4 * (self.digit_norm + Fraction(1, 2) + r_hi)
-        return num_lo / den_hi, num_hi / den_lo
-
     def cmp_sq(self, value_sq: Fraction) -> int:
         """Exact sign of (bound^2 - value_sq), from one surd sign decision.
 
         With v = value_sq and N the digit norm, clearing the positive denominator
-        of each bound^2 above leaves 24 - v*N*|q|^4 + 16*sqrt(2) for the upper
+        of each bound^2 leaves 24 - v*N*|q|^4 + 16*sqrt(2) for the upper
         bound and 6 - v*|q|^4*(N + 1/2) - 4*sqrt(2) - v*|q|^4*sqrt(2N) for the lower.
         """
         vq4 = value_sq * self.q_norm**2
@@ -191,35 +158,3 @@ def check_error_sandwich(z: GaussianRational, n: int) -> bool:
     (lower, upper), table = _sandwich_and_table(z, n)
     err_sq = (z - table.value(n)).norm()
     return lower.cmp_sq(err_sq) <= 0 <= upper.cmp_sq(err_sq)
-
-
-def convergent_detector(z: GaussianRational, candidate: GaussianRational) -> bool:
-    """Whether candidate appears among the convergents of z; checks the 1/(4|q|^2) law."""
-    exp = hcf_expand(z)
-    table = convergents(exp.to_cf())
-    values = {table.value(n) for n in range(0, table.last_index + 1)}
-    found = candidate in values
-    err_sq = (z - candidate).norm()
-    hypothesis = err_sq * 16 * Fraction(candidate.den.norm) ** 2 < 1
-    if hypothesis and not found:
-        raise AssertionError(
-            "convergent hypothesis violated: |z - p/q| < 1/(4|q|^2) but p/q is not a convergent"
-        )
-    return found
-
-
-def classify_endpoint(digits: tuple[GaussianInt, ...]) -> str:
-    """How the endpoint [0; digits] re-expands: exact, final-digit rewrite, or cascade."""
-    value = evaluate(CfSequence(ZERO, tuple(digits)))
-    exp = hcf_expand(value)
-    if exp.integer_part == ZERO and exp.digits == tuple(digits):
-        return "exact"
-    n = len(digits)
-    if (
-        exp.integer_part == ZERO
-        and n >= 1
-        and len(exp.digits) in (n, n + 1)
-        and exp.digits[: n - 1] == tuple(digits[: n - 1])
-    ):
-        return "final_digit_rewrite"
-    return "boundary_cascade"

@@ -17,8 +17,8 @@ from .gaussian import (
     GaussianRational,
     _associate_unit,
     _check_power_budget,
+    _exact_quo,
     _mul3,
-    exact_div,
 )
 from .geometry import is_full
 from .hcf import hcf_expand
@@ -471,22 +471,28 @@ def encode_base_b(z: GaussianInt, base: GaussianInt) -> DigitExpansion:
     """Digits of z in base -A+i or -A-i; every Gaussian integer terminates."""
     base = GaussianInt.from_any(base)
     a = _check_base(base)
+    bre, bim = base.re, base.im
     norm = base.norm
     z = GaussianInt.from_any(z)
+    zre, zim = z.re, z.im
+    # z = d + base*z' for the digit d = z mod base, which is zre + bim*a*zim mod norm.
+    s = a * bim
     digits = []
-    while z != ZERO:
-        d = (z.re + a * z.im) % norm if base.im > 0 else (z.re - a * z.im) % norm
+    while zre or zim:
+        d = (zre + s * zim) % norm
         digits.append(d)
-        z = exact_div(z - GaussianInt(d, 0), base)
+        zre, zim = _exact_quo(zre - d, zim, bre, bim, norm)
     return DigitExpansion(base, tuple(digits))
 
 
 def decode_base_b(expansion: DigitExpansion) -> GaussianInt:
     """Evaluate a digit string back to its Gaussian integer."""
-    value = ZERO
+    bre, bim = expansion.base.re, expansion.base.im
+    vre = vim = 0
     for d in reversed(expansion.digits):
-        value = value * expansion.base + GaussianInt(d, 0)
-    return value
+        vre, vim = vre * bre - vim * bim + d, vre * bim + vim * bre
+    # The digits are the caller's, so box through the checking constructor.
+    return GaussianInt(vre, vim)
 
 
 def encode_fractional(value: GaussianRational, base: GaussianInt) -> tuple[DigitExpansion, int]:

@@ -5,18 +5,15 @@ from fractions import Fraction
 
 import pytest
 
-from hurwitzcf.cf import CfSequence, convergents, evaluate
+from hurwitzcf.cf import convergents
+from hurwitzcf.exactreal import sqrt_brackets
 from hurwitzcf.gaussian import ONE, ZERO, GaussianInt, GaussianRational
 from hurwitzcf.hcf import (
     allowed_successors,
     check_error_sandwich,
-    classify_endpoint,
-    convergent_detector,
     digit_in_alphabet,
     error_sandwich,
     hcf_expand,
-    is_reversible_real,
-    successor_consistent,
 )
 
 
@@ -70,7 +67,7 @@ def test_expansions_can_touch_the_half_open_boundary():
     z = GaussianRational(g(-8, -95), g(12, 3))
     exp = hcf_expand(z)
     assert exp.digits == (g(-1, 1), g(-2), g(1, -2), g(-1, 1))
-    assert not successor_consistent(exp.digits)
+    assert not all(allowed_successors(a).allows(b) for a, b in zip(exp.digits, exp.digits[1:]))
     assert exp.value() == z
 
 
@@ -130,28 +127,27 @@ def test_successors_after_norm_five_digit():
     assert rule.allows(g(-1, -1)) and rule.allows(g(2, 7))
 
 
-def test_successor_consistency_on_words():
-    assert successor_consistent((g(2, 2), g(2, 1), g(-3, 4)))
-    assert not successor_consistent((g(1, 1), g(-2)))
-    assert successor_consistent(())
-
-
-def test_reversible_real_rule():
-    assert is_reversible_real((g(2), g(3), g(2)))
-    assert not is_reversible_real((g(2), g(3), g(-2)))
-    assert is_reversible_real((g(-2), g(-2), g(-2)))
-    assert is_reversible_real((g(4), g(-5), g(7)))  # no modulus-2 follower at all
-    with pytest.raises(ValueError):
-        is_reversible_real((g(2, 1),))
-    with pytest.raises(ValueError):
-        is_reversible_real((g(1),))
+def sq_brackets(bound, bits):
+    """Rational lo <= bound^2 <= hi, from sqrt brackets: the reference for SandwichBound.cmp_sq."""
+    q4 = Fraction(bound.q_norm) ** 2
+    s2_lo, s2_hi = sqrt_brackets(2, bits)
+    if bound.side == "upper":
+        # U^2 = (24 + 16*sqrt(2)) / (N * |q|^4)
+        den = bound.digit_norm * q4
+        return (24 + 16 * s2_lo) / den, (24 + 16 * s2_hi) / den
+    # L^2 = (6 - 4*sqrt(2)) / (|q|^4 * (N + 1/2 + sqrt(2N)))
+    r_lo, r_hi = sqrt_brackets(2 * bound.digit_norm, bits)
+    num_lo, num_hi = 6 - 4 * s2_hi, 6 - 4 * s2_lo
+    den_lo = q4 * (bound.digit_norm + Fraction(1, 2) + r_lo)
+    den_hi = q4 * (bound.digit_norm + Fraction(1, 2) + r_hi)
+    return num_lo / den_hi, num_hi / den_lo
 
 
 def test_error_sandwich_brackets_are_ordered():
     z = GaussianRational(g(10), g(27))
     lower, upper = error_sandwich(z, 1)
-    lo_lo, lo_hi = lower.sq_brackets(32)
-    up_lo, up_hi = upper.sq_brackets(32)
+    lo_lo, lo_hi = sq_brackets(lower, 32)
+    up_lo, up_hi = sq_brackets(upper, 32)
     assert 0 < lo_lo <= lo_hi < up_lo <= up_hi
     with pytest.raises(ValueError):
         error_sandwich(z, 5)
@@ -175,7 +171,7 @@ def _refined_cmp_sq(bound, value_sq):
     """Reference: the sign of bound^2 - value_sq by refining sq_brackets from 16 to 4096 bits."""
     bits = 16
     while bits <= 4096:
-        lo, hi = bound.sq_brackets(bits)
+        lo, hi = sq_brackets(bound, bits)
         if value_sq < lo:
             return 1
         if value_sq > hi:
@@ -192,7 +188,7 @@ def test_cmp_sq_matches_bracket_refinement():
             for bound in error_sandwich(z, n):
                 values = [(z - convergents(hcf_expand(z).to_cf()).value(n)).norm()]
                 for bits in (8, 64, 200):
-                    lo, hi = bound.sq_brackets(bits)
+                    lo, hi = sq_brackets(bound, bits)
                     values += [lo, hi, lo * (1 - Fraction(1, 2**bits)), hi * (1 + Fraction(1, 2**bits))]
                 for value_sq in values:
                     expected = _refined_cmp_sq(bound, value_sq)
@@ -209,20 +205,6 @@ def test_hurwitz_quality_of_convergents():
     for n in range(table.last_index):
         err_sq = (z - table.value(n)).norm()
         assert err_sq * Fraction(table.q(n).norm) ** 2 < 1
-
-
-def test_convergent_detector():
-    z = GaussianRational(g(10), g(27))
-    assert convergent_detector(z, GaussianRational(g(1), g(3)))
-    assert convergent_detector(z, GaussianRational(g(3), g(8)))
-    assert not convergent_detector(z, GaussianRational(g(2), g(5)))
-
-
-def test_classify_endpoint():
-    assert classify_endpoint((g(3), g(-3), g(-3))) == "exact"
-    assert classify_endpoint((g(-2),)) == "exact"
-    assert classify_endpoint((g(3), g(2))) == "boundary_cascade"
-    assert classify_endpoint((g(2),)) == "boundary_cascade"
 
 
 def test_check_error_sandwich_expands_once(monkeypatch):

@@ -385,12 +385,16 @@ def _count_calls(monkeypatch, *targets):
 
 
 def test_certifying_a_fresh_power_runs_no_gcd_and_no_expansion(monkeypatch):
-    calls = _count_calls(monkeypatch, (hurwitzcf.gaussian, "gauss_gcd"), (hurwitzcf.hcf, "hcf_expand"))
+    # gaussian._gcd is the int-pair gcd behind GaussianRational's normal form and arithmetic
+    calls = _count_calls(monkeypatch, (hurwitzcf.gaussian, "gauss_gcd"), (hurwitzcf.gaussian, "_gcd"),
+                         (hurwitzcf.hcf, "hcf_expand"))
     monkeypatch.setattr(zaremba, "_CACHE", {})
     cert = certify(g(-2, 1), 40)
     assert all(ok for _, ok in certificate_transcript(cert))
-    assert calls == {"gauss_gcd": 0, "hcf_expand": 0}
+    assert calls == {"gauss_gcd": 0, "_gcd": 0, "hcf_expand": 0}
     GaussianRational(g(4), g(6))
+    assert calls["_gcd"] == 1
+    hurwitzcf.gauss_gcd(g(4), g(6))
     assert calls["gauss_gcd"] == 1
 
 
