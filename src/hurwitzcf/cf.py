@@ -22,6 +22,14 @@ class CfSequence:
         object.__setattr__(self, "head", GaussianInt.from_any(self.head))
         object.__setattr__(self, "tail", tuple(GaussianInt.from_any(a) for a in self.tail))
 
+    @classmethod
+    def _raw(cls, head: GaussianInt, tail: tuple[GaussianInt, ...]) -> CfSequence:
+        """Build from digits already held as GaussianInts in a tuple (skips the coercion)."""
+        cf = object.__new__(cls)
+        object.__setattr__(cf, "head", head)
+        object.__setattr__(cf, "tail", tail)
+        return cf
+
     def __str__(self) -> str:
         return format_cf(self)
 
@@ -108,7 +116,7 @@ def fold(cf: CfSequence, x: GaussianInt | int) -> CfSequence:
         raise ValueError("fold requires a nonzero middle digit")
     if not cf.tail:
         raise ValueError("fold requires a nonempty tail")
-    return CfSequence(cf.head, cf.tail + (x,) + mirror_negate(cf.tail))
+    return CfSequence._raw(cf.head, cf.tail + (x,) + mirror_negate(cf.tail))
 
 
 def fold_unit(cf: CfSequence) -> CfSequence:
@@ -116,7 +124,7 @@ def fold_unit(cf: CfSequence) -> CfSequence:
     if not cf.tail:
         raise ValueError("fold_unit requires a nonempty tail")
     body, last = cf.tail[:-1], cf.tail[-1]
-    return CfSequence(cf.head, body + (last + 1, last - 1) + mirror(body))
+    return CfSequence._raw(cf.head, body + (last + 1, last - 1) + mirror(body))
 
 
 def fold_unit_neg(cf: CfSequence) -> CfSequence:
@@ -124,7 +132,7 @@ def fold_unit_neg(cf: CfSequence) -> CfSequence:
     if not cf.tail:
         raise ValueError("fold_unit_neg requires a nonempty tail")
     body, last = cf.tail[:-1], cf.tail[-1]
-    return CfSequence(cf.head, body + (last - 1, last + 1) + mirror(body))
+    return CfSequence._raw(cf.head, body + (last - 1, last + 1) + mirror(body))
 
 
 def _fold_step(

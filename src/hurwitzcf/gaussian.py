@@ -76,17 +76,17 @@ class GaussianInt:
     def __pow__(self, exponent: int) -> GaussianInt:
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("GaussianInt powers must have a nonnegative int exponent")
-        result = _box(1, 0)
-        re, im = self.re, self.im
-        n = exponent
-        while n:
-            if n & 1:
-                result = _mul3(result, _box(re, im))
-            n >>= 1
-            if n:
-                # (re + im i)^2 in two int products; the last bit needs no square.
-                re, im = (re + im) * (re - im), (re * im) << 1
-        return result
+        if not exponent:
+            return _box(1, 0)
+        # Left to right (Knuth, TAOCP vol. 2, 4.6.3): square the running result
+        # in two int products, then multiply by the base itself at each set bit,
+        # so no product has two big factors unless the base is big.
+        bre, bim = re, im = self.re, self.im
+        for bit in bin(exponent)[3:]:
+            re, im = (re + im) * (re - im), (re * im) << 1
+            if bit == "1":
+                re, im = re * bre - im * bim, re * bim + im * bre
+        return _box(re, im)
 
     def conj(self) -> GaussianInt:
         """Complex conjugate."""

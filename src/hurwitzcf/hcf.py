@@ -18,8 +18,20 @@ class HcfExpansion:
     integer_part: GaussianInt
     digits: tuple[GaussianInt, ...]
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "integer_part", GaussianInt.from_any(self.integer_part))
+        object.__setattr__(self, "digits", tuple(GaussianInt.from_any(d) for d in self.digits))
+
+    @classmethod
+    def _raw(cls, integer_part: GaussianInt, digits: tuple[GaussianInt, ...]) -> HcfExpansion:
+        """Build from digits already held as GaussianInts in a tuple (skips the coercion)."""
+        expansion = object.__new__(cls)
+        object.__setattr__(expansion, "integer_part", integer_part)
+        object.__setattr__(expansion, "digits", digits)
+        return expansion
+
     def to_cf(self) -> CfSequence:
-        return CfSequence(self.integer_part, self.digits)
+        return CfSequence._raw(self.integer_part, self.digits)
 
     def value(self) -> GaussianRational:
         return evaluate(self.to_cf())
@@ -36,10 +48,10 @@ def digit_in_alphabet(d: GaussianInt) -> bool:
 def hcf_expand(z: GaussianRational | GaussianInt | int) -> HcfExpansion:
     """Expand a Gaussian rational with the nearest-integer Gauss map (exact)."""
     if isinstance(z, (int, GaussianInt)):
-        return HcfExpansion(GaussianInt.from_any(z), ())
+        return HcfExpansion(z, ())
     num, den = z.num, z.den
     (hre, him), digits, _ = _gauss_map(num.re, num.im, den.re, den.im)
-    return HcfExpansion(_box(hre, him), tuple(starmap(_box, digits)))
+    return HcfExpansion._raw(_box(hre, him), tuple(starmap(_box, digits)))
 
 
 @dataclass(frozen=True)

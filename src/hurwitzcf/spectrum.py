@@ -6,6 +6,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
+from math import gcd
 
 from .cf import CfSequence, _fold_step, convergents, mirror_negate
 from .exactreal import _dyadic_round, ln_brackets, sqrt_brackets
@@ -16,6 +17,7 @@ from .gaussian import (
     GaussianInt,
     GaussianRational,
     _associate_unit,
+    _box,
     _check_power_budget,
     _exact_quo,
     _mul3,
@@ -63,7 +65,11 @@ class FoldingSchedule:
     u: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "u", tuple(int(x) for x in self.u))
+        u = tuple(self.u)
+        for x in (self.v0, *u):
+            if not isinstance(x, int) or isinstance(x, bool):
+                raise TypeError(f"schedule exponents must be int, not {type(x).__name__}")
+        object.__setattr__(self, "u", u)
         if self.v0 < 1:
             raise ValueError("v0 must be a positive integer")
         if any(x < 0 for x in self.u):
@@ -310,7 +316,7 @@ def build_xi(seed: tuple[GaussianInt, ...], schedule: FoldingSchedule, base: Gau
     _check_power_budget(base, v[stages], MAX_POWER_BITS)
     _seed_checks(seed)
     power = base ** v[0]
-    table = convergents(CfSequence(ZERO, seed))
+    table = convergents(CfSequence._raw(ZERO, seed))
     q, p = table.q(table.last_index), table.p(table.last_index)
     # p/q is reduced and v0 >= 1, so the seed value is a numerator coprime to the
     # base over base**v0 exactly when q = unit * base**v0; a proper divisor q of
@@ -335,7 +341,7 @@ def build_xi(seed: tuple[GaussianInt, ...], schedule: FoldingSchedule, base: Gau
         if step and base_norm ** min(step, 3) < 8:
             raise ValueError(f"stage {n}: middle digit norm {base_norm ** step} is below 8")
         middle = base**step
-        folded, q, p = _fold_step(CfSequence(ZERO, digits), coefficient * middle, q, p)
+        folded, q, p = _fold_step(CfSequence._raw(ZERO, digits), coefficient * middle, q, p)
         digits = folded.tail
         if len(digits) != 2 * length + (0 if step == 0 else 1):
             raise AssertionError(f"stage {n}: unexpected stream length")
@@ -358,26 +364,51 @@ def build_xi(seed: tuple[GaussianInt, ...], schedule: FoldingSchedule, base: Gau
 
 
 def _tail_sandwiches(xi: XiNumber) -> tuple[bool, ...]:
-    """check_tail_sandwich's verdicts for m = 0, ..., top - 3, in one downward pass.
+    """check_tail_sandwich's verdicts for m = 0, ..., top - 3, from the per-stage residues.
 
-    The gap g_m = d_top - d_m b**(v_top - v_m) telescopes as
-    g_(k-1) = g_k + (d_k - d_(k-1) b**(v_k - v_(k-1))) b**(v_top - v_k),
-    and the scale N**(v_top - v_(m+1)) is |b**(v_top - v_(m+1))|**2, so one
-    power per stage serves both.  Nothing here trusts the stages' own
-    partials: a tampered number gets the verdicts of the plain formula.
+    The residues e_k = d_k - d_(k-1) b**(v_k - v_(k-1)) cost one power and one
+    big product per stage.  The gap g_m = d_top - d_m b**(v_top - v_m) is
+    the sum of e_k b**(v_top - v_k) over k > m, and the sandwich asks
+    1/2 <= |g_m / L_m| <= 3/2 for L_m = b**(v_top - v_(m+1)), whose squared
+    modulus is the scale N**(v_top - v_(m+1)).  Now
+    g_m / L_m = e_(m+1) + t_m with t_m the sum of e_k b**(v_(m+1) - v_k) over
+    k >= m + 2.  With beta_k = bit_length(max(|Re e_k|, |Im e_k|)) + 1, so
+    |e_k| < 2**beta_k, and lam = bit_length(N) - 1, so |b| >= 2**(lam/2),
+    2 beta_k + 10 + 2 (k - m - 1) <= lam (v_k - v_(m+1)) for every such k
+    puts the k-th term below 2**-(5 + k - m - 1), hence |t_m| < 1/32.  No
+    norm is 3 and 3/2 - sqrt(2) > 1/32, so the verdict is then exactly
+    |e_(m+1)|**2 in {1, 2}, with no lift and no gap.  An honest number has
+    e_k = +-1, and its schedules pass the bound unless they are tiny.
+
+    Where the bound fails for some m, the gaps are telescoped downwards,
+    g_(k-1) = g_k + e_k b**(v_top - v_k), reusing the residues and
+    recomputing each step power rather than keeping them all alive.
+    Nothing here trusts the stages' own partials: a tampered number gets
+    the verdicts of the plain formula.
     """
     top = xi.stage_count
     v = xi.schedule.v()
+    base = xi.base
     numerators = [stage.numerator for stage in xi.stages]
+    residues = [ZERO] + [
+        numerators[k] - _mul3(numerators[k - 1], base ** (v[k] - v[k - 1])) for k in range(1, top + 1)
+    ]
+    lam = base.norm.bit_length() - 1
+    beta = [max(abs(e.re), abs(e.im)).bit_length() + 1 for e in residues]
+    if all(
+        2 * beta[k] + 10 + 2 * (k - m - 1) <= lam * (v[k] - v[m + 1])
+        for m in range(top - 2)
+        for k in range(m + 2, top + 1)
+    ):
+        return tuple(residues[m + 1].norm in (1, 2) for m in range(top - 2))
     verdicts = [False] * (top - 2)
     gap, lift = ZERO, ONE
     for k in range(top, 0, -1):
-        step = xi.base ** (v[k] - v[k - 1])
-        gap = gap + _mul3(numerators[k] - _mul3(numerators[k - 1], step), lift)
+        gap = gap + _mul3(residues[k], lift)
         if k <= top - 2:
             verdicts[k - 1] = _sandwich_holds(gap, lift)
         if k > 1:
-            lift = _mul3(lift, step)
+            lift = _mul3(lift, base ** (v[k] - v[k - 1]))
     return tuple(verdicts)
 
 
@@ -499,12 +530,24 @@ def encode_fractional(value: GaussianRational, base: GaussianInt) -> tuple[Digit
     """Encode r / base**k as (digits of r stretched by k, k); needs a base-power denominator."""
     base = GaussianInt.from_any(base)
     _check_base(base)
-    shift = 0
-    scaled = value
-    bound = value.den.norm.bit_length() + 1
-    while not scaled.is_gaussian_int():
-        scaled = scaled * base
-        shift += 1
-        if shift > bound:
+    # The shift is the least k with den | base**k.  base = -A +- i has no
+    # rational integer factor, so no prime divides it together with its
+    # conjugate and 1 + i divides it at most once.  A den made of its primes
+    # then divides base**k exactly when N(den) divides N**k, so the least k
+    # with N(den) | N**k is the shift whenever there is one.
+    dre, dim = value.den.re, value.den.im
+    rest = n = dre * dre + dim * dim
+    norm, shift = base.norm, 0
+    while rest > 1:
+        g = gcd(rest, norm)
+        if g == 1:
             raise ValueError("denominator is not a power of the base")
-    return encode_base_b(scaled.num, base), shift
+        rest //= g
+        shift += 1
+    power = base**shift
+    # power / den, without _exact_quo's message, which would print both numbers.
+    qre, rre = divmod(power.re * dre + power.im * dim, n)
+    qim, rim = divmod(power.im * dre - power.re * dim, n)
+    if rre or rim:
+        raise ValueError("denominator is not a power of the base")
+    return encode_base_b(value.num * _box(qre, qim), base), shift

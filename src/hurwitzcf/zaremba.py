@@ -272,7 +272,7 @@ def _folded_step(base: GaussianInt, power: int) -> tuple[GaussianInt, tuple[Gaus
     unit = _CACHE[(base.key(), child_power)][2]
     scale = base ** child_power
     den = middle * scale * scale
-    word = CfSequence(ZERO, child.digits)
+    word = CfSequence._raw(ZERO, child.digits)
     q, p = unit * scale, unit * child.numerator
     tried = []
     for x in (middle, -middle):

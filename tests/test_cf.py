@@ -20,6 +20,7 @@ from hurwitzcf.cf import (
     parse_cf,
 )
 from hurwitzcf.gaussian import ONE, ZERO, GaussianInt, GaussianRational
+from hurwitzcf.hcf import HcfExpansion, hcf_expand
 
 
 def g(re, im=0):
@@ -120,6 +121,29 @@ def test_unit_folds_match_explicit_identity():
         s = GaussianRational(GaussianInt(fold_sign(len(tail)), 0), q * q)
         assert plus == base_val + s
         assert minus == base_val - s
+
+
+def test_public_constructor_coerces_and_internal_words_match_it():
+    cf = CfSequence(0, (2, 3))
+    assert type(cf.head) is GaussianInt and all(type(a) is GaussianInt for a in cf.tail)
+    assert cf == CfSequence(ZERO, (g(2), g(3)))
+    assert evaluate(cf) == GaussianRational(g(3), g(7))
+    assert CfSequence(g(1), [g(2, 1), 5]).tail == (g(2, 1), g(5))
+    # the folds and hcf_expand build their words without coercion; they equal the public form
+    word = CfSequence(0, (4, 4, -5))
+    built = {
+        fold(word, 3): (4, 4, -5, 3, 5, -4, -4),
+        fold_unit(word): (4, 4, -4, -6, 4, 4),
+        fold_unit_neg(word): (4, 4, -6, -4, 4, 4),
+        hcf_expand(GaussianRational(g(3), g(7))).to_cf(): (2, 3),
+    }
+    for folded, tail in built.items():
+        assert folded == CfSequence(0, tail) and hash(folded) == hash(CfSequence(0, tail))
+        assert type(folded.tail) is tuple and all(type(a) is GaussianInt for a in folded.tail)
+    # a hand-built expansion is coerced by its own constructor, so to_cf may trust it
+    by_hand = HcfExpansion(0, [2, 3])
+    assert by_hand == hcf_expand(GaussianRational(g(3), g(7)))
+    assert by_hand.to_cf() == cf and by_hand.value() == GaussianRational(g(3), g(7))
 
 
 def test_fold_rejects_bad_input():

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy.polys.domains import ZZ_I
 
 from hurwitzcf.gaussian import (
     ONE,
@@ -77,13 +78,41 @@ def test_three_product_edge_cases():
     pairs += [(z, z) for z in small + lopsided + big]  # one object as both operands
     for z, w in pairs:
         assert _mul3(z, w) == _four_product(z, w), (z, w)
-    # the powers take their odd-bit products from _mul3
+    # powers against repeated schoolbook products
     for z in small + lopsided[:9]:
         product = ONE
         for k in range(40):
             assert z**k == product
             product = _four_product(product, z)
     assert big[0] ** 3 == _four_product(_four_product(big[0], big[0]), big[0])
+
+
+def _sympy_power(z, k):
+    w = ZZ_I(z.re, z.im) ** k
+    return g(int(w.x), int(w.y))
+
+
+@pytest.mark.parametrize("base", [g(-1, 1), g(-2, 1), g(-2, -1), g(-3, 1), g(-3, -1)])
+def test_big_powers_match_sympy(base):
+    # odd, even, all-ones and lone-top-bit exponents from 10**4 to 10**5
+    for k in (10_000, 10_001, 2**14 - 1, 2**14, 65_537, 99_999):
+        assert base**k == _sympy_power(base, k), k
+
+
+def test_powers_of_units_zero_and_big_bases():
+    for u in UNITS:
+        for k in range(9):
+            assert u**k == _sympy_power(u, k) == UNITS[k * UNITS.index(u) % 4]
+    assert ZERO**0 == ONE
+    assert all(ZERO**k == ZERO for k in (1, 2, 3, 1000))
+    rng = random.Random(16)
+    for bits in (64, 3000, 40_000):
+        z = g(rng.getrandbits(bits) - (1 << (bits - 1)), -rng.getrandbits(bits))
+        for k in range(1, 6):
+            assert z**k == _sympy_power(z, k), (bits, k)
+    for bad in (-1, 2.0):
+        with pytest.raises(ValueError):
+            g(1, 1) ** bad
 
 
 def test_divmod_nearest_remainder_small():

@@ -7,10 +7,11 @@ from math import isqrt
 
 import pytest
 
+import value_reference as ref
 from hurwitzcf import spectrum
 from hurwitzcf.cf import CfSequence, evaluate
 from hurwitzcf.exactreal import ln_brackets
-from hurwitzcf.gaussian import ONE, ZERO, GaussianInt, GaussianRational
+from hurwitzcf.gaussian import ONE, ZERO, GaussianInt, GaussianRational, exact_div
 from hurwitzcf.spectrum import (
     DigitExpansion,
     FoldingSchedule,
@@ -43,6 +44,21 @@ def test_schedule_recurrence():
         FoldingSchedule(0, ())
     with pytest.raises(ValueError, match="nonnegative"):
         FoldingSchedule(1, (-1,))
+
+
+def test_schedule_refuses_non_int_exponents():
+    # these were truncated by int(): u = (2, 1), and v = (4.5, 10.0)
+    with pytest.raises(TypeError, match="must be int, not float"):
+        FoldingSchedule(4, (2.7, True))
+    with pytest.raises(TypeError, match="must be int, not bool"):
+        FoldingSchedule(4, (2, True))
+    with pytest.raises(TypeError, match="must be int, not float"):
+        FoldingSchedule(4.5, (1,))
+    with pytest.raises(TypeError, match="must be int, not bool"):
+        FoldingSchedule(True, ())
+    with pytest.raises(TypeError, match="must be int, not str"):
+        FoldingSchedule(4, ("3",))
+    assert FoldingSchedule(4, [3, 4]).u == (3, 4)
 
 
 def test_schedule_from_tau_five_halves():
@@ -301,6 +317,43 @@ def test_encode_fractional():
     assert none_needed == 0 and decode_base_b(whole) == g(7)
     with pytest.raises(ValueError, match="not a power of the base"):
         encode_fractional(GaussianRational(ONE, g(3)), B)
+
+
+def test_encode_fractional_matches_the_multiplying_loop():
+    rng = random.Random(15)
+    bases = [g(-a, s) for a in range(1, 8) for s in (1, -1)]
+    for base in bases:
+        pool = [g(1), g(1, 1), g(1, -1), g(2, 1), g(2, -1), g(3), g(3, 2), base, base.conj(), base * base]
+        for _ in range(40):
+            den = ONE
+            for _ in range(rng.randint(0, 4)):
+                den = den * rng.choice(pool)
+            num = g(rng.randint(-50, 50), rng.randint(-50, 50))
+            value = GaussianRational(num, den)
+            try:
+                expected = ref.encode_fractional(value.num, value.den, base)
+            except ValueError as exc:
+                with pytest.raises(ValueError, match=str(exc)):
+                    encode_fractional(value, base)
+                continue
+            expansion, shift = encode_fractional(value, base)
+            assert (expansion.digits, shift) == expected
+    # a composite base: 1/(1+i) on -3+i (norm 10) needs one digit of shift
+    expansion, shift = encode_fractional(GaussianRational(ONE, g(1, 1)), g(-3, 1))
+    assert shift == 1 and decode_base_b(expansion) == exact_div(g(-3, 1), g(1, 1))
+    # the conjugate prime of the pair: 2+i divides no power of -2+i = i(1+2i)
+    with pytest.raises(ValueError, match="not a power of the base"):
+        encode_fractional(GaussianRational(ONE, g(2, 1)), B)
+
+
+def test_encode_fractional_of_a_big_partial():
+    schedule = schedule_from_tau(Fraction(5, 2), Fraction(1), B, 3)
+    xi = build_xi(unit_seed(B, schedule.v0), schedule, B)
+    partial = xi.partial(3)
+    expansion, shift = encode_fractional(partial, B)
+    assert shift == schedule.v()[3]
+    assert decode_base_b(expansion) == xi.stages[3].numerator
+    assert (expansion.digits, shift) == ref.encode_fractional(partial.num, partial.den, B)
 
 
 def test_estimate_exponent_brackets_each_logarithm_once(monkeypatch):

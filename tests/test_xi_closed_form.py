@@ -1,8 +1,9 @@
 """The xi builder's fast paths against slow oracles: the closed-form folding
-step against the convergent recurrence, the one-pass tail sandwich against the
-per-m formula, and the up-front work budget."""
+step against the convergent recurrence, the residue tail sandwich and its
+telescoping fallback against the per-m formula, and the up-front work budget."""
 
 import dataclasses
+import functools
 import random
 import time
 from fractions import Fraction
@@ -279,6 +280,87 @@ def test_tampered_numbers_get_the_per_m_verdicts():
         bad = _tampered(xi, m, delta)
         got = [check_tail_sandwich(bad, k) for k in range(top - 2)]
         assert got == [old_sandwich(bad, k) for k in range(top - 2)]
+
+
+@functools.cache
+def _sandwich_case(name):
+    if name == "small":  # v = 4, 11, 25, ...: gaps of 14 and more still pass the residue bound
+        return build_xi(certify(B, 4).digits, FoldingSchedule(4, (3,) * 5), B)
+    if name == "tiny":  # v = 2, 4, 8, ...: the bound fails for m = 0 at k = 2
+        return build_xi(unit_seed(B, 2), FoldingSchedule(2, (0,) * 6), B)
+    return _built(B if name == "-2+i" else g(-3, -1), "5/2", 6)
+
+
+def _exact_passes(monkeypatch):
+    """Count the exact comparisons of the telescoping fallback."""
+    calls = []
+    original = spectrum._sandwich_holds
+    monkeypatch.setattr(spectrum, "_sandwich_holds", lambda gap, lift: calls.append(1) or original(gap, lift))
+    return calls
+
+
+_residues = st.sampled_from([g(1), g(-1), g(0, 1), g(0, -1), g(1, 1), g(1, -1), g(-1, 1), g(-1, -1), g(2), g(2, 1)])
+
+
+def _shifted(xi, k, delta):
+    """Add delta b**(v_j - v_k) to every numerator d_j with j >= k: only the residue e_k moves, by delta."""
+    v = xi.schedule.v()
+    for j in range(k, xi.stage_count + 1):
+        xi = _tampered(xi, j, delta * xi.base ** (v[j] - v[k]))
+    return xi
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    st.sampled_from(("-2+i", "-3-i", "small", "tiny")),
+    st.lists(st.tuples(st.booleans(), st.integers(0, 6), _residues), max_size=3),
+)
+def test_residue_verdicts_match_the_per_m_formula(case, tampers):
+    xi = _sandwich_case(case)
+    top = xi.stage_count
+    for whole_tail, k, delta in tampers:
+        xi = (_shifted if whole_tail else _tampered)(xi, min(k, top), delta)
+    got = [check_tail_sandwich(xi, m) for m in range(top - 2)]
+    assert got == [old_sandwich(xi, m) for m in range(top - 2)]
+
+
+def test_both_sandwich_paths_run(monkeypatch):
+    exact = _exact_passes(monkeypatch)
+    honest = _sandwich_case("-2+i")
+    top = honest.stage_count
+    runs = [
+        (honest, False),
+        (_tampered(honest, top, g(2, 1)), False),  # e_top = +-1 + 2+i only enters the tails
+        (_tampered(honest, 0, g(1)), False),  # e_1 grows, and it is no tail term
+        (_tampered(honest, 2, g(0, -1)), True),  # e_3 grows by i b**(v_3 - v_2)
+        (_shifted(honest, 2, g(0, 1)), False),  # e_2 = -1 + i: norm 2
+        (_shifted(honest, 3, g(1)), False),  # e_3 = 0
+        (_shifted(honest, 1, g(-1)), False),  # e_1 = -2: norm 4
+        (_sandwich_case("small"), False),
+        (_sandwich_case("tiny"), True),
+    ]
+    for xi, falls_back in runs:
+        exact.clear()
+        verdicts = spectrum._tail_sandwiches(xi)
+        assert list(verdicts) == [old_sandwich(xi, m) for m in range(xi.stage_count - 2)]
+        assert bool(exact) is falls_back
+
+
+def test_honest_sandwich_makes_one_big_product_per_stage(monkeypatch):
+    xi = _built(B, "5/2", 6)
+    exact = _exact_passes(monkeypatch)
+    calls = []
+    original = gaussian._mul3
+
+    def counted(z, w):
+        calls.append(1)
+        return original(z, w)
+
+    for module in (gaussian, spectrum):
+        monkeypatch.setattr(module, "_mul3", counted)
+    assert all(spectrum._tail_sandwiches(xi))
+    assert len(calls) == xi.stage_count == 6
+    assert exact == []
 
 
 def test_sandwich_bracket_ties_fall_back_to_exact_norms():

@@ -3,8 +3,9 @@
 It keeps the earlier `GaussianInt`-only code: the rotation loop of
 `canonical_associate`, the `GaussianRational` normal form (a full gcd, two
 exact divisions and a rotation) with `+ - * /` on the full cross products,
-the convergent recurrence and back-substitution on boxed values, and the
-base-b digit loop with one `exact_div` per digit.  A fraction is a
+the convergent recurrence and back-substitution on boxed values, the
+base-b digit loop with one `exact_div` per digit, and the `encode_fractional`
+loop that multiplies by the base until the value is integral.  A fraction is a
 (num, den) pair of `GaussianInt`s in normal form.  The gcd is the plain
 Euclidean loop on `GaussianInt.__divmod__`, independent of
 `gaussian._gauss_map`.
@@ -160,3 +161,17 @@ def decode_base_b(digits, base: GaussianInt) -> GaussianInt:
     for d in reversed(digits):
         value = value * base + GaussianInt(d, 0)
     return value
+
+
+def encode_fractional(num: GaussianInt, den: GaussianInt, base: GaussianInt) -> tuple[tuple[int, ...], int]:
+    """Digits of num/den times base**k and the shift k, multiplying by the base until the value is integral."""
+    value = normal_form(num, den)
+    shift = 0
+    bound = value[1].norm.bit_length() + 1
+    while value[1] != ONE:
+        value = mul(value, (base, ONE))
+        shift += 1
+        if shift > bound:
+            raise ValueError("denominator is not a power of the base")
+    return encode_base_b(value[0], base), shift
+
