@@ -9,7 +9,9 @@ from fractions import Fraction
 from .cf import CfSequence, CfUndefinedError, convergents, evaluate, fold, fold_unit, fold_unit_neg
 from .gaussian import (
     ZERO,
+    BudgetError,
     GaussianInt,
+    GaussianRational,
     format_gaussian_int,
     format_gaussian_rational,
     parse_gaussian_int,
@@ -18,15 +20,21 @@ from .gaussian import (
 from .geometry import Validity, export_state_table, get_automaton, is_valid
 from .hcf import hcf_expand
 from .spectrum import (
-    _interleave_schedule,
     build_xi,
     check_tail_sandwich,
     encode_base_b,
     estimate_exponent,
     schedule_from_tau,
     unit_seed,
+    variant_schedule,
 )
 from .zaremba import MAX_CERTIFY_BITS, CertificateError, brute_force_min_K, certify, emit_certificates
+
+# Work budget of `hcf expand`: the largest component size, in bits, of the parsed
+# fraction.  It prints one convergent per digit, so its output grows about 4x per
+# doubling of the operands: at 8192 bits a random fraction prints 26 MB in 1.4 s
+# on a 2-CPU machine.  The (-2+i)**4096 certificate fraction, 4756 bits, is admitted.
+_MAX_EXPAND_BITS = 8192
 
 # Decimal digits of a MAX_CERTIFY_BITS-bit integer (log10 2 < 0.30103): what any admitted certificate needs.
 _MAX_CERTIFY_DIGITS = MAX_CERTIFY_BITS * 30103 // 100000 + 1
@@ -43,8 +51,16 @@ def _format_digits(digits: tuple[GaussianInt, ...]) -> str:
     return ",".join(format_gaussian_int(d) for d in digits)
 
 
+def _parse_expand_fraction(text: str) -> GaussianRational:
+    """parse_gaussian_rational, with the work budget checked before the fraction is reduced."""
+    bits = max(max(abs(z.re), abs(z.im)).bit_length() for z in map(parse_gaussian_int, text.split("/")))
+    if bits > _MAX_EXPAND_BITS:
+        raise BudgetError(f"a {bits}-bit component exceeds the work budget of {_MAX_EXPAND_BITS} bits")
+    return parse_gaussian_rational(text)
+
+
 def _cmd_hcf_expand(args: argparse.Namespace) -> int:
-    value = parse_gaussian_rational(args.fraction)
+    value = _parse_expand_fraction(args.fraction)
     expansion = hcf_expand(value)
     table = convergents(CfSequence(expansion.integer_part, expansion.digits))
     if args.format == "csv":
@@ -120,37 +136,35 @@ def _cmd_zaremba_search(args: argparse.Namespace) -> int:
 
 def _parse_variant(text: str) -> tuple[int, ...]:
     if not text.startswith("w:") or not text[2:] or set(text[2:]) - {"0", "1"}:
-        raise ValueError("variant must look like w:0110 (bits choose the free increments)")
-    return tuple(1 + int(bit) for bit in text[2:])
+        raise ValueError("variant must look like w:0110 (one bit per stage)")
+    return tuple(int(bit) for bit in text[2:])
 
 
 def _cmd_xi(args: argparse.Namespace) -> int:
     base = parse_gaussian_int(args.base)
     tau, lam = Fraction(args.tau), Fraction(args.lam)
-    if args.stages < 1:
+    stages = args.stages
+    if stages < 1:
         raise ValueError("need at least one stage")
-    schedule = schedule_from_tau(tau, lam, base, args.stages + 1)
-    built = args.stages
+    schedule = schedule_from_tau(tau, lam, base, stages + 1)
     if args.variant is not None:
-        pattern = _parse_variant(args.variant)
-        if len(pattern) != args.stages:
+        word = _parse_variant(args.variant)
+        if len(word) != stages:
             raise ValueError("variant bit count must equal the stage count")
-        schedule = _interleave_schedule(schedule, pattern)
-        built = len(schedule.u)
-    xi = build_xi(unit_seed(base, schedule.v0), schedule, base, stages=built)
-    brackets = estimate_exponent(xi, built + 1)
+        schedule = variant_schedule(schedule, base, word)
+    xi = build_xi(unit_seed(base, schedule.v0), schedule, base, stages=stages)
+    brackets = estimate_exponent(xi, stages + 1)
     v = schedule.v()
     failed = False
     rows = []
-    for m in range(built + 1):
-        if m <= built - 3:
+    for m in range(stages + 1):
+        if m <= stages - 3:
             ok = check_tail_sandwich(xi, m)
             sandwich = "pass" if ok else "FAIL"
             failed = failed or not ok
         else:
             sandwich = "-"
-        lo, hi = brackets[m] if m < len(brackets) else ("-", "-")
-        rows.append((m, v[m], len(xi.digits(m)), sandwich, lo, hi))
+        rows.append((m, v[m], len(xi.digits(m)), sandwich, *brackets[m]))
     if args.format == "records":
         for m, vm, count, sandwich, lo, hi in rows:
             print(f"stage.{m} = v {vm}, digits {count}, sandwich {sandwich}, exponent [{lo}, {hi}]")
@@ -215,7 +229,8 @@ def _build_parser() -> argparse.ArgumentParser:
     xi_cmd.add_argument("--tau", required=True, help="growth ratio as p/q, at least 2")
     xi_cmd.add_argument("--lambda", required=True, dest="lam", help="scale as p/q, positive")
     xi_cmd.add_argument("--stages", required=True, type=int)
-    xi_cmd.add_argument("--variant", help="w:<bits> interleaved schedule, e.g. w:01")
+    xi_cmd.add_argument("--variant", help="w:<bits>, one bit per stage; bit n raises the schedule's "
+                        "n-th increment by the least s with N(base)**s >= 8, e.g. w:01")
     xi_cmd.add_argument("--format", choices=("csv", "records"), default="csv")
     xi_cmd.set_defaults(handler=_cmd_xi)
 

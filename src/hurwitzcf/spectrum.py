@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
@@ -74,9 +73,6 @@ class FoldingSchedule:
             raise ValueError("v0 must be a positive integer")
         if any(x < 0 for x in self.u):
             raise ValueError("schedule increments must be nonnegative")
-        for n, vn in enumerate(self.v()):
-            if vn < (1 << n):
-                raise ValueError("schedule grows too slowly: v_n < 2**n")
 
     def v(self) -> tuple[int, ...]:
         """The exponents v_0, v_1, ..., v_N."""
@@ -242,7 +238,6 @@ class XiNumber:
 
     base: GaussianInt
     schedule: FoldingSchedule
-    variant: str
     stages: tuple[XiStage, ...] = field(repr=False)
 
     @property
@@ -359,8 +354,7 @@ def build_xi(seed: tuple[GaussianInt, ...], schedule: FoldingSchedule, base: Gau
         partial = GaussianRational._raw(numerator, power)
         _canonical_stage(digits, partial, n)
         stage_list.append(XiStage(n, partial, numerator, digits))
-    variant = "unit" if all(x == 0 for x in schedule.u[:stages]) else "general"
-    return XiNumber(base, schedule, variant, tuple(stage_list))
+    return XiNumber(base, schedule, tuple(stage_list))
 
 
 def _tail_sandwiches(xi: XiNumber) -> tuple[bool, ...]:
@@ -413,20 +407,7 @@ def _tail_sandwiches(xi: XiNumber) -> tuple[bool, ...]:
 
 
 def _sandwich_holds(gap: GaussianInt, lift: GaussianInt) -> bool:
-    """Exactly |lift|^2 <= 4 |gap|^2 <= 9 |lift|^2, settled on leading bits when they suffice.
-
-    Each component c is cut to a = |c| >> shift, so a 2^shift <= |c| < (a + 1) 2^shift
-    brackets both norms; only a bracket that straddles a bound pays for the full norms.
-    """
-    parts = (gap.re, gap.im, lift.re, lift.im)
-    shift = max(0, max(c.bit_length() for c in parts) - 64)
-    gr, gi, lr, li = (abs(c) >> shift for c in parts)
-    g_lo, g_hi = gr * gr + gi * gi, (gr + 1) ** 2 + (gi + 1) ** 2
-    s_lo, s_hi = lr * lr + li * li, (lr + 1) ** 2 + (li + 1) ** 2
-    if s_hi <= 4 * g_lo and 4 * g_hi <= 9 * s_lo:
-        return True
-    if 4 * g_hi < s_lo or 9 * s_hi < 4 * g_lo:
-        return False
+    """Exactly |lift|^2 <= 4 |gap|^2 <= 9 |lift|^2."""
     scale = lift.norm
     return scale <= 4 * gap.norm <= 9 * scale
 
@@ -461,27 +442,23 @@ def _ln_bracket(x: Fraction) -> tuple[Fraction, Fraction]:
     return ln_brackets(x, 64)
 
 
-def w_variant_schedules(schedule: FoldingSchedule, base: GaussianInt, count: int) -> tuple[FoldingSchedule, ...]:
-    """Interleave free {1,2} increments between the schedule's, one per choice word."""
-    if _check_base(base) < 2:
-        raise ValueError("variant requires A >= 2")
-    slots = len(schedule.u)
-    if count < 1 or count > (1 << slots):
-        raise ValueError("choice count must be between 1 and 2**stages")
-    out = []
-    for pattern in itertools.product((1, 2), repeat=slots):
-        if len(out) == count:
-            break
-        out.append(_interleave_schedule(schedule, pattern))
-    return tuple(out)
+def variant_schedule(schedule: FoldingSchedule, base: GaussianInt, word: tuple[int, ...]) -> FoldingSchedule:
+    """The schedule with increment n raised by word[n] * s, one number for each 0/1 word.
 
-
-def _interleave_schedule(schedule: FoldingSchedule, pattern: tuple[int, ...]) -> FoldingSchedule:
-    """Increments 1, pattern[0], u_1, pattern[1], u_2, ...: a free step before each of the schedule's."""
-    w = [1]
-    for extra, x in zip(pattern, schedule.u):
-        w.extend((extra, x))
-    return FoldingSchedule(schedule.v0, tuple(w))
+    s is the least step with N(base)**s >= 8, so a raised increment still
+    gives build_xi a middle digit of norm 8 or more.  No stage is added, and
+    the increments past the word stay as they are.  Each v_n moves by less
+    than 2**n * s, which leaves v_(n+1) / v_n with the schedule's limit tau:
+    the variants keep the exponent, and distinct words give distinct numbers.
+    """
+    norm = _check_base(base) ** 2 + 1
+    if any(not isinstance(bit, int) or bit not in (0, 1) for bit in word):
+        raise ValueError("variant word entries must be 0 or 1")
+    if len(word) > len(schedule.u):
+        raise ValueError("variant word is longer than the schedule")
+    step = _ceil_log(8, norm)
+    raised = tuple(x + bit * step for x, bit in zip(schedule.u, word))
+    return FoldingSchedule(schedule.v0, raised + schedule.u[len(word):])
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,9 @@ import time
 
 import pytest
 
-from hurwitzcf import zaremba
+from hurwitzcf import cli, zaremba
 from hurwitzcf.cli import main
+from hurwitzcf.gaussian import GaussianInt, format_gaussian_int
 from hurwitzcf.zaremba import emit_certificates, parse_certificates
 
 
@@ -40,6 +41,25 @@ def test_hcf_expand_complex(capsys):
     code, out, _ = run(capsys, "hcf", "expand", "5-6i / -7-24i")
     assert code == 0
     assert "digits = 2-3i,-1-2i,-3+i" in out
+
+
+def test_hcf_expand_over_the_work_budget_exits_at_once(capsys, monkeypatch):
+    big = 7**3000  # 8423 bits
+    start = time.perf_counter()
+    code, out, err = run(capsys, "hcf", "expand", f"{big}-{big + 1}i / {big + 2}")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert "work budget" in err
+    # the (-2+i)**4096 certificate fraction, 4756 bits, is admitted and expands to its digits
+    base = GaussianInt(-2, 1)
+    cert = zaremba.certify(base, 4096)
+    fraction = f"{format_gaussian_int(cert.numerator)} / {format_gaussian_int(base**4096)}"
+    code, out, _ = run(capsys, "hcf", "expand", fraction)
+    lines = out.splitlines(keepends=True)
+    assert code == 0 and lines[1:3] == ["head = 0\n", f"digits = {','.join(map(format_gaussian_int, cert.digits))}\n"]
+    monkeypatch.setattr(cli, "_MAX_EXPAND_BITS", 4755)
+    code, out, err = run(capsys, "hcf", "expand", fraction)
+    assert code == 2 and out == "" and "a 4756-bit component exceeds the work budget of 4755 bits" in err
 
 
 def test_cf_eval_and_round_trip(capsys):
@@ -193,31 +213,33 @@ def test_xi_records_format(capsys):
 
 
 def test_xi_variant(capsys):
-    argv = (
-        "xi", "--base", "-3+i", "--tau", "5/2", "--lambda", "1",
-        "--stages", "2", "--variant", "w:01",
-    )
-    code, out, _ = run(capsys, *argv)
+    argv = ("xi", "--base", "-2+i", "--tau", "5/2", "--lambda", "1", "--stages", "2")
+    _, plain, _ = run(capsys, *argv)
+    code, out, _ = run(capsys, *argv, "--variant", "w:01")
     assert code == 0
     lines = out.splitlines()
-    # two pattern bits interleaved with two schedule increments: five stages
-    assert len(lines) == 7
-    assert lines[1].split(",")[1] == "97"
-    code, _, err = run(
-        capsys, "xi", "--base", "-3+i", "--tau", "5/2", "--lambda", "1",
-        "--stages", "3", "--variant", "w:01",
-    )
+    # one bit per stage and no stage added
+    assert len(lines) == 4
+    v_plain = [int(line.split(",")[1]) for line in plain.splitlines()[1:]]
+    v_variant = [int(line.split(",")[1]) for line in lines[1:]]
+    # bit 1 raises the second increment by s = 2, the least s with 5**s >= 8
+    assert v_variant == [v_plain[0], v_plain[1], v_plain[2] + 2]
+    code, _, err = run(capsys, *argv[:-1], "3", "--variant", "w:01")
     assert code == 2 and "variant bit count must equal the stage count" in err
-    code, _, err = run(
-        capsys, "xi", "--base", "-3+i", "--tau", "5/2", "--lambda", "1",
-        "--stages", "2", "--variant", "w:2x",
-    )
+    code, _, err = run(capsys, *argv, "--variant", "w:2x")
     assert code == 2 and "variant must look like" in err
-    code, _, err = run(
-        capsys, "xi", "--base", "-2+i", "--tau", "5/2", "--lambda", "1",
-        "--stages", "2", "--variant", "w:01",
-    )
-    assert code == 2 and "below 8" in err
+
+
+@pytest.mark.parametrize("base", ["-1+i", "-1-i", "-2+i", "-2-i", "-3+i", "-3-i"])
+def test_xi_variant_passes_every_sandwich_on_every_small_base(capsys, base):
+    for tau, word in (("5/2", "1011"), ("2", "110101")):
+        code, out, _ = run(
+            capsys, "xi", "--base", base, "--tau", tau, "--lambda", "1",
+            "--stages", str(len(word)), "--variant", f"w:{word}",
+        )
+        assert code == 0
+        sandwiches = [line.split(",")[3] for line in out.splitlines()[1:]]
+        assert sandwiches == ["pass"] * (len(word) - 2) + ["-"] * 3
 
 
 def test_xi_over_the_work_budget_exits_at_once(capsys):

@@ -24,6 +24,16 @@ def test_only_the_oracle_imports_numpy():
     assert [path.stem for path in modules if "numpy" in _imported_roots(path)] == ["zaremba"]
 
 
+def test_the_cli_imports_only_public_library_names():
+    # the command line is a client of the library's public API, like any other caller
+    private = []
+    for node in ast.walk(ast.parse((SRC / "cli.py").read_text())):
+        if isinstance(node, ast.ImportFrom) and (node.level > 0 or (node.module or "").startswith("hurwitzcf")):
+            parts = (node.module or "").split(".") + [alias.name for alias in node.names]
+            private += [name for name in parts if name.startswith("_")]
+    assert private == []
+
+
 PERFBENCH = SRC.parent.parent / "perfbench"
 
 

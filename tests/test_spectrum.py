@@ -25,7 +25,7 @@ from hurwitzcf.spectrum import (
     schedule_from_psi,
     schedule_from_tau,
     unit_seed,
-    w_variant_schedules,
+    variant_schedule,
 )
 from hurwitzcf.zaremba import certify
 
@@ -174,7 +174,6 @@ def test_build_stage_one_frozen():
         g(2, -3), g(-1, -2), g(-3, 1), g(2, -11), g(3, -1), g(1, 2), g(-2, 3),
     )
     assert xi.partial(1) == evaluate(CfSequence(ZERO, xi.digits(1)))
-    assert xi.variant == "general"
 
 
 def test_build_partials_follow_series():
@@ -195,7 +194,6 @@ def test_build_partials_follow_series():
 def test_build_unit_folds_double_length():
     seed = certify(B, 4).digits
     xi = build_xi(seed, FoldingSchedule(4, (0, 0, 0)), B)
-    assert xi.variant == "unit"
     assert [len(xi.digits(m)) for m in range(4)] == [3, 6, 12, 24]
     v = FoldingSchedule(4, (0, 0, 0)).v()
     for m in range(1, 4):
@@ -249,7 +247,6 @@ def test_build_with_wider_base():
     base = g(-3, 1)
     seed = unit_seed(base, 2)
     xi = build_xi(seed, FoldingSchedule(2, (1, 2)), base)
-    assert xi.variant == "general"
     v = (2, 5, 12)
     for m in range(1, 3):
         assert (xi.partial(m) * base ** v[m]).is_gaussian_int()
@@ -257,30 +254,31 @@ def test_build_with_wider_base():
 
 
 def test_w_variant_schedules():
-    sched = FoldingSchedule(4, (3, 4))
-    variants = w_variant_schedules(sched, g(-3, 1), 4)
-    assert len(variants) == 4
-    assert {var.u for var in variants} == {
-        (1, 1, 3, 1, 4),
-        (1, 1, 3, 2, 4),
-        (1, 2, 3, 1, 4),
-        (1, 2, 3, 2, 4),
-    }
-    assert len({var.v() for var in variants}) == 4
-    with pytest.raises(ValueError, match="variant requires A >= 2"):
-        w_variant_schedules(sched, g(-1, 1), 2)
-    with pytest.raises(ValueError, match="choice count"):
-        w_variant_schedules(sched, g(-3, 1), 5)
+    sched = FoldingSchedule(4, (3, 4, 0))
+    # a 1 raises its increment by the least s with N**s >= 8; no stage is added
+    for a, s in ((1, 3), (2, 2), (3, 1), (7, 1)):
+        for im in (1, -1):
+            base = g(-a, im)
+            assert variant_schedule(sched, base, (1, 0, 1)) == FoldingSchedule(4, (3 + s, 4, s))
+            assert variant_schedule(sched, base, (0, 1)) == FoldingSchedule(4, (3, 4 + s, 0))
+            assert variant_schedule(sched, base, ()) == sched
+    for word in ((2,), (0, -1), (1.0,), ("1",)):
+        with pytest.raises(ValueError, match="entries must be 0 or 1"):
+            variant_schedule(sched, B, word)
+    with pytest.raises(ValueError, match="longer than the schedule"):
+        variant_schedule(sched, B, (0, 0, 0, 0))
+    with pytest.raises(ValueError, match="base must be -A\\+i or -A-i"):
+        variant_schedule(sched, g(2, 1), (1,))
 
 
 def test_w_variant_builds_disagree():
-    base = g(-3, 1)
-    sched = FoldingSchedule(2, (2,))
-    first, second = w_variant_schedules(sched, base, 2)
-    seed = unit_seed(base, 2)
-    xi_first = build_xi(seed, first, base, stages=2)
-    xi_second = build_xi(seed, second, base, stages=2)
-    assert xi_first.partial(2) != xi_second.partial(2)
+    for base in (g(-1, 1), B, g(-3, 1)):
+        sched = schedule_from_tau(Fraction(5, 2), Fraction(1), base, 3)
+        seed = unit_seed(base, sched.v0)
+        first, second = (build_xi(seed, variant_schedule(sched, base, word), base) for word in ((0, 1), (1, 1)))
+        assert first.partial(0) == second.partial(0)
+        assert first.partial(1) != second.partial(1)
+        assert check_tail_sandwich(first, 0) and check_tail_sandwich(second, 0)
 
 
 def test_encode_oracle():

@@ -4,6 +4,7 @@ telescoping fallback against the per-m formula, and the up-front work budget."""
 
 import dataclasses
 import functools
+import itertools
 import random
 import time
 from fractions import Fraction
@@ -26,7 +27,7 @@ from hurwitzcf.spectrum import (
     schedule_from_psi,
     schedule_from_tau,
     unit_seed,
-    w_variant_schedules,
+    variant_schedule,
 )
 from hurwitzcf.zaremba import certify
 
@@ -107,9 +108,8 @@ def _schedules(rng, base, v0):
     for _ in range(3):
         yield FoldingSchedule(v0, tuple(rng.choice(steps) for _ in range(rng.randint(1, 5))))
     yield FoldingSchedule(v0, (0,) * 5)
-    if base.re <= -2:
-        for schedule in w_variant_schedules(FoldingSchedule(v0, (steps[-1],) * 2), base, 4):
-            yield schedule
+    for word in itertools.product((0, 1), repeat=2):
+        yield variant_schedule(FoldingSchedule(v0, (0, steps[-1], 0)), base, word)
 
 
 def _record_steps(monkeypatch):
@@ -160,25 +160,59 @@ def test_build_xi_matrices_equal_the_full_stream_convergents(monkeypatch):
 
 
 @pytest.mark.parametrize("base, tau, stages, pattern", [
-    (g(-3, 1), "5/2", 2, (1, 2)),
-    (g(-3, -1), "5/2", 3, (2, 1, 2)),
+    (g(-3, 1), "5/2", 2, (0, 1)),
+    (g(-2, -1), "5/2", 3, (1, 0, 1)),
     (g(-2, 1), "2", 4, None),
     (g(-3, -1), "5/2", 4, None),
 ])
 def test_cli_schedules_match_the_full_stream_convergents(monkeypatch, base, tau, stages, pattern):
     schedule = schedule_from_tau(Fraction(tau), Fraction(1), base, stages + 1)
-    if pattern is not None:  # the interleaving of `hurwitzcf xi --variant`
-        w = [1]
-        for extra, x in zip(pattern, schedule.u):
-            w.extend((extra, x))
-        schedule = FoldingSchedule(schedule.v0, tuple(w))
-        stages = len(schedule.u)
+    if pattern is not None:  # `hurwitzcf xi --variant`
+        schedule = variant_schedule(schedule, base, pattern)
     recorded = _record_steps(monkeypatch)
     xi = build_xi(unit_seed(base, schedule.v0), schedule, base, stages=stages)
     assert len(recorded) == stages
     for n, (x, length, q, p) in enumerate(recorded, 1):
         assert length == len(xi.digits(n - 1))
         assert (q, p) == oracle_pair(CfSequence(ZERO, xi.digits(n)), x, length)
+
+
+_SMALL_BASES = [g(-a, im) for a in (1, 2, 3) for im in (1, -1)]
+
+
+@functools.cache
+def _tau_schedule(base, tau, stages):
+    return schedule_from_tau(Fraction(tau), Fraction(1), base, stages + 1)
+
+
+def _variant(base, tau, stages, word):
+    """What `hurwitzcf xi --variant w:<word>` builds and brackets."""
+    schedule = variant_schedule(_tau_schedule(base, tau, stages), base, word)
+    xi = build_xi(unit_seed(base, schedule.v0), schedule, base, stages=stages)
+    return xi, estimate_exponent(xi, stages + 1)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.sampled_from(_SMALL_BASES),
+    st.sampled_from([("5/2", 4, Fraction(23, 10), Fraction(27, 10)), ("2", 6, Fraction(19, 10), Fraction(21, 10))]),
+    st.data(),
+)
+def test_variants_keep_the_exponent_and_differ_where_their_words_do(base, case, data):
+    tau, stages, low, high = case
+    bits = st.lists(st.integers(0, 1), min_size=stages, max_size=stages)
+    word, tail = data.draw(bits), data.draw(bits)
+    k = data.draw(st.integers(0, stages - 1))
+    other = word[:k] + [1 - word[k]] + tail[k + 1:]
+    xi, brackets = _variant(base, tau, stages, tuple(word))
+    xo, other_brackets = _variant(base, tau, stages, tuple(other))
+    # word[k] raises the increment that makes stage k + 1
+    assert [xi.partial(m) for m in range(k + 1)] == [xo.partial(m) for m in range(k + 1)]
+    assert xi.partial(k + 1) != xo.partial(k + 1)
+    for number, pairs in ((xi, brackets), (xo, other_brackets)):
+        assert all(check_tail_sandwich(number, m) for m in range(stages - 2))
+        for lo, hi in pairs[-2:]:
+            assert low <= lo < hi <= high
 
 
 @pytest.mark.parametrize("corrupt", [
@@ -328,6 +362,7 @@ def test_both_sandwich_paths_run(monkeypatch):
     exact = _exact_passes(monkeypatch)
     honest = _sandwich_case("-2+i")
     top = honest.stage_count
+    v = honest.schedule.v()
     runs = [
         (honest, False),
         (_tampered(honest, top, g(2, 1)), False),  # e_top = +-1 + 2+i only enters the tails
@@ -336,6 +371,9 @@ def test_both_sandwich_paths_run(monkeypatch):
         (_shifted(honest, 2, g(0, 1)), False),  # e_2 = -1 + i: norm 2
         (_shifted(honest, 3, g(1)), False),  # e_3 = 0
         (_shifted(honest, 1, g(-1)), False),  # e_1 = -2: norm 4
+        # e_3 = 2**(v_3 - v_2 - 7), so 2 beta_3 + 10 = lam (v_3 - v_2): only the
+        # 2(k - m - 1) term fails the bound, at m = 1, k = 3
+        (_shifted(honest, 3, g((1 << (v[3] - v[2] - 7)) + 1)), True),
         (_sandwich_case("small"), False),
         (_sandwich_case("tiny"), True),
     ]
