@@ -260,9 +260,10 @@ def _round_half_up(numerator: int, denominator: int) -> int:
     return (2 * numerator + denominator) // (2 * denominator)
 
 
-def exact_div(a: GaussianInt, b: GaussianInt) -> GaussianInt:
+def exact_div(a: int | GaussianInt, b: int | GaussianInt) -> GaussianInt:
     """Exact quotient a/b in Z[i]; raises if b does not divide a."""
     a = GaussianInt.from_any(a)
+    b = GaussianInt.from_any(b)
     if b.is_zero():
         raise ZeroDivisionError("division by zero Gaussian integer")
     return _box(*_exact_quo(a.re, a.im, b.re, b.im, b.norm))

@@ -17,6 +17,7 @@ from .gaussian import (
     GaussianRational,
     _associate_unit,
     _box,
+    _brief,
     _check_power_budget,
     _exact_quo,
     _mul3,
@@ -87,14 +88,28 @@ class FoldingSchedule:
 
 
 def _floor_log(ratio: Fraction, base_ratio: Fraction) -> int:
-    """Largest m >= 0 with base_ratio**m <= ratio, or -1 when ratio < 1."""
-    if ratio < 1:
+    """Largest m >= 0 with base_ratio**m <= ratio, or -1 when ratio < 1.
+
+    Doubling, then bisection: O(log m) comparisons of int powers.
+    """
+    n, d = ratio.as_integer_ratio()
+    p, q = base_ratio.as_integer_ratio()
+    if n < d:
         return -1
-    m, power = 0, Fraction(1)
-    while power * base_ratio <= ratio:
-        power *= base_ratio
-        m += 1
-    return m
+
+    def within(m: int) -> bool:
+        return p**m * d <= n * q**m
+
+    lo, hi = 0, 1
+    while within(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if within(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 def _ceil_log(target: int, base_value: int) -> int:
@@ -117,8 +132,26 @@ def schedule_from_tau(tau: Fraction, lam: Fraction, base: GaussianInt, stages: i
         raise ValueError("need at least one stage")
     _check_stage_budget(stages)
     norm = _check_base(base) ** 2 + 1
+    # Work budget, checked before any power: with lam = a/b and tau = p/q, the
+    # schedule's integers are the parts of lam * tau**k for k <= top, of at most
+    # a.bit_length() + k * p.bit_length() and b.bit_length() + k * q.bit_length()
+    # bits; tau >= 2 and tau**m <= 3/lam < 2**((3b).bit_length() - a.bit_length() + 1)
+    # bound m0's floor_log term without a power.
+    (a, b), (p, q) = lam.as_integer_ratio(), tau.as_integer_ratio()
+    m0_bound = 1 + max(0, (3 * b).bit_length() - a.bit_length(), _ceil_log(9, norm))
+    top = stages + 3 + m0_bound
+    bits = max(a.bit_length() + top * p.bit_length(), b.bit_length() + top * q.bit_length())
+    if bits > MAX_POWER_BITS:
+        raise BudgetError(
+            f"lam * tau**{_brief(top)} has parts of up to {_brief(bits)} bits: the schedule exceeds "
+            f"the work budget of {MAX_POWER_BITS} bits per component"
+        )
     m0 = 1 + max(0, _floor_log(3 / lam, tau), _ceil_log(9, norm))
-    v = [int(lam * tau ** (n + 3 + m0)) for n in range(stages + 1)]
+    num, den = a * p ** (3 + m0), b * q ** (3 + m0)
+    v = []
+    for _ in range(stages + 1):
+        v.append(num // den)
+        num, den = num * p, den * q
     u = []
     for n in range(1, stages + 1):
         step = v[n] - 2 * v[n - 1]
@@ -258,6 +291,8 @@ class XiNumber:
 def unit_seed(base: GaussianInt, v0: int) -> tuple[GaussianInt, ...]:
     """Digits of 1/base**v0, the simplest full seed."""
     base = GaussianInt.from_any(base)
+    if v0 < 1:
+        raise ValueError("v0 must be a positive integer")
     _check_power_budget(base, v0, MAX_POWER_BITS)
     expansion = hcf_expand(GaussianRational(ONE, base**v0))
     if expansion.integer_part != ZERO:
@@ -266,6 +301,8 @@ def unit_seed(base: GaussianInt, v0: int) -> tuple[GaussianInt, ...]:
 
 
 def _seed_checks(seed: tuple[GaussianInt, ...]) -> None:
+    if not seed:
+        raise ValueError("empty seed: the seed word needs at least one digit")
     try:
         seed_full = is_full(seed) and is_full(mirror_negate(seed))
     except ValueError as exc:

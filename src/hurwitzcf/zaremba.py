@@ -401,13 +401,13 @@ class BruteResult:
 # 0.17 s, 2048 took 0.21 s and 16384 took 0.25 s.
 _CHUNK = 4096
 
-# Every component of den, of a candidate numerator, of a remainder and of a
-# digit is at most _R, and every int64 intermediate of the scan (are dre +
-# aim dim, 2 tr + nn, a digit norm, a candidate's number) stays below
-# 4 _R**2, about 2**27 at the cap.
-_R = isqrt(DESK_NORM_CAP) + 2
+# Every lane runs _gauss_map on a/den, so |x| <= |y|/sqrt(2) (x/y lies in F) and
+# |y|^2 <= N for its remainders x, y.  Then |P| <= N/sqrt(2) and the digit d = [y/x]
+# has |d||x| <= 3|y|/2, so |d||P| <= 3N/2, |d|^2 |x|^2 <= 9N/4, and every int64
+# intermediate of a step (2 Re(d P), the new |x|^2, 2 Re P + |x|^2) stays below
+# 10 N, about 2**28.3 at the cap.
 _NO_OPTIMUM = 1 << 62
-assert 4 * _R * _R < _NO_OPTIMUM, "DESK_NORM_CAP leaves no int64 headroom"
+assert 16 * DESK_NORM_CAP < _NO_OPTIMUM, "DESK_NORM_CAP leaves no int64 headroom"
 
 
 def _aim_span(c: int, lo, hi, bound: int):
@@ -466,46 +466,47 @@ def _candidates(dre: int, dim: int, nrm: int):
 def _brute_scan(dre: int, dim: int, nrm: int) -> tuple[int, int, int]:
     """Scan the numerators a with a/den in F; return the first optimum (re, im, k_sq).
 
-    A pool of up to _CHUNK int64 lanes expands den/a over the candidates in
-    lockstep, one Gauss-map step at a time, with the floor divisions of
-    _gauss_map.  A lane finishes when its remainder is 0, leaving gcd(a, den),
-    up to a unit, as its last remainder (cre, cim).  The optimum is the least
-    (kmax, g) over finished lanes whose gcd is a unit, g being the candidate's
-    number in scan order, so a lane is dropped once kmax >= best + (g < best_g):
-    it can no longer win.  Lanes stay in ascending g: the pool takes the next
-    candidates at its end once pruning has halved it.
+    A pool of up to _CHUNK int64 lanes runs _gauss_map's loop on a/den in
+    lockstep: a lane carries P = x conj(y), |x|^2 and |y|^2 (seeded as a conj(den),
+    |a|^2 and N) and steps them by the kernel's formulas.  It finishes when |x|^2 = 0,
+    and then |y|^2 = |gcd(a, den)|^2, so a is prime to den exactly when |y|^2 = 1.
+    The optimum is the least (kmax, g) over finished coprime lanes, g the candidate's
+    number in scan order, so a lane is dropped once kmax >= best + (g < best_g): it
+    can no longer win.  Lanes stay in ascending g: the pool takes the next candidates
+    at its end once pruning has halved it.
     """
     total, emit = _candidates(dre, dim, nrm)
+    # |y|^2 at least halves per step, so a lane ends within nrm.bit_length() steps,
+    # and so the pool refills, taking >= _CHUNK / 2 candidates each time but the last.
+    steps_left = nrm.bit_length() * (2 * total // _CHUNK + 2)
     best = _NO_OPTIMUM
     best_g = -1
     top = 0
-    g = nre = nim = cre = cim = nn = kmax = np.empty(0, dtype=np.int64)
+    g = pre = pim = nx = ny = kmax = np.empty(0, dtype=np.int64)
     while g.size or top < total:
+        steps_left -= 1
+        assert steps_left >= 0, "lockstep scan failed to terminate: carried norms not shrinking"
         if top < total and 2 * g.size <= _CHUNK:
             stop = min(top + _CHUNK - g.size, total)
             new, are, aim = emit(top, stop)
             g = np.concatenate((g, new))
-            nre = np.concatenate((nre, are))
-            nim = np.concatenate((nim, aim))
-            cre = np.concatenate((cre, np.full_like(new, dre)))
-            cim = np.concatenate((cim, np.full_like(new, dim)))
-            nn = np.concatenate((nn, are * are + aim * aim))
+            pre = np.concatenate((pre, are * dre + aim * dim))
+            pim = np.concatenate((pim, aim * dre - are * dim))
+            nx = np.concatenate((nx, are * are + aim * aim))
+            ny = np.concatenate((ny, np.full_like(new, nrm)))
             kmax = np.concatenate((kmax, np.zeros_like(new)))
             top = stop
-        tr = cre * nre + cim * nim
-        ti = cim * nre - cre * nim
-        qre = (2 * tr + nn) // (2 * nn)
-        qim = (2 * ti + nn) // (2 * nn)
-        np.maximum(kmax, qre * qre + qim * qim, out=kmax)
-        rre = cre - (qre * nre - qim * nim)
-        rim = cim - (qre * nim + qim * nre)
-        cre, cim, nre, nim = nre, nim, rre, rim
-        nn = nre * nre + nim * nim
+        two_nx = 2 * nx
+        are = (2 * pre + nx) // two_nx
+        aim = (nx - 2 * pim) // two_nx
+        dn = are * are + aim * aim
+        np.maximum(kmax, dn, out=kmax)
+        nx, ny = ny - 2 * (are * pre - aim * pim) + dn * nx, nx
+        pre, pim = pre - are * ny, -pim - aim * ny
         live = kmax < best + (g < best_g)
-        done = np.flatnonzero(nn == 0)
+        done = np.flatnonzero(nx == 0)
         if done.size:
-            unit = cre[done] * cre[done] + cim[done] * cim[done] == 1
-            won = done[live[done] & unit]
+            won = done[live[done] & (ny[done] == 1)]
             if won.size:
                 # g ascends along the lanes, so argmin keeps the first tie.
                 pick = won[np.argmin(kmax[won])]
@@ -514,9 +515,7 @@ def _brute_scan(dre: int, dim: int, nrm: int) -> tuple[int, int, int]:
                 live = kmax < best + (g < best_g)
             live[done] = False
         keep = np.flatnonzero(live)
-        g, nre, nim, cre, cim, nn, kmax = (
-            g[keep], nre[keep], nim[keep], cre[keep], cim[keep], nn[keep], kmax[keep]
-        )
+        g, pre, pim, nx, ny, kmax = g[keep], pre[keep], pim[keep], nx[keep], ny[keep], kmax[keep]
     if best_g < 0:
         return 0, 0, best
     _, are, aim = emit(best_g, best_g + 1)

@@ -256,6 +256,27 @@ def test_xi_over_the_work_budget_exits_at_once(capsys):
     assert code == 2 and "work budget" in err
 
 
+def test_xi_schedule_work_is_bounded_before_any_power(capsys):
+    for tau in ("1e200000", "1e400000"):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "xi", "--base", "-2+i", "--tau", tau, "--lambda", "1", "--stages", "20")
+        assert time.perf_counter() - start < 2.0
+        assert code == 2 and out == ""
+        assert "work budget" in err
+    # a tiny scale only moves the schedule's start: the search for it is logarithmic
+    start = time.perf_counter()
+    code, out, err = run(capsys, "xi", "--base", "-2+i", "--tau", "5/2", "--lambda", "1e-20000", "--stages", "3")
+    assert time.perf_counter() - start < 2.0
+    assert code == 0 and err == ""
+    assert out == (
+        "stage,v,digit_count,sandwich,exponent_lo,exponent_hi\n"
+        "0,113,1,pass,46279475698040186573/18446744073709551616,46502340508178448147/18446744073709551616\n"
+        "1,284,3,-,46149086173776477545/18446744073709551616,46237761256683602749/18446744073709551616\n"
+        "2,711,7,-,46142704843986386425/18446744073709551616,23089062494810087417/9223372036854775808\n"
+        "3,1779,15,-,46127189331578877775/18446744073709551616,23070672721873088005/9223372036854775808\n"
+    )
+
+
 def test_xi_rejects_shallow_growth(capsys):
     code, _, err = run(
         capsys, "xi", "--base", "-2+i", "--tau", "3/2", "--lambda", "1", "--stages", "3",

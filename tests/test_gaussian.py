@@ -171,6 +171,13 @@ def test_exact_div_rejects_nondivisors():
     assert exact_div(g(5, 14), g(3, -2)) == g(-1, 4)
     with pytest.raises(ValueError):
         exact_div(g(1, 1), g(2, 0))
+    # an int divisor is coerced as the dividend is
+    assert exact_div(g(4), 2) == g(2)
+    assert exact_div(4, 2) == g(2)
+    with pytest.raises(ZeroDivisionError):
+        exact_div(g(4), 0)
+    with pytest.raises(ValueError):
+        exact_div(g(5), 2)
 
 
 def test_rational_reduction_and_equality():

@@ -11,7 +11,7 @@ import value_reference as ref
 from hurwitzcf import spectrum
 from hurwitzcf.cf import CfSequence, evaluate
 from hurwitzcf.exactreal import ln_brackets
-from hurwitzcf.gaussian import ONE, ZERO, GaussianInt, GaussianRational, exact_div
+from hurwitzcf.gaussian import ONE, ZERO, BudgetError, GaussianInt, GaussianRational, exact_div
 from hurwitzcf.spectrum import (
     DigitExpansion,
     FoldingSchedule,
@@ -92,6 +92,50 @@ def test_schedule_from_tau_rejects():
         schedule_from_tau(Fraction(2), Fraction(1), B, 0)
 
 
+def _ref_floor_log(ratio, base_ratio):
+    """Largest m >= 0 with base_ratio**m <= ratio, one multiplication at a time."""
+    if ratio < 1:
+        return -1
+    m, power = 0, Fraction(1)
+    while power * base_ratio <= ratio:
+        power *= base_ratio
+        m += 1
+    return m
+
+
+def test_floor_log_matches_the_multiplying_loop():
+    cases = [(Fraction(1, 2), Fraction(2)), (Fraction(1), Fraction(2)), (Fraction(3), Fraction(5, 2))]
+    for base_ratio in (Fraction(2), Fraction(5, 2), Fraction(3), Fraction(7, 3), Fraction(1000)):
+        for k in (1, 2, 3, 17, 64, 100):
+            power = base_ratio**k
+            cases += [(power, base_ratio), (power - Fraction(1, 10**9), base_ratio), (power * Fraction(10**9 + 1, 10**9), base_ratio)]
+    rng = random.Random(18)
+    for _ in range(200):
+        ratio = Fraction(rng.randint(1, 10**30), rng.randint(1, 10**6))
+        base_ratio = Fraction(rng.randint(2, 50), 1) / rng.choice((1, 1, 2, 3))
+        if base_ratio >= 2:
+            cases.append((ratio, base_ratio))
+    for ratio, base_ratio in cases:
+        assert spectrum._floor_log(ratio, base_ratio) == _ref_floor_log(ratio, base_ratio), (ratio, base_ratio)
+
+
+def test_schedule_from_tau_matches_the_fraction_formula():
+    for tau, lam, stages in ((Fraction(5, 2), Fraction(1, 10**200), 4), (Fraction(7, 3), Fraction(10**6, 7), 3),
+                             (Fraction(2), Fraction(3, 10**50), 6), (Fraction(9, 2), Fraction(2), 2)):
+        norm = B.norm
+        m0 = 1 + max(0, _ref_floor_log(3 / lam, tau), spectrum._ceil_log(9, norm))
+        v = tuple(int(lam * tau ** (n + 3 + m0)) for n in range(stages + 1))
+        assert schedule_from_tau(tau, lam, B, stages).v() == v
+
+
+def test_schedule_from_tau_budget_refuses_before_any_power():
+    for tau, lam in ((Fraction(10**200000), Fraction(1)), (Fraction(5 * 10**400000 + 1, 2 * 10**400000), Fraction(1))):
+        start = time.perf_counter()
+        with pytest.raises(BudgetError, match="work budget"):
+            schedule_from_tau(tau, lam, B, 21)
+        assert time.perf_counter() - start < 1.0
+
+
 def test_schedule_from_psi_power_only():
     sched = schedule_from_psi(PsiFunction(Fraction(5, 2), Fraction(0)), B, 8, 8)
     assert sched.v() == (8, 21, 54, 136, 341, 854, 2136, 5341, 13354)
@@ -164,6 +208,9 @@ def test_psi_shape_is_checked():
 def test_unit_seed_expands_reciprocal_power():
     seed = unit_seed(B, 4)
     assert evaluate(CfSequence(ZERO, seed)) == GaussianRational(ONE, B**4)
+    for v0 in (0, -1):
+        with pytest.raises(ValueError, match="v0 must be a positive integer"):
+            unit_seed(B, v0)
 
 
 def test_build_stage_one_frozen():
@@ -226,6 +273,8 @@ def test_build_input_validation():
     seed = certify(B, 4).digits
     with pytest.raises(ValueError, match="base must be -A\\+i or -A-i"):
         build_xi(seed, FoldingSchedule(4, (3,)), g(2, 1))
+    with pytest.raises(ValueError, match="empty seed"):
+        build_xi((), FoldingSchedule(1, (3,)), B)
     with pytest.raises(ValueError, match="drive the full state back"):
         build_xi((g(2, 1),), FoldingSchedule(1, (3,)), B)
     with pytest.raises(ValueError, match="open-valid word"):

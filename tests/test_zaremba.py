@@ -213,15 +213,19 @@ def test_brute_force_cap():
 
 
 def test_brute_force_at_the_cap():
-    # 5792 is the largest real denominator within the cap, so its scan meets
-    # the largest intermediates the int64 headroom assertion covers.
-    assert g(5792).norm <= DESK_NORM_CAP < g(5793).norm
-    res = brute_force_min_K(5792)
-    head, expansion, last = _gauss_map(res.numerator.re, res.numerator.im, 5792, 0)
-    assert head == (0, 0)
-    assert last[0] ** 2 + last[1] ** 2 == 1
-    assert expansion == [(d.re, d.im) for d in res.digits]
-    assert max(d.norm for d in res.digits) == res.k_sq
+    # 5792 is the largest real denominator within the cap and 4096+4095i a
+    # complex one just under it, so their scans meet the largest intermediates
+    # the int64 headroom assertion covers, on the axis and off it.
+    optima = {g(5792): (g(-2895, -624), 5), g(4096, 4095): (g(-3371, -644), 5)}
+    for den, optimum in optima.items():
+        assert den.norm <= DESK_NORM_CAP < (den + 1).norm
+        res = brute_force_min_K(den)
+        assert (res.numerator, res.k_sq) == optimum
+        head, expansion, last = _gauss_map(res.numerator.re, res.numerator.im, den.re, den.im)
+        assert head == (0, 0)
+        assert last[0] ** 2 + last[1] ** 2 == 1
+        assert expansion == [(d.re, d.im) for d in res.digits]
+        assert max(d.norm for d in res.digits) == res.k_sq
 
 
 def _ref_candidates(dre, dim, nrm):
