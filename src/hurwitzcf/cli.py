@@ -20,6 +20,7 @@ from .gaussian import (
 from .geometry import Validity, export_state_table, get_automaton, is_valid
 from .hcf import hcf_expand
 from .spectrum import (
+    MAX_POWER_BITS,
     build_xi,
     check_tail_sandwich,
     encode_base_b,
@@ -57,6 +58,22 @@ def _parse_expand_fraction(text: str) -> GaussianRational:
     if bits > _MAX_EXPAND_BITS:
         raise BudgetError(f"a {bits}-bit component exceeds the work budget of {_MAX_EXPAND_BITS} bits")
     return parse_gaussian_rational(text)
+
+
+def _parse_xi_fraction(text: str, option: str) -> Fraction:
+    """Fraction(text), refused before Fraction builds 10**e when its parts would pass MAX_POWER_BITS.
+
+    A mantissa of D digits and an exponent e give a numerator and a denominator
+    of at most D + |e| decimal digits, so of fewer than 3.322 (D + |e|) + 1 bits.
+    """
+    mantissa, _, exponent = text.lower().partition("e")
+    magnitude = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
+    digits = sum(c.isdigit() for c in mantissa)
+    if magnitude.isdecimal():
+        digits += int(magnitude) if len(magnitude) <= 12 else 10**12
+    if digits * 3322 // 1000 + 1 > MAX_POWER_BITS:
+        raise BudgetError(f"{option} has a numerator or denominator over the work budget of {MAX_POWER_BITS} bits")
+    return Fraction(text)
 
 
 def _cmd_hcf_expand(args: argparse.Namespace) -> int:
@@ -142,7 +159,7 @@ def _parse_variant(text: str) -> tuple[int, ...]:
 
 def _cmd_xi(args: argparse.Namespace) -> int:
     base = parse_gaussian_int(args.base)
-    tau, lam = Fraction(args.tau), Fraction(args.lam)
+    tau, lam = _parse_xi_fraction(args.tau, "--tau"), _parse_xi_fraction(args.lam, "--lambda")
     stages = args.stages
     if stages < 1:
         raise ValueError("need at least one stage")

@@ -577,6 +577,9 @@ def frontier_digits(bound: int = 4) -> tuple[GaussianInt, ...]:
     return tuple(sorted(out, key=GaussianInt.key))
 
 
+_MISS = object()  # run_keys' marker for a transition not yet in the table
+
+
 @dataclass
 class AutomatonState:
     index: int
@@ -640,11 +643,24 @@ class Automaton:
 
     def run(self, digits: tuple[GaussianInt, ...]) -> int | None:
         """Final state index after reading digits from the full state, or None."""
-        index: int | None = self.full_index
-        for d in digits:
-            index = self.transition(index, d)
-            if index is None:
+        return self.run_keys([(d.re, d.im) for d in digits])
+
+    def run_keys(self, keys: list[tuple[int, int]]) -> int | None:
+        """run over digits given as (re, im) pairs.
+
+        Each step is one lookup in the transition table; transition runs only
+        on a miss.  It stores no entry for a non-alphabet digit, so such a
+        digit always misses and raises there.
+        """
+        lookup = self._transitions.get
+        index = self.full_index
+        for key in keys:
+            step = lookup((index, key), _MISS)
+            if step is _MISS:
+                step = self.transition(index, GaussianInt(*key))
+            if step is None:
                 return None
+            index = step
         return index
 
 

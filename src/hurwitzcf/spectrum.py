@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
-from math import gcd
 
 from .cf import CfSequence, _fold_step, convergents, mirror_negate
 from .exactreal import _dyadic_round, ln_brackets, sqrt_brackets
@@ -548,15 +547,23 @@ def encode_fractional(value: GaussianRational, base: GaussianInt) -> tuple[Digit
     # rational integer factor, so no prime divides it together with its
     # conjugate and 1 + i divides it at most once.  A den made of its primes
     # then divides base**k exactly when N(den) divides N**k, so the least k
-    # with N(den) | N**k is the shift whenever there is one.
+    # with N(den) | N**k is the shift whenever there is one.  Every prime of N
+    # is at least 2, so such a k is below N(den).bit_length().  Square N**(2**j)
+    # until N(den) divides it, then set the bits of k - 1 from the top: O(log k)
+    # big operations, and no factor of N needed.
     dre, dim = value.den.re, value.den.im
-    rest = n = dre * dre + dim * dim
-    norm, shift = base.norm, 0
-    while rest > 1:
-        g = gcd(rest, norm)
-        if g == 1:
+    n = dre * dre + dim * dim
+    squares = [base.norm]  # N**(2**j)
+    while squares[-1] % n:
+        if 1 << (len(squares) - 1) >= n.bit_length():
             raise ValueError("denominator is not a power of the base")
-        rest //= g
+        squares.append(squares[-1] * squares[-1])
+    shift, below = 0, 1  # below = N**shift, which N(den) does not divide
+    if n > 1:
+        for j in range(len(squares) - 2, -1, -1):
+            if below * squares[j] % n:
+                below *= squares[j]
+                shift += 1 << j
         shift += 1
     power = base**shift
     # power / den, without _exact_quo's message, which would print both numbers.

@@ -20,8 +20,8 @@ from .gaussian import (
     format_gaussian_int,
     parse_gaussian_int,
 )
-from .geometry import Validity, is_valid
-from .hcf import digit_in_alphabet, hcf_expand
+from .geometry import Validity, get_automaton, is_valid
+from .hcf import hcf_expand
 
 DESK_NORM_CAP = 1 << 25
 
@@ -164,23 +164,37 @@ def verify_certificate(cert: ZarembaCertificate) -> tuple[tuple[str, bool], ...]
 
     One Gauss-map pass over the unreduced numerator / base**power yields the
     canonical digits, the domain check and the gcd (its last remainder).
+    Raises BudgetError, as certify does, before building base**power past
+    MAX_CERTIFY_BITS.
     """
+    _check_power_budget(cert.base, cert.power, MAX_CERTIFY_BITS, "power")
     den = cert.base ** cert.power
     num = cert.numerator
     return _checks(cert, den, _gauss_map(num.re, num.im, den.re, den.im))
 
 
-def _checks(cert: ZarembaCertificate, den: GaussianInt, gauss) -> tuple[tuple[str, bool], ...]:
+def _checks(
+    cert: ZarembaCertificate, den: GaussianInt, gauss, keys: list[tuple[int, int]] | None = None
+) -> tuple[tuple[str, bool], ...]:
     """verify_certificate's transcript from its Gauss-map pass over numerator / den.
 
-    A canonical expansion of numerator / den evaluates to that fraction by
+    Every digit check reads the digits' (re, im) pairs, keys, in one pass: one
+    norm per digit gives the alphabet test, the digit bound and the digit
+    window, and the open automaton decides validity; is_valid runs only when
+    that run fails, for a word that may be valid on the boundary alone.  A
+    canonical expansion of numerator / den evaluates to that fraction by
     construction, so the digits are evaluated only when they are not canonical.
+    certify passes the keys it holds and takes the digit window as a seventh
+    check; without keys they are read off cert.digits and the six are returned.
     """
+    window_wanted = keys is not None
+    if keys is None:
+        keys = [(d.re, d.im) for d in cert.digits]
     head, expansion, last = gauss
     num = cert.numerator
     in_domain = head == (0, 0)
-    digits_ok = bool(cert.digits) and all(digit_in_alphabet(d) for d in cert.digits)
-    canonical = in_domain and expansion == [(d.re, d.im) for d in cert.digits]
+    digits_ok, bounded, window = _digit_checks(cert, keys)
+    canonical = in_domain and expansion == keys
     evaluated = canonical
     if not canonical:
         try:
@@ -188,46 +202,55 @@ def _checks(cert: ZarembaCertificate, den: GaussianInt, gauss) -> tuple[tuple[st
             evaluated = value.num * den == num * value.den
         except (ArithmeticError, ValueError):
             pass
-    valid = digits_ok and is_valid(cert.digits) is not Validity.INVALID
-    return (
+    valid = digits_ok and (
+        get_automaton().run_keys(keys) is not None or is_valid(cert.digits) is not Validity.INVALID
+    )
+    checks = (
         ("evaluation", evaluated),
         ("coprime", last[0] * last[0] + last[1] * last[1] == 1),
         ("fundamental_domain", in_domain),
-        ("digit_bound", digits_ok and cert.max_digit_norm() <= cert.eta_sq),
+        ("digit_bound", bounded),
         ("canonical_expansion", canonical),
         ("validity", valid),
     )
+    return checks + (("digit_window", window),) if window_wanted else checks
+
+
+def _digit_checks(cert: ZarembaCertificate, keys: list[tuple[int, int]]) -> tuple[bool, bool, bool]:
+    """(alphabet, digit bound, digit window) of the digits' keys, from one norm each.
+
+    Every digit lies in the alphabet when the least norm is at least 2.  The
+    window is the family's side conditions, preserved by its induction.
+    """
+    if not keys:
+        return False, False, False
+    norms = [re * re + im * im for re, im in keys]
+    lo, hi = min(norms), max(norms)
+    edges = (keys[0], keys[-1])
+
+    def edge_norms_from(least: int) -> bool:
+        return all(least <= re * re + im * im <= 49 for re, im in edges)
+
+    key, power = cert.base.key(), cert.power
+    if key in ((-3, 1), (-3, -1)):
+        window = hi <= 18
+    elif key in ((-2, 1), (-2, -1)):
+        window = hi <= 18 and (
+            power < 4
+            or 5 <= lo and all(5 <= (re + s) * (re + s) + im * im <= 18 for re, im in edges for s in (1, -1))
+        )
+    elif key == (2, 0):
+        window = hi <= 64 and (power < 6 or edge_norms_from(9))
+    elif key == (3, 0):
+        window = hi <= 64 and (power < 4 or edge_norms_from(16))
+    else:
+        window = hi <= 49 and edge_norms_from(16)
+    return lo >= 2, lo >= 2 and hi <= cert.eta_sq, window
 
 
 def digit_window_ok(cert: ZarembaCertificate) -> bool:
     """Digit-window side conditions preserved by this base family's induction."""
-    if not cert.digits:
-        return False
-    key = cert.base.key()
-    norms = [d.norm for d in cert.digits]
-    first, last = cert.digits[0], cert.digits[-1]
-
-    def edge_norms_within(lo: int, hi: int) -> bool:
-        return lo <= first.norm <= hi and lo <= last.norm <= hi
-
-    if key in ((-3, 1), (-3, -1)):
-        return max(norms) <= 18
-    if key in ((-2, 1), (-2, -1)):
-        if cert.power < 4:
-            return max(norms) <= 18
-        edges = all(
-            5 <= (d + s).norm <= 18 for d in (first, last) for s in (ONE, -ONE)
-        )
-        return edges and all(5 <= n <= 18 for n in norms)
-    if key == (2, 0):
-        if cert.power < 6:
-            return max(norms) <= 64
-        return max(norms) <= 64 and edge_norms_within(9, 49)
-    if key == (3, 0):
-        if cert.power < 4:
-            return max(norms) <= 64
-        return max(norms) <= 64 and edge_norms_within(16, 49)
-    return max(norms) <= 49 and edge_norms_within(16, 49)
+    return _digit_checks(cert, [(d.re, d.im) for d in cert.digits])[2]
 
 
 def certificate_transcript(cert: ZarembaCertificate) -> tuple[tuple[str, bool], ...]:
@@ -265,7 +288,8 @@ def _folded_step(base: GaussianInt, power: int) -> tuple[GaussianInt, tuple[Gaus
     valid folding step, built only when the first is not canonical.  If
     neither is, the first candidate's fraction still is the target, so
     certify its canonical digits instead.  A canonical word is stored as
-    folded.tail itself, sharing digit objects with the child.
+    folded.tail itself, sharing digit objects with the child.  Either way the
+    returned digits have the pass's expansion, gauss[1], as their (re, im) keys.
     """
     child_power, middle = _fold_plan(base, power)
     child = certify(base, child_power)
@@ -307,10 +331,12 @@ def certify(base: GaussianInt | int, power: int) -> ZarembaCertificate:
         numerator, digits = seed
         den = base ** power
         gauss = _gauss_map(numerator.re, numerator.im, den.re, den.im)
+        keys = [(d.re, d.im) for d in digits]
     else:
         numerator, digits, den, gauss = _folded_step(base, power)
+        keys = gauss[1]
     cert = ZarembaCertificate(base, power, numerator, ETA_SQ[key], digits)
-    transcript = _checks(cert, den, gauss) + (("digit_window", digit_window_ok(cert)),)
+    transcript = _checks(cert, den, gauss, keys)
     if not all(ok for _, ok in transcript):
         failing = ", ".join(name for name, ok in transcript if not ok)
         raise CertificateError(

@@ -403,6 +403,19 @@ def test_encode_fractional_of_a_big_partial():
     assert (expansion.digits, shift) == ref.encode_fractional(partial.num, partial.den, B)
 
 
+def test_encode_fractional_of_the_v_9536_partial():
+    # ref.encode_fractional's multiplying loop takes about 10 s here, so the
+    # reference checks the shift at its two ends and encodes the numerator.
+    schedule = schedule_from_tau(Fraction(5, 2), Fraction(1), B, 4)
+    partial = build_xi(unit_seed(B, schedule.v0), schedule, B).partial(4)
+    expansion, shift = encode_fractional(partial, B)
+    assert shift == schedule.v()[4] == 9536
+    numerator, den = ref.normal_form(partial.num * B**shift, partial.den)
+    assert den == ONE
+    assert ref.normal_form(partial.num * B ** (shift - 1), partial.den)[1] != ONE
+    assert expansion.digits == ref.encode_base_b(numerator, B)
+
+
 def test_estimate_exponent_brackets_each_logarithm_once(monkeypatch):
     from hurwitzcf import spectrum
 

@@ -1,17 +1,30 @@
 """Bounded-digit certificates for power denominators and the brute-force optimum."""
 
 import dataclasses
+import itertools
 import random
 import sys
+import time
 from math import isqrt
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hurwitzcf
 from hurwitzcf import zaremba
 from hurwitzcf.cf import CfSequence, convergents, evaluate, fold, fold_unit, fold_unit_neg
-from hurwitzcf.gaussian import ZERO, GaussianInt, GaussianRational, _gauss_map, exact_div, gauss_gcd
-from hurwitzcf.geometry import Validity, is_valid
+from hurwitzcf.gaussian import (
+    ONE,
+    ZERO,
+    BudgetError,
+    GaussianInt,
+    GaussianRational,
+    _gauss_map,
+    exact_div,
+    gauss_gcd,
+)
+from hurwitzcf.geometry import Validity, frontier_digits, get_automaton, is_valid
 from hurwitzcf.hcf import digit_in_alphabet, hcf_expand
 from hurwitzcf.zaremba import (
     DESK_NORM_CAP,
@@ -417,6 +430,48 @@ def test_certifying_makes_one_pass_and_no_evaluation_per_certificate(monkeypatch
     assert calls == {"evaluate": 0, "exact_div": 0, "_gauss_map": 9}
 
 
+def test_certifying_reads_norms_and_the_open_run_off_the_digit_keys(monkeypatch):
+    # The automaton's set-up tests the alphabet for each transition it builds,
+    # so build it first: every digit of these certificates is in its frontier.
+    get_automaton()
+    monkeypatch.setattr(zaremba, "_CACHE", {})
+    calls = _count_calls(
+        monkeypatch,
+        (hurwitzcf.hcf, "digit_in_alphabet"),
+        (hurwitzcf.geometry, "is_valid"),
+        (hurwitzcf.gaussian, "_gauss_map"),
+    )
+    cert = certify(g(-2, 1), 1024)
+    assert all(ok for _, ok in zaremba._CACHE[(cert.base.key(), 1024)][1])
+    assert calls == {"digit_in_alphabet": 0, "is_valid": 0, "_gauss_map": 9}
+
+
+def test_boundary_only_digits_pass_the_validity_check():
+    # the open run rejects these words, so the check falls back to is_valid
+    auto = get_automaton()
+    words = [w for w in itertools.product(frontier_digits(2), repeat=2) if auto.run(w) is None]
+    boundary = [w for w in words if is_valid(w) is Validity.VALID_BOUNDARY_ONLY]
+    assert len(boundary) == 6
+    cert = certify(g(-2, 1), 4)
+    for word in boundary + words[:6]:
+        bad = dataclasses.replace(cert, digits=word)
+        transcript = verify_certificate(bad)
+        assert transcript == _ref_verify_certificate(bad)
+        assert dict(transcript)["validity"] is (word in boundary)
+
+
+def test_verifying_an_over_budget_power_is_refused_before_any_power():
+    cert = certify(g(-2, 1), 4)
+    huge = dataclasses.replace(cert, power=10**9)
+    parsed = parse_certificates(emit_certificates([cert]).replace("power = 4", "power = 1000000000"))
+    assert parsed == [huge]
+    for check in (verify_certificate, certificate_transcript, lambda c: emit_certificates([c])):
+        start = time.perf_counter()
+        with pytest.raises(BudgetError, match="exceeds the work budget of 100000 bits"):
+            check(huge)
+        assert time.perf_counter() - start < 0.1
+
+
 # The parent implementation, kept as the reference: it evaluated every folded
 # word by back-substitution and verified evaluation by cross-multiplication.
 def _ref_folded_step(base, power):
@@ -539,3 +594,82 @@ def test_tampered_transcripts_match_the_evaluating_reference():
     assert "canonical_expansion" in failed["non-canonical"] and "evaluation" not in failed["non-canonical"]
     assert {"evaluation", "canonical_expansion"} <= failed["zero suffix"]
     assert {"evaluation", "canonical_expansion"} <= failed["shifted"]
+
+
+# The earlier digit_window_ok, copied verbatim as the reference for the one-pass window.
+def _ref_digit_window_ok(cert: ZarembaCertificate) -> bool:
+    """Digit-window side conditions preserved by this base family's induction."""
+    if not cert.digits:
+        return False
+    key = cert.base.key()
+    norms = [d.norm for d in cert.digits]
+    first, last = cert.digits[0], cert.digits[-1]
+
+    def edge_norms_within(lo: int, hi: int) -> bool:
+        return lo <= first.norm <= hi and lo <= last.norm <= hi
+
+    if key in ((-3, 1), (-3, -1)):
+        return max(norms) <= 18
+    if key in ((-2, 1), (-2, -1)):
+        if cert.power < 4:
+            return max(norms) <= 18
+        edges = all(
+            5 <= (d + s).norm <= 18 for d in (first, last) for s in (ONE, -ONE)
+        )
+        return edges and all(5 <= n <= 18 for n in norms)
+    if key == (2, 0):
+        if cert.power < 6:
+            return max(norms) <= 64
+        return max(norms) <= 64 and edge_norms_within(9, 49)
+    if key == (3, 0):
+        if cert.power < 4:
+            return max(norms) <= 64
+        return max(norms) <= 64 and edge_norms_within(16, 49)
+    return max(norms) <= 49 and edge_norms_within(16, 49)
+
+
+_SMALL = [g(re, im) for re in range(-11, 12) for im in range(-11, 12)]
+# norms on either side of every window and digit-bound edge
+_EDGE_NORMS = {4, 5, 8, 9, 10, 13, 16, 17, 18, 20, 45, 49, 50, 52, 64, 65}
+_TAMPER_POOLS = {
+    "alphabet": [d for d in _SMALL if 2 <= d.norm <= 64],
+    "non-alphabet": [g(0), g(1), g(-1), g(0, 1), g(0, -1)],
+    "over eta_sq": [d for d in _SMALL if 18 < d.norm <= 120],
+    "window edge": [d for d in _SMALL if d.norm in _EDGE_NORMS],
+}
+
+
+def _tamper(cert, kind, where, pick):
+    digits = list(cert.digits)
+    if kind in _TAMPER_POOLS:
+        pool = _TAMPER_POOLS[kind]
+        if kind == "over eta_sq":
+            pool = [d for d in pool if d.norm > cert.eta_sq]
+        # a window-edge digit goes where the window reads it: first or last
+        i = (0, -1)[where % 2] if kind == "window edge" else where % len(digits)
+        digits[i] = pool[pick % len(pool)]
+        return dataclasses.replace(cert, digits=tuple(digits))
+    if kind == "truncate":
+        return dataclasses.replace(cert, digits=tuple(digits[: where % len(digits)]))
+    if kind == "empty":
+        return dataclasses.replace(cert, digits=())
+    shift = g(pick % 7 - 3, pick // 7 % 7 - 3)
+    if shift == ZERO:
+        shift = cert.denominator()
+    return dataclasses.replace(cert, numerator=cert.numerator + shift)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(
+    st.sampled_from(supported_bases()),
+    st.integers(1, 64),
+    st.sampled_from(("alphabet", "non-alphabet", "over eta_sq", "window edge", "truncate", "empty", "shift")),
+    st.integers(0, 1 << 20),
+    st.integers(0, 1 << 20),
+)
+def test_tampered_transcripts_match_the_references(base, power, kind, where, pick):
+    bad = _tamper(certify(base, power), kind, where, pick)
+    expected = _ref_verify_certificate(bad)
+    assert verify_certificate(bad) == expected
+    assert certificate_transcript(bad) == expected + (("digit_window", _ref_digit_window_ok(bad)),)
+    assert digit_window_ok(bad) == _ref_digit_window_ok(bad)
