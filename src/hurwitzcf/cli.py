@@ -60,8 +60,8 @@ def _parse_expand_fraction(text: str) -> GaussianRational:
     return parse_gaussian_rational(text)
 
 
-def _parse_xi_fraction(text: str, option: str) -> Fraction:
-    """Fraction(text), refused before Fraction builds 10**e when its parts would pass MAX_POWER_BITS.
+def _parse_xi_fraction(text: str, option: str, max_bits: int) -> Fraction:
+    """Fraction(text), refused before Fraction builds 10**e when its parts could pass max_bits.
 
     A mantissa of D digits and an exponent e give a numerator and a denominator
     of at most D + |e| decimal digits, so of fewer than 3.322 (D + |e|) + 1 bits.
@@ -71,7 +71,7 @@ def _parse_xi_fraction(text: str, option: str) -> Fraction:
     digits = sum(c.isdigit() for c in mantissa)
     if magnitude.isdecimal():
         digits += int(magnitude) if len(magnitude) <= 12 else 10**12
-    if digits * 3322 // 1000 + 1 > MAX_POWER_BITS:
+    if digits * 3322 // 1000 + 1 > max_bits:
         raise BudgetError(f"{option} has a numerator or denominator over the work budget of {MAX_POWER_BITS} bits")
     return Fraction(text)
 
@@ -159,10 +159,13 @@ def _parse_variant(text: str) -> tuple[int, ...]:
 
 def _cmd_xi(args: argparse.Namespace) -> int:
     base = parse_gaussian_int(args.base)
-    tau, lam = _parse_xi_fraction(args.tau, "--tau"), _parse_xi_fraction(args.lam, "--lambda")
     stages = args.stages
     if stages < 1:
         raise ValueError("need at least one stage")
+    # schedule_from_tau(..., stages + 1) raises tau to a power of at least
+    # stages + 5, so it refuses any tau with parts past this share of the budget.
+    tau = _parse_xi_fraction(args.tau, "--tau", MAX_POWER_BITS // (stages + 5))
+    lam = _parse_xi_fraction(args.lam, "--lambda", MAX_POWER_BITS)
     schedule = schedule_from_tau(tau, lam, base, stages + 1)
     if args.variant is not None:
         word = _parse_variant(args.variant)

@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
+from typing import Callable
 
 from .cf import CfSequence, _fold_step, convergents, mirror_negate
 from .exactreal import _dyadic_round, ln_brackets, sqrt_brackets
@@ -86,38 +87,34 @@ class FoldingSchedule:
         return len(self.u)
 
 
-def _floor_log(ratio: Fraction, base_ratio: Fraction) -> int:
-    """Largest m >= 0 with base_ratio**m <= ratio, or -1 when ratio < 1.
+def _least(holds: Callable[[int], bool], lo: int = 0) -> int:
+    """Least m >= lo with holds(m), for a predicate that stays true once true.
 
-    Doubling, then bisection: O(log m) comparisons of int powers.
+    Doubling, then bisection: probes lo, lo + 1, lo + 3, lo + 7, ... until one
+    holds, then bisects the gap above the last failing probe, O(log m) calls.
     """
+    miss, hi, step = lo - 1, lo, 1
+    while not holds(hi):
+        miss, hi, step = hi, hi + step, 2 * step
+    while hi - miss > 1:
+        mid = (miss + hi) // 2
+        if holds(mid):
+            hi = mid
+        else:
+            miss = mid
+    return hi
+
+
+def _floor_log(ratio: Fraction, base_ratio: Fraction) -> int:
+    """Largest m >= 0 with base_ratio**m <= ratio, or -1 when ratio < 1, by comparing int powers."""
     n, d = ratio.as_integer_ratio()
     p, q = base_ratio.as_integer_ratio()
-    if n < d:
-        return -1
-
-    def within(m: int) -> bool:
-        return p**m * d <= n * q**m
-
-    lo, hi = 0, 1
-    while within(hi):
-        lo, hi = hi, 2 * hi
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if within(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    return -1 if n < d else _least(lambda m: p**m * d > n * q**m, 1) - 1
 
 
 def _ceil_log(target: int, base_value: int) -> int:
     """Smallest m >= 0 with base_value**m >= target."""
-    m, power = 0, 1
-    while power < target:
-        power *= base_value
-        m += 1
-    return m
+    return _least(lambda m: base_value**m >= target)
 
 
 def schedule_from_tau(tau: Fraction, lam: Fraction, base: GaussianInt, stages: int) -> FoldingSchedule:
@@ -234,17 +231,7 @@ def schedule_from_psi(psi: PsiFunction, base: GaussianInt, v0: int, stages: int)
         def satisfied(step: int) -> bool:
             return _psi_condition(psi, norm, v, step + 2 * v, 0, True)
 
-        hi = 1
-        while not satisfied(hi):
-            hi *= 2
-        lo = hi // 2
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if satisfied(mid):
-                hi = mid
-            else:
-                lo = mid
-        step = hi
+        step = _least(satisfied, 1)
         if step > 1 and satisfied(step - 1):
             raise AssertionError("increment is not minimal")
         if not _psi_condition(psi, norm, v, step + 2 * v, 1, False):

@@ -20,7 +20,7 @@ from .gaussian import (
     format_gaussian_int,
     parse_gaussian_int,
 )
-from .geometry import Validity, get_automaton, is_valid
+from .geometry import closed_cylinder_nonempty, get_automaton
 from .hcf import hcf_expand
 
 DESK_NORM_CAP = 1 << 25
@@ -159,37 +159,41 @@ def supported_bases() -> tuple[GaussianInt, ...]:
     return tuple(_gi(*key) for key in sorted(ETA_SQ))
 
 
-def verify_certificate(cert: ZarembaCertificate) -> tuple[tuple[str, bool], ...]:
-    """Re-run every certificate invariant from scratch; failures are data, not exceptions.
+def certificate_transcript(cert: ZarembaCertificate) -> tuple[tuple[str, bool], ...]:
+    """Re-run every certificate check from scratch; failures are data, not exceptions.
 
-    One Gauss-map pass over the unreduced numerator / base**power yields the
-    canonical digits, the domain check and the gcd (its last remainder).
+    The six core invariants, then the family digit window.  One Gauss-map
+    pass over the unreduced numerator / base**power yields the canonical
+    digits, the domain check and the gcd (its last remainder), and one list
+    of the digits' (re, im) pairs feeds every digit check.
     Raises BudgetError, as certify does, before building base**power past
     MAX_CERTIFY_BITS.
     """
     _check_power_budget(cert.base, cert.power, MAX_CERTIFY_BITS, "power")
     den = cert.base ** cert.power
     num = cert.numerator
-    return _checks(cert, den, _gauss_map(num.re, num.im, den.re, den.im))
+    keys = [(d.re, d.im) for d in cert.digits]
+    return _checks(cert, den, _gauss_map(num.re, num.im, den.re, den.im), keys)
+
+
+def verify_certificate(cert: ZarembaCertificate) -> tuple[tuple[str, bool], ...]:
+    """The six core invariant checks: certificate_transcript without the digit window."""
+    return certificate_transcript(cert)[:6]
 
 
 def _checks(
-    cert: ZarembaCertificate, den: GaussianInt, gauss, keys: list[tuple[int, int]] | None = None
+    cert: ZarembaCertificate, den: GaussianInt, gauss, keys: list[tuple[int, int]]
 ) -> tuple[tuple[str, bool], ...]:
-    """verify_certificate's transcript from its Gauss-map pass over numerator / den.
+    """The seven-check transcript of cert from its Gauss-map pass over numerator / den.
 
     Every digit check reads the digits' (re, im) pairs, keys, in one pass: one
     norm per digit gives the alphabet test, the digit bound and the digit
-    window, and the open automaton decides validity; is_valid runs only when
-    that run fails, for a word that may be valid on the boundary alone.  A
-    canonical expansion of numerator / den evaluates to that fraction by
-    construction, so the digits are evaluated only when they are not canonical.
-    certify passes the keys it holds and takes the digit window as a seventh
-    check; without keys they are read off cert.digits and the six are returned.
+    window, and the open automaton decides validity; the half-open one runs
+    only when that run fails, for a word that may be valid on the boundary
+    alone.  A canonical expansion of numerator / den evaluates to that
+    fraction by construction, so the digits are evaluated only when they are
+    not canonical.
     """
-    window_wanted = keys is not None
-    if keys is None:
-        keys = [(d.re, d.im) for d in cert.digits]
     head, expansion, last = gauss
     num = cert.numerator
     in_domain = head == (0, 0)
@@ -202,18 +206,16 @@ def _checks(
             evaluated = value.num * den == num * value.den
         except (ArithmeticError, ValueError):
             pass
-    valid = digits_ok and (
-        get_automaton().run_keys(keys) is not None or is_valid(cert.digits) is not Validity.INVALID
-    )
-    checks = (
+    valid = digits_ok and (get_automaton().run_keys(keys) is not None or closed_cylinder_nonempty(cert.digits))
+    return (
         ("evaluation", evaluated),
         ("coprime", last[0] * last[0] + last[1] * last[1] == 1),
         ("fundamental_domain", in_domain),
         ("digit_bound", bounded),
         ("canonical_expansion", canonical),
         ("validity", valid),
+        ("digit_window", window),
     )
-    return checks + (("digit_window", window),) if window_wanted else checks
 
 
 def _digit_checks(cert: ZarembaCertificate, keys: list[tuple[int, int]]) -> tuple[bool, bool, bool]:
@@ -251,11 +253,6 @@ def _digit_checks(cert: ZarembaCertificate, keys: list[tuple[int, int]]) -> tupl
 def digit_window_ok(cert: ZarembaCertificate) -> bool:
     """Digit-window side conditions preserved by this base family's induction."""
     return _digit_checks(cert, [(d.re, d.im) for d in cert.digits])[2]
-
-
-def certificate_transcript(cert: ZarembaCertificate) -> tuple[tuple[str, bool], ...]:
-    """Six core invariant checks plus the family digit window."""
-    return verify_certificate(cert) + (("digit_window", digit_window_ok(cert)),)
 
 
 # Certificates that certify built and verified, each with its transcript and

@@ -1,7 +1,10 @@
-"""End-to-end checks of the command-line interface, run in process."""
+"""End-to-end checks of the command-line interface, run in process and once as `python -m hurwitzcf`."""
 
+import os
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -29,6 +32,20 @@ def test_hcf_expand_records(capsys):
         "convergent.2 = 3 / 8\n"
         "convergent.3 = 10 / 27\n"
     )
+
+
+def test_python_dash_m_runs_the_cli_with_its_exit_code(capsys):
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+
+    def python_m(*argv):
+        return subprocess.run([sys.executable, "-m", "hurwitzcf", *argv], env=env, capture_output=True, text=True)
+
+    done = python_m("hcf", "expand", "10/27")
+    assert (done.returncode, done.stdout, done.stderr) == run(capsys, "hcf", "expand", "10/27")
+    assert done.returncode == 0
+    refused = python_m("xi", "--base", "-2+i", "--tau", "3/2", "--lambda", "1", "--stages", "3")
+    assert refused.returncode == 2 and refused.stdout == ""
+    assert "growth ratio below 2" in refused.stderr
 
 
 def test_hcf_expand_csv(capsys):
@@ -287,6 +304,13 @@ def test_xi_fraction_parse_is_bounded_before_the_fraction(capsys):
         assert time.perf_counter() - start < 0.5
         assert code == 2 and out == ""
         assert err == f"error: {option} has a numerator or denominator over the work budget of 8388608 bits\n"
+    # the schedule raises tau to a power of at least stages + 5, so a tau that
+    # passes 1/8 of the budget at 3 stages is refused before the Fraction too
+    start = time.perf_counter()
+    code, out, err = run(capsys, "xi", "--base", "-2+i", "--tau", "1e2000000", "--lambda", "1", "--stages", "3")
+    assert time.perf_counter() - start < 0.5
+    assert code == 2 and out == ""
+    assert err == "error: --tau has a numerator or denominator over the work budget of 8388608 bits\n"
     # the ratio and the decimal form of one growth ratio print the same table
     outputs = [run(capsys, "xi", "--base", "-2+i", "--tau", tau, "--lambda", "1", "--stages", "3")
                for tau in ("5/2", "2.5", "25e-1")]

@@ -117,6 +117,13 @@ def test_floor_log_matches_the_multiplying_loop():
             cases.append((ratio, base_ratio))
     for ratio, base_ratio in cases:
         assert spectrum._floor_log(ratio, base_ratio) == _ref_floor_log(ratio, base_ratio), (ratio, base_ratio)
+    for base_value in (2, 5, 10, 13):
+        for target in (*range(-2, 40), *(base_value**k + e for k in (3, 17, 64) for e in (-1, 0, 1))):
+            m, power = 0, 1
+            while power < target:
+                power *= base_value
+                m += 1
+            assert spectrum._ceil_log(target, base_value) == m, (target, base_value)
 
 
 def test_schedule_from_tau_matches_the_fraction_formula():

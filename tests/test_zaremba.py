@@ -367,7 +367,8 @@ def test_folded_candidate_outside_the_domain_is_not_canonical(monkeypatch):
     assert gauss[0] == (-1, 0)
     assert (numerator, digits) == _ref_folded_step(g(2), 4)
     cert = ZarembaCertificate(g(2), 4, numerator, 64, digits)
-    assert zaremba._checks(cert, den, gauss) == verify_certificate(cert) == _ref_verify_certificate(cert)
+    keys = [(d.re, d.im) for d in digits]
+    assert zaremba._checks(cert, den, gauss, keys)[:6] == verify_certificate(cert) == _ref_verify_certificate(cert)
     assert {n for n, ok in verify_certificate(cert) if not ok} == {"evaluation", "fundamental_domain", "canonical_expansion"}
 
 
@@ -446,18 +447,31 @@ def test_certifying_reads_norms_and_the_open_run_off_the_digit_keys(monkeypatch)
     assert calls == {"digit_in_alphabet": 0, "is_valid": 0, "_gauss_map": 9}
 
 
-def test_boundary_only_digits_pass_the_validity_check():
-    # the open run rejects these words, so the check falls back to is_valid
+def test_boundary_only_digits_pass_the_validity_check(monkeypatch):
+    # the open run rejects these words, so the check falls back to the
+    # half-open run alone; is_valid would repeat the failed open run
     auto = get_automaton()
     words = [w for w in itertools.product(frontier_digits(2), repeat=2) if auto.run(w) is None]
     boundary = [w for w in words if is_valid(w) is Validity.VALID_BOUNDARY_ONLY]
     assert len(boundary) == 6
     cert = certify(g(-2, 1), 4)
-    for word in boundary + words[:6]:
-        bad = dataclasses.replace(cert, digits=word)
-        transcript = verify_certificate(bad)
+    bads = [dataclasses.replace(cert, digits=word) for word in boundary + words[:6]]
+    calls = _count_calls(monkeypatch, (hurwitzcf.geometry, "is_valid"),
+                         (hurwitzcf.geometry, "closed_cylinder_nonempty"))
+    transcripts = [verify_certificate(bad) for bad in bads]
+    assert calls == {"is_valid": 0, "closed_cylinder_nonempty": 12}
+    for bad, transcript in zip(bads, transcripts):
         assert transcript == _ref_verify_certificate(bad)
-        assert dict(transcript)["validity"] is (word in boundary)
+        assert dict(transcript)["validity"] is (bad.digits in boundary)
+
+
+def test_a_transcript_makes_one_gauss_map_pass_and_one_digit_pass(monkeypatch):
+    monkeypatch.setattr(zaremba, "_CACHE", {})
+    cert = certify(g(-2, 1), 64)
+    calls = _count_calls(monkeypatch, (hurwitzcf.gaussian, "_gauss_map"), (zaremba, "_digit_checks"))
+    transcript = certificate_transcript(cert)
+    assert transcript == zaremba._CACHE[(cert.base.key(), 64)][1]
+    assert calls == {"_gauss_map": 1, "_digit_checks": 1}
 
 
 def test_verifying_an_over_budget_power_is_refused_before_any_power():
