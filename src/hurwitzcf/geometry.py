@@ -664,16 +664,82 @@ class Automaton:
         return index
 
 
+# The box's symmetries: (k, flipped) maps z to i**k * z, or to i**k * conj(z) when flipped.
+_Symmetry = tuple[int, bool]
+_IDENTITY: _Symmetry = (0, False)
+_D4: tuple[_Symmetry, ...] = tuple((k, flipped) for flipped in (False, True) for k in range(4))
+
+
+def _act_key(sym: _Symmetry, re: int, im: int) -> tuple[int, int]:
+    k, flipped = sym
+    if flipped:
+        im = -im
+    for _ in range(k):
+        re, im = -im, re
+    return re, im
+
+
+def _act_constraints(sym: _Symmetry, cons: tuple[Constraint, ...]) -> tuple[Constraint, ...]:
+    """The sorted constraints of the region's image under sym."""
+    k, flipped = sym
+    if flipped:
+        cons = tuple(con.conjugate() for con in cons)
+    for _ in range(k):
+        cons = tuple(con.rotate() for con in cons)
+    return Region(cons).constraints
+
+
 def explore_automaton(bound: int = 4, max_states: int = 64, box: tuple[Constraint, ...] = _BOX_OPEN) -> Automaton:
-    """Breadth-first closure of the automaton over the digit frontier."""
+    """Breadth-first closure of the automaton over the digit frontier.
+
+    Write T_d(R) for prototype_step(R, d), the image of R under z -> 1/z - d
+    clipped to the box.  Then T_d(iR) = -i * T_{id}(R) and T_d(conj R) =
+    conj(T_{conj d}(R)), provided the box is invariant under z -> iz and
+    z -> conj z; the frontier and the digit norm (which the full-state
+    shortcut reads) always are.  Over the group D4 these two generate, with
+    g*(z) = 1/g(1/z), this gives T_d(g R) = g*(T_e(R)) for e = g*^-1(d).  So
+    only the first state of each orbit met takes prototype steps; the
+    transitions of any later state g(R) are those of R, mapped by g*.  The
+    open box is invariant; the half-open box [-1/2, 1/2)^2 is invariant under
+    neither generator, so its group is trivial and every state takes its own
+    steps.  Transitions are filled in the same (state, digit) order either
+    way, and a successor whose image is not yet a state is stepped exactly,
+    so the states, their indices, labels and regions do not depend on the
+    group.
+    """
     auto = Automaton(box)
     digits = frontier_digits(bound)
+    edges = Region(box).constraints
+    symmetric = all(_act_constraints(sym, box) == edges for sym in ((1, False), (0, True)))
+    group = _D4 if symmetric else (_IDENTITY,)
+    images: dict[tuple[int, _Symmetry], tuple[Constraint, ...]] = {}
+    orbit: dict[tuple[Constraint, ...], tuple[int, _Symmetry]] = {}  # key of g(R) -> (R, g), R first met
+
+    def image(index: int, sym: _Symmetry) -> tuple[Constraint, ...]:
+        key = images.get((index, sym))
+        if key is None:
+            key = images[index, sym] = _act_constraints(sym, auto.states[index].region.constraints)
+        return key
+
     pending = [auto.full_index]
     seen = {auto.full_index}
     while pending:
         index = pending.pop(0)
+        rep, sym = orbit.get(auto.states[index].region.constraints, (index, _IDENTITY))
+        if rep == index:
+            for g in group:
+                orbit.setdefault(image(index, g), (index, g))
+        star = (-sym[0] % 4, sym[1])
+        pull = star if sym[1] else sym  # the inverse of star
         for d in digits:
-            target = auto.transition(index, d)
+            if rep == index:
+                target = auto.transition(index, d)
+            else:
+                step = auto._transitions[rep, _act_key(pull, d.re, d.im)]
+                target = None if step is None else auto._key_index.get(image(step, star))
+                if step is not None and target is None:  # no state yet: step exactly, adding it in BFS order
+                    target = auto.transition(index, d)
+                auto._transitions[index, d.key()] = target
             if auto.state_count > max_states:
                 raise RuntimeError("automaton failed to close: state budget exceeded")
             if target is not None and target not in seen:

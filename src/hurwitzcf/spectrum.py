@@ -21,6 +21,7 @@ from .gaussian import (
     _check_power_budget,
     _exact_quo,
     _mul3,
+    _power_bits,
 )
 from .geometry import is_full
 from .hcf import hcf_expand
@@ -141,6 +142,15 @@ def schedule_from_tau(tau: Fraction, lam: Fraction, base: GaussianInt, stages: i
         raise BudgetError(
             f"lam * tau**{_brief(top)} has parts of up to {_brief(bits)} bits: the schedule exceeds "
             f"the work budget of {MAX_POWER_BITS} bits per component"
+        )
+    # unit_seed and build_xi compute base**v0, so refuse a v0 they never admit before
+    # computing it: m0 >= k0 - 3 and lam * tau**k0 > 2**low, so v0 >= 2**low when
+    # low >= 0, and _power_bits grows with v, so 2**64 can stand in for a larger bound.
+    k0 = 4 + _ceil_log(9, norm)
+    low = a.bit_length() - 1 - b.bit_length() + k0 * (p.bit_length() - 1 - q.bit_length())
+    if low >= 0 and _power_bits(GaussianInt.from_any(base), 1 << min(low, 64)) > MAX_POWER_BITS:
+        raise BudgetError(
+            f"v0 >= 2**{_brief(low)}: base**v0 exceeds the work budget of {MAX_POWER_BITS} bits per component"
         )
     m0 = 1 + max(0, _floor_log(3 / lam, tau), _ceil_log(9, norm))
     num, den = a * p ** (3 + m0), b * q ** (3 + m0)

@@ -11,6 +11,7 @@ import pytest
 from hurwitzcf import cli, zaremba
 from hurwitzcf.cli import main
 from hurwitzcf.gaussian import GaussianInt, format_gaussian_int
+from hurwitzcf.spectrum import DigitExpansion, decode_base_b
 from hurwitzcf.zaremba import emit_certificates, parse_certificates
 
 
@@ -280,6 +281,13 @@ def test_xi_schedule_work_is_bounded_before_any_power(capsys):
         assert time.perf_counter() - start < 2.0
         assert code == 2 and out == ""
         assert "work budget" in err
+    # at 3 stages the schedule's own parts pass, but base**v0 never would: refused before v0 is computed
+    for tau in ("1e100000", "1e200000"):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "xi", "--base", "-2+i", "--tau", tau, "--lambda", "1", "--stages", "3")
+        assert time.perf_counter() - start < 0.5
+        assert code == 2 and out == ""
+        assert "base**v0 exceeds the work budget" in err
     # a tiny scale only moves the schedule's start: the search for it is logarithmic
     start = time.perf_counter()
     code, out, err = run(capsys, "xi", "--base", "-2+i", "--tau", "5/2", "--lambda", "1e-20000", "--stages", "3")
@@ -333,6 +341,20 @@ def test_encode(capsys):
     assert code == 0 and out == "15716\n"
     code, _, err = run(capsys, "encode", "5", "--base", "2+i")
     assert code == 2 and "base must be -A+i or -A-i" in err
+
+
+def test_encode_over_the_work_budget_exits_at_once(capsys):
+    top = 1 << cli._MAX_ENCODE_BITS
+    # a component of exactly the budget's bits is admitted and round-trips
+    code, out, _ = run(capsys, "encode", f"{top - 1}-{top - 2}i", "--base", "-9-i")
+    digits = [int(d) for d in reversed(out.strip().split(","))]
+    assert code == 0 and decode_base_b(DigitExpansion(GaussianInt(-9, -1), tuple(digits))) == GaussianInt(top - 1, 2 - top)
+    for value in (f"{top}", f"1-{top}i"):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "encode", value, "--base", "-2+i")
+        assert time.perf_counter() - start < 0.5
+        assert code == 2 and out == ""
+        assert err == f"error: a {cli._MAX_ENCODE_BITS + 1}-bit component exceeds the work budget of 16384 bits\n"
 
 
 def test_dash_operands_survive_option_scanning(capsys):

@@ -40,7 +40,9 @@ from hurwitzcf.geometry import (
     is_valid,
     open_box_region,
     prototype_step,
+    region_conjugate,
     region_equal,
+    region_rotate,
     region_subset,
     verify_folding_program,
 )
@@ -192,6 +194,67 @@ def test_set_up_and_explore_build_no_half_open_state(tmp_path):
     src = str(Path(hurwitzcf.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     subprocess.run([sys.executable, "-c", code, str(tmp_path / "table.csv")], env=env, check=True)
+
+
+# ------------------------------------------ the symmetric build and plain BFS
+
+def _reference_explore(bound=4, box=geometry._BOX_OPEN):
+    """The plain breadth-first closure: Automaton.transition for every (state, digit)."""
+    auto = geometry.Automaton(box)
+    digits = frontier_digits(bound)
+    pending, seen = [auto.full_index], {auto.full_index}
+    while pending:
+        index = pending.pop(0)
+        for d in digits:
+            target = auto.transition(index, d)
+            if target is not None and target not in seen:
+                seen.add(target)
+                pending.append(target)
+    return auto
+
+
+@pytest.mark.parametrize("bound", [3, 4])
+def test_symmetric_build_matches_plain_bfs(bound):
+    built, plain = explore_automaton(bound), _reference_explore(bound)
+    assert [s.label for s in built.states] == [s.label for s in plain.states]
+    assert [s.region.constraints for s in built.states] == [s.region.constraints for s in plain.states]
+    assert built._transitions == plain._transitions
+
+
+def test_prototype_steps_commute_with_the_box_symmetries():
+    # T_d(iR) = -i * T_{id}(R) and T_d(conj R) = conj(T_{conj d}(R)) on the open box
+    for state in get_automaton().states:
+        region = state.region
+        rotated, conjugated = region_rotate(region), region_conjugate(region)
+        for d in frontier_digits():
+            back = prototype_step(region, d * g(0, 1))
+            for _ in range(3):
+                back = region_rotate(back)
+            assert region_equal(prototype_step(rotated, d), back), (state.label, d)
+            assert region_equal(prototype_step(conjugated, d), region_conjugate(prototype_step(region, d.conj()))), (
+                state.label, d)
+
+
+def _build_work(explore):
+    """prototype_step calls and uncached emptiness tests of one build from a cold memo."""
+    counts = {"prototype_step": 0, "_is_empty_uncached": 0}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geometry, "_EMPTY_MEMO", {})
+        for name in counts:
+            def counted(*args, _name=name, _inner=getattr(geometry, name)):
+                counts[_name] += 1
+                return _inner(*args)
+            mp.setattr(geometry, name, counted)
+        explore()
+    return counts["prototype_step"], counts["_is_empty_uncached"]
+
+
+def test_symmetric_build_steps_one_state_per_orbit():
+    # a fall back to stepping every state fails here, not only in a timing
+    steps, empties = _build_work(explore_automaton)
+    plain_steps, plain_empties = _build_work(_reference_explore)
+    assert plain_steps == 568
+    assert steps <= 160 and 2 * empties < plain_empties
 
 
 # ------------------------------------------------ reference emptiness walkers
@@ -346,7 +409,12 @@ def _ref_is_empty_exact(region):
 
 @pytest.fixture(scope="module")
 def recorded_builds():
-    """Both automata built from a cold memo, with every region each emptiness stage saw."""
+    """Both automata built from a cold memo, with every region each emptiness stage saw.
+
+    The open one is built by plain BFS, which steps every state, so all 87 of
+    its regions that reach the exact path are recorded; explore_automaton
+    steps one state per orbit and sends only 43 of them there.
+    """
     seen = {"_is_empty_uncached": [], "_is_empty_exact": []}
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(geometry, "_EMPTY_MEMO", {})
@@ -356,7 +424,7 @@ def recorded_builds():
                 _regions.append(region)
                 return _stage(region)
             mp.setattr(geometry, name, wrapped)
-        opened = explore_automaton()
+        opened = _reference_explore()
         exact = seen["_is_empty_exact"]
         open_exact = list(exact)
         half_open = explore_automaton(3, box=geometry._BOX_HALF_OPEN)
