@@ -288,7 +288,7 @@ def main(argv: list[str] | None = None) -> int:
         for name, passed in exc.transcript:
             print(f"check.{name} = {'pass' if passed else 'FAIL'}", file=sys.stderr)
         return 1
-    except (ValueError, ZeroDivisionError, CfUndefinedError, OverflowError) as exc:
+    except (ValueError, ZeroDivisionError, CfUndefinedError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -64,14 +64,6 @@ class Constraint(NamedTuple):
         c = self.c + self.a * t.norm - 2 * (self.bre * t.re + self.bim * t.im)
         return constraint(self.a, bre, bim, c, self.sense, self.strict)
 
-    def conjugate(self) -> Constraint:
-        """Constraint for the complex-conjugated region."""
-        return constraint(self.a, self.bre, -self.bim, self.c, self.sense, self.strict)
-
-    def rotate(self) -> Constraint:
-        """Constraint for the region multiplied by i."""
-        return constraint(self.a, -self.bim, self.bre, self.c, self.sense, self.strict)
-
 
 def constraint(a: int, bre: int, bim: int, c: int, sense: int, strict: bool) -> Constraint:
     """Build a Constraint in normal form: gcd 1, a >= 0, sign-canonical at a = 0."""
@@ -156,11 +148,11 @@ def half_open_box_region() -> Region:
 
 
 def region_conjugate(region: Region) -> Region:
-    return canonicalize(Region(tuple(con.conjugate() for con in region.constraints)))
+    return canonicalize(Region(_act_constraints((0, True), region.constraints)))
 
 
 def region_rotate(region: Region) -> Region:
-    return canonicalize(Region(tuple(con.rotate() for con in region.constraints)))
+    return canonicalize(Region(_act_constraints((1, False), region.constraints)))
 
 
 # ------------------------------------------------------------ interval filter
@@ -680,13 +672,14 @@ def _act_key(sym: _Symmetry, re: int, im: int) -> tuple[int, int]:
 
 
 def _act_constraints(sym: _Symmetry, cons: tuple[Constraint, ...]) -> tuple[Constraint, ...]:
-    """The sorted constraints of the region's image under sym."""
-    k, flipped = sym
-    if flipped:
-        cons = tuple(con.conjugate() for con in cons)
-    for _ in range(k):
-        cons = tuple(con.rotate() for con in cons)
-    return Region(cons).constraints
+    """The sorted constraints of the region's image under sym.
+
+    z lies in g(R) when g^-1(z) lies in R, and a rotation or a reflection keeps
+    |z|^2, so sym acts on each constraint's linear part (bre, bim) as on a point.
+    """
+    return Region(tuple(
+        constraint(con.a, *_act_key(sym, con.bre, con.bim), con.c, con.sense, con.strict) for con in cons
+    )).constraints
 
 
 def explore_automaton(bound: int = 4, max_states: int = 64, box: tuple[Constraint, ...] = _BOX_OPEN) -> Automaton:

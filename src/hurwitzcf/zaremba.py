@@ -12,6 +12,7 @@ from .cf import CfSequence, _fold_step, evaluate
 from .gaussian import (
     ONE,
     ZERO,
+    BudgetError,
     GaussianInt,
     GaussianRational,
     _associate_unit,
@@ -21,7 +22,6 @@ from .gaussian import (
     parse_gaussian_int,
 )
 from .geometry import closed_cylinder_nonempty, get_automaton
-from .hcf import hcf_expand
 
 DESK_NORM_CAP = 1 << 25
 
@@ -46,81 +46,57 @@ def _gi(re: int, im: int = 0) -> GaussianInt:
     return GaussianInt(re, im)
 
 
-def _rows(raw) -> dict[int, tuple[GaussianInt, tuple[GaussianInt, ...]]]:
-    return {
-        power: (_gi(*num), tuple(_gi(*d) for d in digits))
-        for power, num, digits in raw
-    }
-
-
-def _conjugate_rows(rows, base):
-    # Conjugating a numerator mirrors the fraction, but the half-open domain is
-    # not conjugation-symmetric: boundary ties may re-expand.  Store the exact
-    # canonical digits of the mirrored fraction.
-    out = {}
-    for power, (num, _) in rows.items():
-        numerator = num.conj()
-        expansion = hcf_expand(GaussianRational(numerator, base ** power))
-        assert expansion.integer_part == ZERO
-        out[power] = (numerator, expansion.digits)
-    return out
-
-
-_SEEDS: dict[tuple[int, int], dict[int, tuple[GaussianInt, tuple[GaussianInt, ...]]]] = {
-    (-3, 1): _rows(
-        [
-            (1, (1, 0), ((-3, 1),)),
-            (2, (2, 3), ((0, -3), (-2, -3))),
-        ]
-    ),
-    (-2, 1): _rows(
-        [
-            (1, (1, 0), ((-2, 1),)),
-            (2, (0, 2), ((-2, -1), (0, 2))),
-            (3, (2, -4), ((-2, 1), (-2, 1), (2, -1))),
-            (4, (5, -6), ((2, -3), (-1, -2), (-3, 1))),
-            (5, (13, -11), ((0, 3), (1, -3), (2, -1), (-2, -2))),
-            (6, (27, -38), ((-1, -3), (1, -2), (1, -2), (-3, -2), (2, -3))),
-            (7, (0, -97), ((0, 3), (3, 1), (-2, -2), (0, 3), (1, -3))),
-        ]
-    ),
-    (2, 0): _rows(
-        [
-            (1, (-1, 0), ((-2, 0),)),
-            (2, (1, 0), ((4, 0),)),
-            (3, (3, 0), ((3, 0), (-3, 0))),
-            (4, (5, 0), ((3, 0), (5, 0))),
-            (5, (9, 0), ((4, 0), (-2, 0), (-4, 0))),
-            (6, (17, 0), ((4, 0), (-4, 0), (-4, 0))),
-            (7, (19, 0), ((7, 0), (-4, 0), (5, 0))),
-            (8, (79, 0), ((3, 0), (4, 0), (6, 0), (3, 0))),
-            (9, (71, 0), ((7, 0), (5, 0), (-4, 0), (4, 0))),
-            (10, (165, 0), ((6, 0), (5, 0), (-7, 0), (5, 0))),
-            (11, (423, 0), ((5, 0), (-6, 0), (-3, 0), (-5, 0), (-4, 0))),
-            (12, (557, 0), ((7, 0), (3, 0), (-6, 0), (5, 0), (-7, 0))),
-            (13, (1453, 0), ((6, 0), (-3, 0), (4, 0), (5, 0), (-5, 0), (-5, 0))),
-        ]
-    ),
-    (3, 0): _rows(
-        [
-            (1, (1, 0), ((3, 0),)),
-            (2, (4, 0), ((2, 0), (4, 0))),
-            (3, (10, 0), ((3, 0), (-3, 0), (-3, 0))),
-            (4, (19, 0), ((4, 0), (4, 0), (-5, 0))),
-            (5, (50, 0), ((5, 0), (-7, 0), (-7, 0))),
-            (6, (107, 0), ((7, 0), (-5, 0), (-3, 0), (7, 0))),
-            (7, (323, 0), ((7, 0), (-4, 0), (-3, 0), (4, 0), (-7, 0))),
-        ]
-    ),
-    (5, 0): _rows(
-        [
-            (1, (1, 0), ((5, 0),)),
-            (2, (6, 0), ((4, 0), (6, 0))),
-        ]
-    ),
+# The base cases the folds start from: a numerator over base**power for each
+# (base key, power).  certify takes a seed's digits from the Gauss-map pass it
+# makes to check it, so they are its canonical expansion by construction.
+_SEEDS: dict[tuple[int, int], dict[int, GaussianInt]] = {
+    (-3, 1): {
+        1: _gi(1),
+        2: _gi(2, 3),
+    },
+    (-2, 1): {
+        1: _gi(1),
+        2: _gi(0, 2),
+        3: _gi(2, -4),
+        4: _gi(5, -6),
+        5: _gi(13, -11),
+        6: _gi(27, -38),
+        7: _gi(0, -97),
+    },
+    (2, 0): {
+        1: _gi(-1),
+        2: _gi(1),
+        3: _gi(3),
+        4: _gi(5),
+        5: _gi(9),
+        6: _gi(17),
+        7: _gi(19),
+        8: _gi(79),
+        9: _gi(71),
+        10: _gi(165),
+        11: _gi(423),
+        12: _gi(557),
+        13: _gi(1453),
+    },
+    (3, 0): {
+        1: _gi(1),
+        2: _gi(4),
+        3: _gi(10),
+        4: _gi(19),
+        5: _gi(50),
+        6: _gi(107),
+        7: _gi(323),
+    },
+    (5, 0): {
+        1: _gi(1),
+        2: _gi(6),
+    },
 }
-_SEEDS[(-3, -1)] = _conjugate_rows(_SEEDS[(-3, 1)], _gi(-3, -1))
-_SEEDS[(-2, -1)] = _conjugate_rows(_SEEDS[(-2, 1)], _gi(-2, -1))
+# A conjugate base takes its partner's numerators conjugated.  The half-open
+# domain is not conjugation-symmetric, so boundary ties may re-expand the
+# mirrored fraction; its digits come from the pass all the same.
+_SEEDS[(-3, -1)] = {power: num.conj() for power, num in _SEEDS[(-3, 1)].items()}
+_SEEDS[(-2, -1)] = {power: num.conj() for power, num in _SEEDS[(-2, 1)].items()}
 
 
 @dataclass(frozen=True)
@@ -308,7 +284,12 @@ def _folded_step(base: GaussianInt, power: int) -> tuple[GaussianInt, tuple[Gaus
             return numerator, folded.tail, den, gauss
         tried.append((numerator, gauss))
     numerator, gauss = tried[0]
-    return numerator, tuple(GaussianInt(re, im) for re, im in gauss[1]), den, gauss
+    return numerator, _pass_digits(gauss), den, gauss
+
+
+def _pass_digits(gauss) -> tuple[GaussianInt, ...]:
+    """The canonical digits a Gauss-map pass read off, as GaussianInts."""
+    return tuple(GaussianInt(re, im) for re, im in gauss[1])
 
 
 def certify(base: GaussianInt | int, power: int) -> ZarembaCertificate:
@@ -323,17 +304,15 @@ def certify(base: GaussianInt | int, power: int) -> ZarembaCertificate:
     cached = _CACHE.get((key, power))
     if cached is not None:
         return cached[0]
-    seed = _SEEDS[key].get(power)
-    if seed is not None:
-        numerator, digits = seed
+    numerator = _SEEDS[key].get(power)
+    if numerator is None:
+        numerator, digits, den, gauss = _folded_step(base, power)
+    else:
         den = base ** power
         gauss = _gauss_map(numerator.re, numerator.im, den.re, den.im)
-        keys = [(d.re, d.im) for d in digits]
-    else:
-        numerator, digits, den, gauss = _folded_step(base, power)
-        keys = gauss[1]
+        digits = _pass_digits(gauss)
     cert = ZarembaCertificate(base, power, numerator, ETA_SQ[key], digits)
-    transcript = _checks(cert, den, gauss, keys)
+    transcript = _checks(cert, den, gauss, gauss[1])
     if not all(ok for _, ok in transcript):
         failing = ", ".join(name for name, ok in transcript if not ok)
         raise CertificateError(
@@ -555,11 +534,10 @@ def brute_force_min_K(den: GaussianInt | int) -> BruteResult:
     den = GaussianInt.from_any(den)
     nrm = den.norm
     if nrm > DESK_NORM_CAP:
-        raise ValueError("oracle restricted to desk scale")
+        raise BudgetError("oracle restricted to desk scale")
     if nrm <= 1:
         raise ValueError("denominator must have norm at least 2")
     best_re, best_im, best = _brute_scan(den.re, den.im, nrm)
     assert best < _NO_OPTIMUM
-    _, expansion, _ = _gauss_map(best_re, best_im, den.re, den.im)
-    digits = tuple(GaussianInt(re, im) for re, im in expansion)
+    digits = _pass_digits(_gauss_map(best_re, best_im, den.re, den.im))
     return BruteResult(GaussianInt(best_re, best_im), best, digits)

@@ -357,6 +357,47 @@ def test_encode_over_the_work_budget_exits_at_once(capsys):
         assert err == f"error: a {cli._MAX_ENCODE_BITS + 1}-bit component exceeds the work budget of 16384 bits\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ("prototype", "explore", "--export", "{missing}/t.csv"),
+    ("zaremba", "certify", "--base", "-2+i", "--power", "5", "--emit", "{missing}/x"),
+], ids=["prototype-explore", "zaremba-certify"])
+def test_an_unwritable_output_path_exits_2(capsys, tmp_path, argv):
+    # exit 1 means Invalid or a failed check; a path that cannot be written is bad input
+    missing = tmp_path / "missing"
+    code, _, err = run(capsys, *(arg.format(missing=missing) for arg in argv))
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+# Decimal literals are built as strings: str(10**20000) trips the default int
+# string limit before the CLI raises it.
+_HUGE = "1" + "0" * 20000
+
+# Every subcommand on oversized input, with the exit code it must end with.
+_BUDGET_AUDIT = {
+    "hcf-expand-huge-fraction": (("hcf", "expand", f"{_HUGE}/3"), 2),
+    "encode-huge-value": (("encode", _HUGE, "--base", "-2+i"), 2),
+    "search-huge-den": (("zaremba", "search", "--den", _HUGE), 2),
+    "certify-huge-power": (("zaremba", "certify", "--base", "-2+i", "--power", "1" + "0" * 31), 2),
+    "xi-many-stages": (("xi", "--base", "-2+i", "--tau", "5/2", "--lambda", "1", "--stages", "100000"), 2),
+    "cf-eval-long-word": (("cf", "eval", ",".join(["2"] * 30000)), 0),
+    "cf-fold-long-word": (("cf", "fold", ",".join(["2"] * 60000), "--unit"), 0),
+    "cf-fold-huge-middle": (("cf", "fold", "2,3", "--middle", _HUGE), 0),
+    "validity-long-word": (("validity", "check", ",".join(["2"] * 60000)), 0),
+    "validity-huge-digit": (("validity", "check", f"1+i,{_HUGE}+{_HUGE}i"), 1),
+    "prototype-explore": (("prototype", "explore"), 0),
+}
+
+
+@pytest.mark.parametrize("argv, expected", _BUDGET_AUDIT.values(), ids=_BUDGET_AUDIT.keys())
+def test_every_subcommand_ends_fast_on_oversized_input(capsys, argv, expected):
+    start = time.perf_counter()
+    code, _, _ = run(capsys, *argv)
+    assert time.perf_counter() - start < 2.0
+    assert code == expected
+
+
 def test_dash_operands_survive_option_scanning(capsys):
     code, out, _ = run(capsys, "cf", "eval", "-2,-2")
     assert code == 0 and out == "-2 / 5\n"

@@ -1,6 +1,7 @@
 """Bounded-digit certificates for power denominators and the brute-force optimum."""
 
 import dataclasses
+import hashlib
 import itertools
 import random
 import sys
@@ -71,6 +72,16 @@ def test_small_certificates_are_canonical_expansions():
             exp = hcf_expand(cert.value())
             assert exp.digits == cert.digits
             assert cert.max_digit_norm() <= cert.eta_sq
+
+
+def test_every_seed_certificate_is_pinned():
+    # powers 1-16 hold every seed and the first folds on each base; a seed's
+    # numerator or digits moving changes this digest
+    text = emit_certificates([certify(b, p) for b in supported_bases() for p in range(1, 17)])
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "489763c22c322fee0e56b22639395b5e8a7a028a67ce8c8ef9dc2b0584e43491"
+    )
+    assert max(max(seeds) for seeds in zaremba._SEEDS.values()) <= 16
 
 
 def test_frozen_certificate_values():
@@ -219,6 +230,8 @@ def test_brute_scan_matches_python_reference():
 
 def test_brute_force_cap():
     with pytest.raises(ValueError, match="oracle restricted to desk scale"):
+        brute_force_min_K(g(2) ** 13)
+    with pytest.raises(BudgetError, match="desk scale"):
         brute_force_min_K(g(2) ** 13)
     with pytest.raises(ValueError, match="norm at least 2"):
         brute_force_min_K(g(1))
