@@ -135,6 +135,15 @@ def fold_unit_neg(cf: CfSequence) -> CfSequence:
     return CfSequence._raw(cf.head, body + (last - 1, last + 1) + mirror(body))
 
 
+def _fold_by(cf: CfSequence, x: GaussianInt) -> CfSequence:
+    """The fold by x as the Folding Lemma's steps take it: fold_unit / fold_unit_neg for x = +-1, else fold."""
+    if x == ONE:
+        return fold_unit(cf)
+    if x == -ONE:
+        return fold_unit_neg(cf)
+    return fold(cf, x)
+
+
 def _fold_step(
     cf: CfSequence, x: GaussianInt, q: GaussianInt, p: GaussianInt
 ) -> tuple[CfSequence, GaussianInt, GaussianInt]:
@@ -150,12 +159,7 @@ def _fold_step(
     pair costs three big Gaussian products (gaussian._mul3, three int
     products each) and no recurrence.
     """
-    if x == ONE:
-        folded = fold_unit(cf)
-    elif x == -ONE:
-        folded = fold_unit_neg(cf)
-    else:
-        folded = fold(cf, x)
+    folded = _fold_by(cf, x)
     yq = _mul3(fold_sign(len(cf.tail)) * x, q)
     return folded, _mul3(yq, q), ONE + _mul3(yq, p)
 

@@ -7,10 +7,11 @@ from fractions import Fraction
 from functools import cache, cached_property
 from typing import Callable
 
-from .cf import CfSequence, _fold_step, convergents, mirror_negate
+from .cf import CfSequence, _fold_by, convergents, mirror_negate
 from .exactreal import _dyadic_round, ln_brackets, sqrt_brackets
 from .gaussian import (
     ONE,
+    UNITS,
     ZERO,
     BudgetError,
     GaussianInt,
@@ -320,16 +321,48 @@ def _canonical_stage(digits: tuple[GaussianInt, ...], value: GaussianRational, n
         raise AssertionError(f"stage {n}: stream is not the canonical expansion")
 
 
+# The stage check's ring map Z[i] -> Z/P, a + bi -> a + b r for the prime
+# P = 2**61 - 31 = 1 (mod 4) and a root r of -1 modulo P.  It takes the four
+# units to 1, r, -1, -r, which are distinct, and no base -A+-i to 0.
+_CHECK_PRIME = 2305843009213693921
+_CHECK_ROOT = 583529827753931384
+
+
+def _last_pair_mod(digits: tuple[GaussianInt, ...]) -> tuple[int, int]:
+    """The last convergent pair (q, p) of [0; digits] under the check's ring map.
+
+    cf.convergents' recurrence on residues, so the pair stays below the
+    prime however long the word.
+    """
+    m, r = _CHECK_PRIME, _CHECK_ROOT
+    p, p1, q, q1 = 0, 1, 1, 0
+    for a in digits:
+        x = (a.re + a.im * r) % m
+        p, p1, q, q1 = (x * p + p1) % m, p, (x * q + q1) % m, q
+    return q, p
+
+
+def _unit_multiples(z: GaussianInt) -> tuple[int, int, int, int]:
+    """The images of u * z under the check's ring map, for u in UNITS in order."""
+    m, r = _CHECK_PRIME, _CHECK_ROOT
+    w = (z.re % m + z.im % m * r) % m
+    wr = w * r % m
+    return w, wr, m - w, m - wr
+
+
 def build_xi(seed: tuple[GaussianInt, ...], schedule: FoldingSchedule, base: GaussianInt,
              stages: int | None = None) -> XiNumber:
     """Fold the seed along the schedule, pinning stage m to denominator base**v_m.
 
-    Each stage costs a constant number of big products: cf._fold_step gives
-    the folded word's last convergent pair (q_n, p_n) from the last one's
-    (only the seed runs the recurrence), and base**v_n =
-    (base**v_(n-1))**2 * base**u_n is computed once and shared by the
-    numerator, the partial and the check that the stream's last convergent
-    is unit * numerator / base**v_n.
+    Each stage costs three big products: lift = base**u_n * base**v_(n-1),
+    then base**v_n = base**v_(n-1) * lift and numerator_n =
+    numerator_(n-1) * lift +- 1.  Only the folded digits and these series
+    values are computed exactly; the check that the stream's last convergent
+    is unit * numerator_n / base**v_n runs the convergent recurrence over the
+    folded digits modulo a prime (_last_pair_mod), so it ties the digits
+    to the series values without a product of the power's size.  A correct
+    stage always passes; a wrong digit or a wrong product passes only if it
+    leaves both residues of the pair unchanged.
     """
     base = GaussianInt.from_any(base)
     _check_base(base)
@@ -369,8 +402,7 @@ def build_xi(seed: tuple[GaussianInt, ...], schedule: FoldingSchedule, base: Gau
         if step and base_norm ** min(step, 3) < 8:
             raise ValueError(f"stage {n}: middle digit norm {base_norm ** step} is below 8")
         middle = base**step
-        folded, q, p = _fold_step(CfSequence._raw(ZERO, digits), coefficient * middle, q, p)
-        digits = folded.tail
+        digits = _fold_by(CfSequence._raw(ZERO, digits), coefficient * middle).tail
         if len(digits) != 2 * length + (0 if step == 0 else 1):
             raise AssertionError(f"stage {n}: unexpected stream length")
         # lift = base**(v_n - v_(n-1)), so power becomes base**v_n.
@@ -380,10 +412,13 @@ def build_xi(seed: tuple[GaussianInt, ...], schedule: FoldingSchedule, base: Gau
         if divmod(numerator, base)[1] == ZERO:
             raise AssertionError(f"stage {n}: numerator shares a factor with the base")
         # The last convergent p/q is reduced and so is numerator / base**v_n,
-        # so they are equal exactly when q = u base**v_n and p = u numerator.
-        unit = _associate_unit(q, power)
-        if unit is None or p != unit * numerator:
+        # so they are equal exactly when q = u base**v_n and p = u numerator;
+        # compared under the check's ring map, where the four multiples differ.
+        q, p = _last_pair_mod(digits)
+        multiples = _unit_multiples(power)
+        if q not in multiples or p != _unit_multiples(numerator)[multiples.index(q)]:
             raise AssertionError(f"stage {n}: folded stream disagrees with the series")
+        unit = UNITS[multiples.index(q)]
         partial = GaussianRational._raw(numerator, power)
         _canonical_stage(digits, partial, n)
         stage_list.append(XiStage(n, partial, numerator, digits))

@@ -1,21 +1,26 @@
 """The xi builder's fast paths against slow oracles: the closed-form folding
-step against the convergent recurrence, the residue tail sandwich and its
-telescoping fallback against the per-m formula, and the up-front work budget."""
+step and each stage's pinned pair against the convergent recurrence, the
+builder with its modular stage check against the two-sided builder in
+xi_reference.py, the residue tail sandwich and its telescoping fallback against the per-m
+formula, and the up-front work budget."""
 
 import dataclasses
 import functools
+import hashlib
 import itertools
 import random
 import time
 from fractions import Fraction
 
 import pytest
+import sympy
+import xi_reference as ref
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hurwitzcf import cf, gaussian, spectrum
 from hurwitzcf.cf import CfSequence, _fold_step, convergents, fold, fold_unit, fold_unit_neg
-from hurwitzcf.gaussian import UNITS, ZERO, GaussianInt
+from hurwitzcf.gaussian import ONE, UNITS, ZERO, GaussianInt
 from hurwitzcf.spectrum import (
     MAX_POWER_BITS,
     BudgetError,
@@ -112,27 +117,21 @@ def _schedules(rng, base, v0):
         yield variant_schedule(FoldingSchedule(v0, (0, steps[-1], 0)), base, word)
 
 
-def _record_steps(monkeypatch):
-    """Patch spectrum's _fold_step so each (x, word length, q', p') build_xi computes is kept, in order."""
-    recorded = []
-
-    def wrapped(cf, x, q, p, _step=spectrum._fold_step):
-        folded, q_fold, p_fold = _step(cf, x, q, p)
-        recorded.append((x, len(cf.tail), q_fold, p_fold))
-        return folded, q_fold, p_fold
-
-    monkeypatch.setattr(spectrum, "_fold_step", wrapped)
-    return recorded
+def _assert_pinned(xi):
+    """Each stage's (base**v_n, numerator_n) is the full stream's last convergent pair times one unit."""
+    v = xi.schedule.v()
+    for n, stage in enumerate(xi.stages):
+        q, p = last_pair(CfSequence(ZERO, stage.digits))
+        power = xi.base ** v[n]
+        assert any(u * power == q and u * stage.numerator == p for u in UNITS), n
 
 
-def test_build_xi_matrices_equal_the_full_stream_convergents(monkeypatch):
-    recorded = _record_steps(monkeypatch)
+def test_build_xi_matrices_equal_the_full_stream_convergents():
     rng = random.Random(7)
     kinds = set()
     built = 0
     for base, v0, seed in _seeds():
         for schedule in _schedules(rng, base, v0):
-            recorded.clear()
             try:
                 xi = build_xi(seed, schedule, base)
             except (ValueError, AssertionError) as exc:
@@ -141,12 +140,9 @@ def test_build_xi_matrices_equal_the_full_stream_convergents(monkeypatch):
                 assert "canonical" in str(exc) or "below 8" in str(exc)
                 continue
             built += 1
-            assert len(recorded) == xi.stage_count
+            _assert_pinned(xi)
             for n in range(1, xi.stage_count + 1):
                 digits, previous = xi.digits(n), xi.digits(n - 1)
-                x, length, q, p = recorded[n - 1]
-                assert length == len(previous)
-                assert (q, p) == oracle_pair(CfSequence(ZERO, digits), x, length)
                 if len(digits) == 2 * len(previous):
                     kinds.add(("unit", digits[len(previous) - 1] == previous[-1] + 1))
                 else:
@@ -165,16 +161,29 @@ def test_build_xi_matrices_equal_the_full_stream_convergents(monkeypatch):
     (g(-2, 1), "2", 4, None),
     (g(-3, -1), "5/2", 4, None),
 ])
-def test_cli_schedules_match_the_full_stream_convergents(monkeypatch, base, tau, stages, pattern):
+def test_cli_schedules_match_the_full_stream_convergents(base, tau, stages, pattern):
     schedule = schedule_from_tau(Fraction(tau), Fraction(1), base, stages + 1)
     if pattern is not None:  # `hurwitzcf xi --variant`
         schedule = variant_schedule(schedule, base, pattern)
-    recorded = _record_steps(monkeypatch)
     xi = build_xi(unit_seed(base, schedule.v0), schedule, base, stages=stages)
-    assert len(recorded) == stages
-    for n, (x, length, q, p) in enumerate(recorded, 1):
-        assert length == len(xi.digits(n - 1))
-        assert (q, p) == oracle_pair(CfSequence(ZERO, xi.digits(n)), x, length)
+    assert xi.stage_count == stages
+    _assert_pinned(xi)
+
+
+def _observed(build, *args, **kwargs):
+    """What a builder returns, as comparable data, or the error it raises."""
+    try:
+        xi = build(*args, **kwargs)
+    except (ValueError, AssertionError) as exc:
+        return type(exc), str(exc)
+    return [(s.index, s.numerator, s.digits, s.partial) for s in xi.stages]
+
+
+def test_build_xi_matches_the_two_sided_builder_on_the_corpus():
+    rng = random.Random(7)
+    for base, v0, seed in _seeds():
+        for schedule in _schedules(rng, base, v0):
+            assert _observed(build_xi, seed, schedule, base) == _observed(ref.build_xi, seed, schedule, base)
 
 
 _SMALL_BASES = [g(-a, im) for a in (1, 2, 3) for im in (1, -1)]
@@ -183,6 +192,40 @@ _SMALL_BASES = [g(-a, im) for a in (1, 2, 3) for im in (1, -1)]
 @functools.cache
 def _tau_schedule(base, tau, stages):
     return schedule_from_tau(Fraction(tau), Fraction(1), base, stages + 1)
+
+
+@pytest.mark.parametrize("base", _SMALL_BASES)
+def test_build_xi_matches_the_two_sided_builder_on_the_cli_schedules(base):
+    schedules = [(_tau_schedule(base, "5/2", 5), 5), (_tau_schedule(base, "2", 7), 7)]
+    for word in ((1, 0, 1, 1, 0), (0, 1, 0, 0, 1)):  # `hurwitzcf xi --variant`
+        schedules.append((variant_schedule(_tau_schedule(base, "5/2", 5), base, word), 5))
+    for schedule, stages in schedules:
+        seed = unit_seed(base, schedule.v0)
+        fast = _observed(build_xi, seed, schedule, base, stages=stages)
+        assert isinstance(fast, list) and len(fast) == stages + 1
+        assert fast == _observed(ref.build_xi, seed, schedule, base, stages=stages)
+
+
+def _stream_digest(xi):
+    """sha256 over each stage's numerator and digits, components in hex."""
+    h = hashlib.sha256()
+    for s in xi.stages:
+        h.update(f"{s.numerator.re:x},{s.numerator.im:x};".encode())
+        h.update(",".join(f"{d.re:x}:{d.im:x}" for d in s.digits).encode())
+        h.update(b"\n")
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("base, tau, stages, digest", [
+    (g(-2, 1), "5/2", 7, "c5865a37bdef80f34ec839435552342577c1a3beba237f95aad010f26b900ac0"),
+    (g(-3, -1), "2", 9, "f9cb31bcae54efbb6b2dd5a3be16cb9f0bb28dc55867d450e897a22d130f06d4"),
+], ids=["-2+i-5/2-7", "-3-i-2-9"])
+def test_cli_streams_keep_their_recorded_digests(base, tau, stages, digest):
+    # `hurwitzcf xi --base <base> --tau <tau> --lambda 1 --stages <stages>`,
+    # recorded with the two-sided builder
+    schedule = _tau_schedule(base, tau, stages)
+    xi = build_xi(unit_seed(base, schedule.v0), schedule, base, stages=stages)
+    assert _stream_digest(xi) == digest
 
 
 def _variant(base, tau, stages, word):
@@ -215,18 +258,52 @@ def test_variants_keep_the_exponent_and_differ_where_their_words_do(base, case, 
             assert low <= lo < hi <= high
 
 
+_CHECK_SEEDS = ((certify(B, 4).digits, (3,)), (unit_seed(B, 4), (0,)))
+
+
 @pytest.mark.parametrize("corrupt", [
-    lambda r: (r[0], r[1] + 1, r[2]),    # q is no associate of base**v_n
-    lambda r: (r[0], r[1], -r[2]),       # p is not the matching unit times the numerator
+    lambda k, z: z + z if k == 2 else z,  # base**v_1 doubled: q is no unit times it
+    lambda k, z: -z if k == 1 else z,     # numerator_1 negated: q passes, p does not
 ])
 def test_stage_check_rejects_a_wrong_matrix(monkeypatch, corrupt):
-    # The unit fold of unit_seed(B, 4) has unit 1, the general fold of the
-    # certificate seed does not; each case needs its own half of the check.
-    original = spectrum._fold_step
-    monkeypatch.setattr(spectrum, "_fold_step", lambda *args: corrupt(original(*args)))
-    for seed, u in ((certify(B, 4).digits, (3,)), (unit_seed(B, 4), (0,))):
+    # Stage 1's big products are, in order, lift, numerator and power; a wrong
+    # one stands for a series value that is not the stream's.  Each half of
+    # the check must fire on the general fold of the certificate seed (middle
+    # B**3) and on the unit fold of unit_seed(B, 4) (middle 1): the power
+    # half computes only the power's multiples, the numerator half both.
+    original, multiples = spectrum._unit_multiples, []
+    monkeypatch.setattr(spectrum, "_unit_multiples", lambda z: multiples.append(z) or original(z))
+    for seed, u in _CHECK_SEEDS:
+        products = []
+
+        def product(z, w):
+            products.append(corrupt(len(products), gaussian._mul3(z, w)))
+            return products[-1]
+
+        monkeypatch.setattr(spectrum, "_mul3", product)
+        multiples.clear()
         with pytest.raises(AssertionError, match="stage 1: folded stream disagrees with the series"):
             build_xi(seed, FoldingSchedule(4, u), B)
+        assert len(products) == 3
+        assert len(multiples) == (1 if corrupt(2, ONE) != ONE else 2)
+
+
+def test_stage_check_rejects_a_wrong_digit(monkeypatch):
+    # The check runs the recurrence over the folded digits, so a stream that is
+    # not the fold of the last one fails it, whichever digit is wrong.
+    original = spectrum._fold_by
+    for seed, u in _CHECK_SEEDS:
+        for at in (0, len(seed) - 1, len(seed), -1):
+            def fold_by(word, x, at=at):
+                tail = list(original(word, x).tail)
+                tail[at] = tail[at] + g(2)
+                return CfSequence(ZERO, tuple(tail))
+
+            monkeypatch.setattr(spectrum, "_fold_by", fold_by)
+            with pytest.raises(AssertionError, match="stage 1: folded stream disagrees with the series"):
+                build_xi(seed, FoldingSchedule(4, u), B)
+        monkeypatch.setattr(spectrum, "_fold_by", original)
+        assert build_xi(seed, FoldingSchedule(4, u), B).stage_count == 1
 
 
 def _built(base, tau, stages):
@@ -272,6 +349,30 @@ def test_three_product_pipeline_matches_plain_products(monkeypatch, base, tau, s
     assert max(calls) > 1000  # the big products went through the patch
     assert fast == slow
     assert all(fast[2])
+
+
+def test_stage_check_map_is_a_ring_map_that_keeps_the_units_apart():
+    m, r = spectrum._CHECK_PRIME, spectrum._CHECK_ROOT
+    assert sympy.isprime(m) and r * r % m == m - 1
+    rng = random.Random(5)
+
+    def image(z):
+        return spectrum._unit_multiples(z)[0]
+
+    def big():
+        return g(rng.randrange(-2**300, 2**300), rng.randrange(-2**300, 2**300))
+
+    assert len(set(spectrum._unit_multiples(ONE))) == 4
+    assert all(image(g(-a, s)) for a in range(1, 100) for s in (1, -1))
+    for _ in range(50):
+        z, w = big(), big()
+        assert image(z * w) == image(z) * image(w) % m
+        assert image(z + w) == (image(z) + image(w)) % m
+        assert spectrum._unit_multiples(z) == tuple(image(u * z) for u in UNITS)
+    for length in (1, 2, 7, 40):
+        word = tuple(rng.choice((big(), g(rng.randrange(-9, 10), rng.randrange(-9, 10)))) for _ in range(length))
+        q, p = last_pair(CfSequence(ZERO, word))
+        assert spectrum._last_pair_mod(word) == (image(q), image(p))
 
 
 def test_digit_norm_test_matches_the_norm():

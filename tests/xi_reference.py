@@ -1,0 +1,80 @@
+"""The two-sided xi builder, the slow reference for build_xi's differential tests.
+
+It keeps the earlier stage loop: each stage carries the folded word's last
+convergent pair (q, p) through cf._fold_step, computes the series side
+(base**v_n and the numerator) as well, and compares the two pairs in full.
+The seed, the argument checks and the canonical-stream check are
+spectrum's own; only the per-stage check differs from build_xi's.
+"""
+
+from __future__ import annotations
+
+from hurwitzcf.cf import CfSequence, _fold_step, convergents
+from hurwitzcf.gaussian import ZERO, GaussianInt, GaussianRational, _associate_unit, _mul3
+from hurwitzcf.spectrum import (
+    MAX_POWER_BITS,
+    FoldingSchedule,
+    XiNumber,
+    XiStage,
+    _canonical_stage,
+    _check_base,
+    _check_power_budget,
+    _seed_checks,
+)
+
+
+def build_xi(seed: tuple[GaussianInt, ...], schedule: FoldingSchedule, base: GaussianInt,
+             stages: int | None = None) -> XiNumber:
+    """spectrum.build_xi with the stage check done on the fold pair and the series pair."""
+    base = GaussianInt.from_any(base)
+    _check_base(base)
+    seed = tuple(GaussianInt.from_any(d) for d in seed)
+    if stages is None:
+        stages = schedule.stage_count
+    if stages < 0:
+        raise ValueError("stage count must be nonnegative")
+    if stages > schedule.stage_count:
+        raise ValueError("schedule is shorter than the requested stage count")
+    v = schedule.v()
+    _check_power_budget(base, v[stages], MAX_POWER_BITS)
+    _seed_checks(seed)
+    power = base ** v[0]
+    table = convergents(CfSequence._raw(ZERO, seed))
+    q, p = table.q(table.last_index), table.p(table.last_index)
+    unit = _associate_unit(q, power)
+    if unit is None:
+        if power % q == ZERO:
+            raise ValueError("seed numerator must be coprime to the base")
+        raise ValueError("seed value must have denominator base**v0")
+    numerator = unit.conj() * p
+    value = GaussianRational._raw(numerator, power)
+    _canonical_stage(seed, value, 0)
+    stage_list = [XiStage(0, value, numerator, seed)]
+    digits = seed
+    base_norm = base.norm
+    for n in range(1, stages + 1):
+        length = len(digits)
+        series_sign = -1 if n > 1 or len(seed) % 2 == 1 else 1
+        coefficient = GaussianInt(series_sign * (-1) ** length, 0) * unit * unit
+        step = schedule.u[n - 1]
+        if step and base_norm ** min(step, 3) < 8:
+            raise ValueError(f"stage {n}: middle digit norm {base_norm ** step} is below 8")
+        middle = base**step
+        folded, q, p = _fold_step(CfSequence._raw(ZERO, digits), coefficient * middle, q, p)
+        digits = folded.tail
+        if len(digits) != 2 * length + (0 if step == 0 else 1):
+            raise AssertionError(f"stage {n}: unexpected stream length")
+        lift = _mul3(middle, power)
+        numerator = _mul3(numerator, lift) + GaussianInt(series_sign, 0)
+        power = _mul3(power, lift)
+        if divmod(numerator, base)[1] == ZERO:
+            raise AssertionError(f"stage {n}: numerator shares a factor with the base")
+        # The last convergent p/q is reduced and so is numerator / base**v_n,
+        # so they are equal exactly when q = u base**v_n and p = u numerator.
+        unit = _associate_unit(q, power)
+        if unit is None or p != unit * numerator:
+            raise AssertionError(f"stage {n}: folded stream disagrees with the series")
+        partial = GaussianRational._raw(numerator, power)
+        _canonical_stage(digits, partial, n)
+        stage_list.append(XiStage(n, partial, numerator, digits))
+    return XiNumber(base, schedule, tuple(stage_list))
