@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .gaussian import ONE, ZERO, GaussianInt, GaussianRational, _box, _mul3, _rational, parse_gaussian_int
+from .gaussian import ONE, ZERO, GaussianInt, GaussianRational, _box, _rational, parse_gaussian_int
 
 
 class CfUndefinedError(ArithmeticError):
@@ -35,6 +35,8 @@ class CfSequence:
 
     def digit(self, n: int) -> GaussianInt:
         """a_n with a_0 = head and a_1.. = tail."""
+        if n < 0:
+            raise IndexError(f"digit index {n} is negative")
         return self.head if n == 0 else self.tail[n - 1]
 
 
@@ -46,10 +48,15 @@ class ConvergentTable:
     qs: tuple[GaussianInt, ...]
 
     def p(self, n: int) -> GaussianInt:
-        return self.ps[n + 1]
+        return self.ps[self._slot(n)]
 
     def q(self, n: int) -> GaussianInt:
-        return self.qs[n + 1]
+        return self.qs[self._slot(n)]
+
+    def _slot(self, n: int) -> int:
+        if n < -1:
+            raise IndexError(f"convergent index {n} is below -1")
+        return n + 1
 
     @property
     def last_index(self) -> int:
@@ -135,33 +142,25 @@ def fold_unit_neg(cf: CfSequence) -> CfSequence:
     return CfSequence._raw(cf.head, body + (last - 1, last + 1) + mirror(body))
 
 
-def _fold_by(cf: CfSequence, x: GaussianInt) -> CfSequence:
-    """The fold by x as the Folding Lemma's steps take it: fold_unit / fold_unit_neg for x = +-1, else fold."""
-    if x == ONE:
-        return fold_unit(cf)
-    if x == -ONE:
-        return fold_unit_neg(cf)
-    return fold(cf, x)
+def _fold_series(
+    word: tuple[GaussianInt, ...], unit: GaussianInt, middle: GaussianInt, sign: int
+) -> tuple[GaussianInt, ...]:
+    """The Folding Lemma on its series side: the tail of a fold of [0; word].
 
-
-def _fold_step(
-    cf: CfSequence, x: GaussianInt, q: GaussianInt, p: GaussianInt
-) -> tuple[CfSequence, GaussianInt, GaussianInt]:
-    """The Folding Lemma: the fold by x and its last convergent pair, from the word's.
-
-    For p/q the word's last convergent p_n/q_n (either sign of the pair will
-    do) and y = (-1)^n x, the folded word's last convergent is
-    (1 + y q p)/(y q^2): with A(a) = [[a, 1], [1, 0]] and D = diag(1, -1),
-    A(-a) = -D A(a) D makes the mirrored half (-1)^n D T^t D for the word's
-    convergent matrix T, and det T = (-1)^n leaves only that pair.  For
-    x = +-1 the word is fold_unit / fold_unit_neg, which absorb the unit,
-    and the pair is y times its last convergent.  Any head will do; the
-    pair costs three big Gaussian products (gaussian._mul3, three int
-    products each) and no recurrence.
+    For [0; word] with last convergent (u B, u c), u a unit and n = len(word),
+    this is the fold by x = sign (-1)^n u^2 middle: fold_unit / fold_unit_neg
+    for x = +-1, else fold.  Its value is c/B + (-1)^n/(x u^2 B^2), and
+    u^4 = 1 makes that (c middle B + sign)/(middle B^2), so the caller's
+    series side is the numerator c middle B + sign over middle B^2.
     """
-    folded = _fold_by(cf, x)
-    yq = _mul3(fold_sign(len(cf.tail)) * x, q)
-    return folded, _mul3(yq, q), ONE + _mul3(yq, p)
+    cf = CfSequence._raw(ZERO, word)
+    if sign * fold_sign(len(word)) * (unit * unit).re < 0:
+        middle = -middle
+    if middle == ONE:
+        return fold_unit(cf).tail
+    if middle == -ONE:
+        return fold_unit_neg(cf).tail
+    return fold(cf, middle).tail
 
 
 def fold_sign(n: int) -> int:

@@ -81,7 +81,7 @@ def _parse_xi_fraction(text: str, option: str, max_bits: int) -> Fraction:
     if magnitude.isdecimal():
         digits += int(magnitude) if len(magnitude) <= 12 else 10**12
     if digits * 3322 // 1000 + 1 > max_bits:
-        raise BudgetError(f"{option} has a numerator or denominator over the work budget of {MAX_POWER_BITS} bits")
+        raise BudgetError(f"{option} has a numerator or denominator over the work budget of {max_bits} bits")
     return Fraction(text)
 
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 from functools import cache, cached_property
 from typing import Callable
 
-from .cf import CfSequence, _fold_by, convergents, mirror_negate
+from .cf import CfSequence, _fold_series, convergents, mirror_negate
 from .exactreal import _dyadic_round, ln_brackets, sqrt_brackets
 from .gaussian import (
     ONE,
@@ -396,13 +396,12 @@ def build_xi(seed: tuple[GaussianInt, ...], schedule: FoldingSchedule, base: Gau
     for n in range(1, stages + 1):
         length = len(digits)
         series_sign = -1 if n > 1 or len(seed) % 2 == 1 else 1
-        coefficient = GaussianInt(series_sign * (-1) ** length, 0) * unit * unit
         step = schedule.u[n - 1]
         # base_norm >= 2, so base_norm**step < 8 only for 1 <= step <= 2.
         if step and base_norm ** min(step, 3) < 8:
             raise ValueError(f"stage {n}: middle digit norm {base_norm ** step} is below 8")
         middle = base**step
-        digits = _fold_by(CfSequence._raw(ZERO, digits), coefficient * middle).tail
+        digits = _fold_series(digits, unit, middle, series_sign)
         if len(digits) != 2 * length + (0 if step == 0 else 1):
             raise AssertionError(f"stage {n}: unexpected stream length")
         # lift = base**(v_n - v_(n-1)), so power becomes base**v_n.

@@ -8,14 +8,13 @@ from typing import Iterable
 
 import numpy as np
 
-from .cf import CfSequence, _fold_step, evaluate
+from .cf import CfSequence, _fold_series, evaluate, fold_sign
 from .gaussian import (
     ONE,
     ZERO,
     BudgetError,
     GaussianInt,
     GaussianRational,
-    _associate_unit,
     _check_power_budget,
     _gauss_map,
     format_gaussian_int,
@@ -233,7 +232,8 @@ def digit_window_ok(cert: ZarembaCertificate) -> bool:
 
 # Certificates that certify built and verified, each with its transcript and
 # the unit u with q_n = u * base**power and p_n = u * numerator, where p_n / q_n
-# is the last convergent of the digits.
+# is the last convergent of the digits.  _folded_step reads a child's u to
+# pick the sign of its fold; it needs no convergent of the folded word.
 _CACHE: dict[tuple[tuple[int, int], int], tuple[ZarembaCertificate, tuple[tuple[str, bool], ...], GaussianInt]] = {}
 
 
@@ -252,36 +252,35 @@ def _fold_plan(base: GaussianInt, power: int) -> tuple[int, GaussianInt]:
 def _folded_step(base: GaussianInt, power: int) -> tuple[GaussianInt, tuple[GaussianInt, ...], GaussianInt, tuple]:
     """Numerator, digits, denominator and Gauss-map pass of the folded certificate for base**power.
 
-    The child c / B, B = base**k, has last convergent (q_n, p_n) = (u B, u c),
-    so cf._fold_step gives each candidate fold by +-middle (a unit fold for
-    middle = ONE) with its last convergent pair (q', p'); q' = w base**power
-    for a unit w, and the numerator over base**power is conj(w) p'.
-    Prefer a folded word that is its own canonical expansion, read off the one
-    Gauss-map pass that verification uses; the fold by -middle is an equally
-    valid folding step, built only when the first is not canonical.  If
-    neither is, the first candidate's fraction still is the target, so
-    certify its canonical digits instead.  A canonical word is stored as
-    folded.tail itself, sharing digit objects with the child.  Either way the
-    returned digits have the pass's expansion, gauss[1], as their (re, im) keys.
+    The child c / B, B = base**k, has last convergent (u B, u c), so
+    cf._fold_series folds its word to the value (c middle B + sign) /
+    (middle B^2), and middle B^2 = base**power.  The sign (-1)^n u^2, for n
+    child digits, is tried first: it is the fold by +middle (the unit fold
+    fold_unit for middle = ONE).  Prefer a folded word that is its own
+    canonical expansion, read off the one Gauss-map pass that verification
+    uses; the other sign, the fold by -middle, is an equally valid folding
+    step, built only when the first is not canonical.  If neither is, the
+    first candidate's fraction still is the target, so certify its canonical
+    digits instead.  A canonical word is stored as the folded tail itself,
+    sharing digit objects with the child.  Either way the returned digits
+    have the pass's expansion, gauss[1], as their (re, im) keys.
     """
     child_power, middle = _fold_plan(base, power)
     child = certify(base, child_power)
     unit = _CACHE[(base.key(), child_power)][2]
     scale = base ** child_power
-    den = middle * scale * scale
-    word = CfSequence._raw(ZERO, child.digits)
-    q, p = unit * scale, unit * child.numerator
+    lift = middle * scale
+    den = lift * scale
+    series = lift * child.numerator
+    first = fold_sign(len(child.digits)) * (unit * unit).re
     tried = []
-    for x in (middle, -middle):
-        folded, q_fold, p_fold = _fold_step(word, x, q, p)
-        w = _associate_unit(q_fold, den)
-        if w is None:
-            raise AssertionError(f"power {power}: folded denominator is not an associate of base**power")
-        numerator = w.conj() * p_fold
+    for sign in (first, -first):
+        tail = _fold_series(child.digits, unit, middle, sign)
+        numerator = series + sign
         gauss = _gauss_map(numerator.re, numerator.im, den.re, den.im)
         head, expansion, _ = gauss
-        if head == (0, 0) and expansion == [(d.re, d.im) for d in folded.tail]:
-            return numerator, folded.tail, den, gauss
+        if head == (0, 0) and expansion == [(d.re, d.im) for d in tail]:
+            return numerator, tail, den, gauss
         tried.append((numerator, gauss))
     numerator, gauss = tried[0]
     return numerator, _pass_digits(gauss), den, gauss

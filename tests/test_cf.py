@@ -160,3 +160,21 @@ def test_format_parse_round_trip():
     assert parse_cf(format_cf(word)) == word
     assert format_cf(CfSequence(g(3))) == "[3;]"
     assert parse_cf("[0; 3, -3, -3]") == CfSequence(ZERO, (g(3), g(-3), g(-3)))
+
+
+def test_negative_indices_raise_instead_of_wrapping():
+    word = parse_cf("[0; 2, 3, -2+i]")
+    table = convergents(word)
+    assert word.digit(0) == ZERO and word.digit(3) == g(-2, 1)
+    assert (table.p(-1), table.q(-1)) == (ONE, ZERO)
+    for n in (-1, -2, -4):
+        with pytest.raises(IndexError):
+            word.digit(n)
+    for n in (-2, -3, -5):
+        for read in (table.p, table.q, table.value):
+            with pytest.raises(IndexError):
+                read(n)
+    with pytest.raises(IndexError):
+        word.digit(4)
+    with pytest.raises(IndexError):
+        table.p(4)

@@ -304,21 +304,22 @@ def test_xi_schedule_work_is_bounded_before_any_power(capsys):
 
 def test_xi_fraction_parse_is_bounded_before_the_fraction(capsys):
     # Fraction("1e8000000") alone builds 10**8000000, about 10 s
-    for option, text in (("--tau", "1e8000000"), ("--lambda", "1e-8000000")):
+    for option, text, budget in (("--tau", "1e8000000", 1048576), ("--lambda", "1e-8000000", 8388608)):
         values = {"--tau": "5/2", "--lambda": "1", option: text}
         start = time.perf_counter()
         code, out, err = run(capsys, "xi", "--base", "-2+i", "--tau", values["--tau"],
                              "--lambda", values["--lambda"], "--stages", "3")
         assert time.perf_counter() - start < 0.5
         assert code == 2 and out == ""
-        assert err == f"error: {option} has a numerator or denominator over the work budget of 8388608 bits\n"
+        assert err == f"error: {option} has a numerator or denominator over the work budget of {budget} bits\n"
     # the schedule raises tau to a power of at least stages + 5, so a tau that
-    # passes 1/8 of the budget at 3 stages is refused before the Fraction too
+    # passes 1/8 of the budget at 3 stages is refused before the Fraction too,
+    # and the message names that share
     start = time.perf_counter()
     code, out, err = run(capsys, "xi", "--base", "-2+i", "--tau", "1e2000000", "--lambda", "1", "--stages", "3")
     assert time.perf_counter() - start < 0.5
     assert code == 2 and out == ""
-    assert err == "error: --tau has a numerator or denominator over the work budget of 8388608 bits\n"
+    assert err == "error: --tau has a numerator or denominator over the work budget of 1048576 bits\n"
     # the ratio and the decimal form of one growth ratio print the same table
     outputs = [run(capsys, "xi", "--base", "-2+i", "--tau", tau, "--lambda", "1", "--stages", "3")
                for tau in ("5/2", "2.5", "25e-1")]

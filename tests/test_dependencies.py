@@ -1,7 +1,8 @@
-"""Which library modules may import what, and the library names the benchmark reads."""
+"""Which library modules may import what, and the library names the benchmark and the README read."""
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "hurwitzcf"
@@ -53,5 +54,17 @@ def test_the_names_perfbench_reads_resolve():
     names = targets + [("zaremba", "_CACHE"), ("zaremba", "_brute_scan_fast"),
                        ("geometry", "_EMPTY_MEMO"), ("geometry", "hcf_expand")]
     missing = [f"{module}.{name}" for module, name in names
+               if not hasattr(importlib.import_module(f"hurwitzcf.{module}"), name)]
+    assert missing == []
+
+
+def test_the_names_the_readme_cites_resolve():
+    # `module.name` or `module.name(...)` in README.md, module a hurwitzcf module;
+    # a private name deleted or renamed without the docs fails here
+    modules = "|".join(path.stem for path in SRC.glob("*.py") if not path.stem.startswith("__"))
+    text = (SRC.parent.parent / "README.md").read_text()
+    cited = set(re.findall(rf"`(?:hurwitzcf\.)?({modules})\.(\w+)[`(]", text))
+    assert len(cited) >= 10
+    missing = [f"{module}.{name}" for module, name in sorted(cited)
                if not hasattr(importlib.import_module(f"hurwitzcf.{module}"), name)]
     assert missing == []

@@ -1,4 +1,4 @@
-"""The xi builder's fast paths against slow oracles: the closed-form folding
+"""The xi builder's fast paths against slow oracles: the series-side folding
 step and each stage's pinned pair against the convergent recurrence, the
 builder with its modular stage check against the two-sided builder in
 xi_reference.py, the residue tail sandwich and its telescoping fallback against the per-m
@@ -18,8 +18,8 @@ import xi_reference as ref
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hurwitzcf import cf, gaussian, spectrum
-from hurwitzcf.cf import CfSequence, _fold_step, convergents, fold, fold_unit, fold_unit_neg
+from hurwitzcf import gaussian, spectrum
+from hurwitzcf.cf import CfSequence, _fold_series, convergents, fold, fold_unit, fold_unit_neg
 from hurwitzcf.gaussian import ONE, UNITS, ZERO, GaussianInt
 from hurwitzcf.spectrum import (
     MAX_POWER_BITS,
@@ -49,19 +49,6 @@ def last_pair(cf):
     return table.q(table.last_index), table.p(table.last_index)
 
 
-def oracle_pair(folded, x, length):
-    """What _fold_step returns with the word folded, by x, from a length-long tail.
-
-    That is the last convergent of the folded word, times y = (-1)**length * x
-    when x = +-1 and the word is the unit fold.
-    """
-    q, p = last_pair(folded)
-    if x in (g(1), g(-1)):
-        y = -x if length & 1 else x
-        return y * q, y * p
-    return q, p
-
-
 def old_sandwich(xi, m):
     """check_tail_sandwich as it was: one top-size power, product and norm per m."""
     top = xi.stage_count
@@ -81,20 +68,23 @@ middles = st.one_of(
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
-@given(small, st.lists(digit, min_size=1, max_size=9), middles, st.booleans())
-def test_fold_step_matches_the_recurrence(head, word, x, negate):
-    cf = CfSequence(head, tuple(word))
+@given(st.lists(digit, min_size=1, max_size=9), middles, st.sampled_from(UNITS), st.sampled_from((1, -1)))
+def test_fold_step_matches_the_recurrence(word, middle, u, sign):
+    # Any unit u writes the last convergent (q, p) of [0; word] as (u B, u c).
+    word = tuple(word)
+    cf = CfSequence(ZERO, word)
     q, p = last_pair(cf)
-    if negate:  # the step takes the convergent pair up to sign
-        q, p = -q, -p
-    folded, q_fold, p_fold = _fold_step(cf, x, q, p)
+    den, num = u.conj() * q, u.conj() * p
+    tail = _fold_series(word, u, middle, sign)
+    x = g(sign * (-1) ** len(word)) * u * u * middle
     if x == g(1):
-        assert folded == fold_unit(cf)
+        assert tail == fold_unit(cf).tail
     elif x == g(-1):
-        assert folded == fold_unit_neg(cf)
+        assert tail == fold_unit_neg(cf).tail
     else:
-        assert folded == fold(cf, x)
-    assert (q_fold, p_fold) == oracle_pair(folded, x, len(word))
+        assert tail == fold(cf, x).tail
+    q_fold, p_fold = last_pair(CfSequence(ZERO, tail))
+    assert p_fold * middle * den * den == q_fold * (num * middle * den + sign)
 
 
 def _seeds():
@@ -291,18 +281,18 @@ def test_stage_check_rejects_a_wrong_matrix(monkeypatch, corrupt):
 def test_stage_check_rejects_a_wrong_digit(monkeypatch):
     # The check runs the recurrence over the folded digits, so a stream that is
     # not the fold of the last one fails it, whichever digit is wrong.
-    original = spectrum._fold_by
+    original = spectrum._fold_series
     for seed, u in _CHECK_SEEDS:
         for at in (0, len(seed) - 1, len(seed), -1):
-            def fold_by(word, x, at=at):
-                tail = list(original(word, x).tail)
+            def fold_series(*args, at=at):
+                tail = list(original(*args))
                 tail[at] = tail[at] + g(2)
-                return CfSequence(ZERO, tuple(tail))
+                return tuple(tail)
 
-            monkeypatch.setattr(spectrum, "_fold_by", fold_by)
+            monkeypatch.setattr(spectrum, "_fold_series", fold_series)
             with pytest.raises(AssertionError, match="stage 1: folded stream disagrees with the series"):
                 build_xi(seed, FoldingSchedule(4, u), B)
-        monkeypatch.setattr(spectrum, "_fold_by", original)
+        monkeypatch.setattr(spectrum, "_fold_series", original)
         assert build_xi(seed, FoldingSchedule(4, u), B).stage_count == 1
 
 
@@ -343,7 +333,7 @@ def test_three_product_pipeline_matches_plain_products(monkeypatch, base, tau, s
         calls.append(max(abs(z.re), abs(z.im), abs(w.re), abs(w.im)).bit_length())
         return z * w
 
-    for module in (gaussian, cf, spectrum):
+    for module in (gaussian, spectrum):
         monkeypatch.setattr(module, "_mul3", plain)
     slow = observe()
     assert max(calls) > 1000  # the big products went through the patch

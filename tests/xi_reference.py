@@ -1,16 +1,19 @@
 """The two-sided xi builder, the slow reference for build_xi's differential tests.
 
 It keeps the earlier stage loop: each stage carries the folded word's last
-convergent pair (q, p) through cf._fold_step, computes the series side
-(base**v_n and the numerator) as well, and compares the two pairs in full.
+convergent pair (q, p) through the Folding Lemma's closed form, computed
+here from the fold by x itself (y = (-1)^n x, q' = y q^2, p' = 1 + y q p;
+for x = +-1 the word is the unit fold and the pair y times its last
+convergent), computes the series side (base**v_n and the numerator) as
+well, and compares the two pairs in full.
 The seed, the argument checks and the canonical-stream check are
 spectrum's own; only the per-stage check differs from build_xi's.
 """
 
 from __future__ import annotations
 
-from hurwitzcf.cf import CfSequence, _fold_step, convergents
-from hurwitzcf.gaussian import ZERO, GaussianInt, GaussianRational, _associate_unit, _mul3
+from hurwitzcf.cf import CfSequence, convergents, fold, fold_unit, fold_unit_neg
+from hurwitzcf.gaussian import ONE, ZERO, GaussianInt, GaussianRational, _associate_unit, _mul3
 from hurwitzcf.spectrum import (
     MAX_POWER_BITS,
     FoldingSchedule,
@@ -21,6 +24,20 @@ from hurwitzcf.spectrum import (
     _check_power_budget,
     _seed_checks,
 )
+
+
+def _fold_pair(
+    word: CfSequence, x: GaussianInt, q: GaussianInt, p: GaussianInt
+) -> tuple[CfSequence, GaussianInt, GaussianInt]:
+    """The fold of word by x and its last convergent pair, from the word's (q, p)."""
+    if x == ONE:
+        folded = fold_unit(word)
+    elif x == -ONE:
+        folded = fold_unit_neg(word)
+    else:
+        folded = fold(word, x)
+    yq = (-x if len(word.tail) & 1 else x) * q
+    return folded, yq * q, ONE + yq * p
 
 
 def build_xi(seed: tuple[GaussianInt, ...], schedule: FoldingSchedule, base: GaussianInt,
@@ -60,7 +77,7 @@ def build_xi(seed: tuple[GaussianInt, ...], schedule: FoldingSchedule, base: Gau
         if step and base_norm ** min(step, 3) < 8:
             raise ValueError(f"stage {n}: middle digit norm {base_norm ** step} is below 8")
         middle = base**step
-        folded, q, p = _fold_step(CfSequence._raw(ZERO, digits), coefficient * middle, q, p)
+        folded, q, p = _fold_pair(CfSequence._raw(ZERO, digits), coefficient * middle, q, p)
         digits = folded.tail
         if len(digits) != 2 * length + (0 if step == 0 else 1):
             raise AssertionError(f"stage {n}: unexpected stream length")
