@@ -66,12 +66,11 @@ def sign_two_sqrt(
     return s_p if s > 0 else s_q
 
 
-def _dyadic_round(x: Fraction, bits: int, up: bool) -> Fraction:
-    scaled = x * (1 << bits)
-    n = scaled.numerator // scaled.denominator
-    if up and n * scaled.denominator != scaled.numerator:
-        n += 1
-    return Fraction(n, 1 << bits)
+def _dyadic_round(numerator: int, denominator: int, bits: int, up: bool) -> Fraction:
+    """numerator/denominator (denominator > 0) rounded down, or up, to a multiple of 2**-bits."""
+    if up:
+        return Fraction(-((-numerator << bits) // denominator), 1 << bits)
+    return Fraction((numerator << bits) // denominator, 1 << bits)
 
 
 def _atanh_brackets(t: Fraction, bits: int) -> tuple[Fraction, Fraction]:
@@ -80,8 +79,8 @@ def _atanh_brackets(t: Fraction, bits: int) -> tuple[Fraction, Fraction]:
         return Fraction(0), Fraction(0)
     if not 0 < t <= Fraction(2, 5):
         raise ValueError("series argument out of range")
-    t_lo = _dyadic_round(t, bits + 16, up=False)
-    t_hi = _dyadic_round(t, bits + 16, up=True)
+    t_lo = _dyadic_round(t.numerator, t.denominator, bits + 16, up=False)
+    t_hi = _dyadic_round(t.numerator, t.denominator, bits + 16, up=True)
 
     def partial(u: Fraction, j_max: int) -> Fraction:
         term = u

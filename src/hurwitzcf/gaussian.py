@@ -339,7 +339,7 @@ def gauss_gcd(a: int | GaussianInt, b: int | GaussianInt) -> GaussianInt:
             raise ValueError("gcd(0, 0) is undefined")
         gre, gim = a.re, a.im
     else:
-        _, _, (gre, gim) = _gauss_map(a.re, a.im, b.re, b.im)
+        gre, gim, _ = _gcd(a.re, a.im, b.re, b.im)
     gre, gim, _, _ = _canonical(gre, gim, 0, 0)
     return _box(gre, gim)
 
@@ -360,10 +360,28 @@ def _times_conj_den(z: GaussianRational) -> tuple[int, int, int]:
     return nre * dre + nim * dim, nim * dre - nre * dim, dre * dre + dim * dim
 
 
+# Below this many bits per component of b, _gcd's plain loop beats _gauss_map:
+# 0.65x its time at 17 bits, 0.9x at 256, 1.2x at 512 and 1.7x at 1024.
+_EUCLID_BITS = 256
+
+
 def _gcd(are: int, aim: int, bre: int, bim: int) -> tuple[int, int, int]:
-    """gcd(a, b) for b != 0, up to a unit, as (re, im, norm)."""
-    gre, gim = _gauss_map(are, aim, bre, bim)[2]
-    return gre, gim, gre * gre + gim * gim
+    """gcd(a, b) for b != 0, up to a unit, as (re, im, norm): _gauss_map's last remainder.
+
+    For small b the nearest-integer Euclid loop (a, b) -> (b, a - [a/b] b), with
+    _gauss_map's rounding, visits the same remainders without carrying its state.
+    """
+    if (abs(bre) | abs(bim)).bit_length() > _EUCLID_BITS:
+        gre, gim = _gauss_map(are, aim, bre, bim)[2]
+        return gre, gim, gre * gre + gim * gim
+    while True:
+        n = bre * bre + bim * bim
+        two_n = 2 * n
+        qre = (2 * (are * bre + aim * bim) + n) // two_n
+        qim = (2 * (aim * bre - are * bim) + n) // two_n
+        are, aim, bre, bim = bre, bim, are - (qre * bre - qim * bim), aim - (qre * bim + qim * bre)
+        if not (bre or bim):
+            return are, aim, n
 
 
 def _cancel(are: int, aim: int, bre: int, bim: int) -> tuple[int, int, int, int]:

@@ -487,20 +487,31 @@ def check_tail_sandwich(xi: XiNumber, m: int) -> bool:
 
 
 def estimate_exponent(xi: XiNumber, depth: int | None = None) -> tuple[tuple[Fraction, Fraction], ...]:
-    """Rational brackets around -log|xi - d_m/b^v_m| / log|b^v_m| for each stage m."""
+    """Rational brackets around -log|xi - d_m/b^v_m| / log|b^v_m| for each stage m.
+
+    With eta = En/Ed and theta = Tn/Td upper brackets of 2 ln(3/2) / ln N and
+    2 ln 2 / ln N, stage m's bracket is v_(m+1)/v_m - eta/v_m to
+    v_(m+1)/v_m + theta/v_m, rounded outward to 2**-64, so still an enclosure:
+    one floor of (v_(m+1) Ed - En) / (v_m Ed) and one ceiling of
+    (v_(m+1) Td + Tn) / (v_m Td), both scaled by 2**64.
+    """
+    if depth is not None and depth < 0:
+        raise ValueError("depth must be at least 0")
     v = xi.schedule.v()
-    limit = len(v) - 1
-    if depth is not None:
-        limit = min(limit, depth)
-    lnn_lo = _ln_bracket(Fraction(xi.base.norm))[0]
+    en, ed, tn, td = _exponent_slopes(xi.base.norm)
+    return tuple(
+        (_dyadic_round(high * ed - en, low * ed, 64, False), _dyadic_round(high * td + tn, low * td, 64, True))
+        for low, high in zip(v[:depth], v[1:])
+    )
+
+
+@cache
+def _exponent_slopes(norm: int) -> tuple[int, int, int, int]:
+    """(En, Ed, Tn, Td) for eta = En/Ed >= 2 ln(3/2) / ln N and theta = Tn/Td >= 2 ln 2 / ln N."""
+    lnn_lo = _ln_bracket(Fraction(norm))[0]
     eta_hi = 2 * _ln_bracket(Fraction(3, 2))[1] / lnn_lo
     theta_hi = 2 * _ln_bracket(Fraction(2))[1] / lnn_lo
-    out = []
-    for m in range(limit):
-        ratio = Fraction(v[m + 1], v[m])
-        lo, hi = ratio - eta_hi / v[m], ratio + theta_hi / v[m]
-        out.append((_dyadic_round(lo, 64, False), _dyadic_round(hi, 64, True)))  # outward: still an enclosure
-    return tuple(out)
+    return *eta_hi.as_integer_ratio(), *theta_hi.as_integer_ratio()
 
 
 @cache

@@ -1,5 +1,6 @@
 """End-to-end checks of the command-line interface, run in process and once as `python -m hurwitzcf`."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -216,6 +217,24 @@ def test_xi_csv_schema_and_determinism(capsys):
     assert all("/" in row[4] and "/" in row[5] for row in cells)
     code, again, _ = run(capsys, *argv)
     assert code == 0 and again == out
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (("--base", "-2+i", "--tau", "5/2", "--lambda", "1", "--stages", "8"),
+         "591465d763817a64ef5968768c59fa4458494c3701164352c110ced450a2b810"),
+        (("--base", "-3-i", "--tau", "2", "--lambda", "1", "--stages", "10", "--format", "records"),
+         "98b79825a6dc536930cf4fd2a424c9c0b43cb2605527de2a4849b59ce291cb90"),
+    ],
+    ids=["tau-5/2-csv", "tau-2-records"],
+)
+def test_xi_output_is_pinned(capsys, argv, digest):
+    # sha256 of the whole stdout, exponent brackets included, as the Fraction
+    # formula for the brackets printed it.
+    code, out, err = run(capsys, "xi", *argv)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_xi_records_format(capsys):

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from hurwitzcf.exactreal import (
+    _dyadic_round,
     ln2_brackets,
     ln_brackets,
     sign_sqrt,
@@ -12,6 +13,7 @@ from hurwitzcf.exactreal import (
     sqrt_brackets,
 )
 
+from exponent_reference import dyadic_round
 from fraction_reference import QuadSurd, rational_between
 
 
@@ -120,3 +122,16 @@ def test_ln_brackets_huge_argument():
     # 2000 * ln 5 = 3218.87582...
     assert Fraction(3218) < lo < hi < Fraction(3219)
     assert hi - lo < Fraction(1, 1 << 32)
+
+
+def test_dyadic_round_matches_the_fraction_formula():
+    values = [Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 3), Fraction(-1, 3), Fraction(-7, 2),
+              Fraction(5, 1 << 40), Fraction(-5, 1 << 80), Fraction(3, 1 << 81), Fraction(-(10**30) - 1, 10**29),
+              Fraction(2**64 + 1, 3**41), Fraction(-(2**64) + 1, 3**41)]
+    for bits in range(81):
+        for x in values:
+            for up in (False, True):
+                got = _dyadic_round(x.numerator, x.denominator, bits, up)
+                assert got == dyadic_round(x, bits, up), (x, bits, up)
+                assert (got <= x) if not up else (got >= x)
+                assert (1 << bits) % got.denominator == 0

@@ -1,7 +1,8 @@
 """Differential tests of the int-pair Gauss-map kernel against slow oracles.
 
 The oracles are the boxed GaussianInt loops that `hcf_expand` and `gauss_gcd`
-ran before the kernel replaced them, plus sympy's ZZ_I gcd.
+ran before the kernel replaced them, plus sympy's ZZ_I gcd.  The gcd-only
+loop behind `_gcd` is checked against the Gauss map's last remainder.
 """
 
 import random
@@ -12,10 +13,13 @@ from hypothesis import strategies as st
 
 from hurwitzcf.cf import CfSequence, convergents, evaluate
 from hurwitzcf.gaussian import (
+    _EUCLID_BITS,
+    UNITS,
     ZERO,
     GaussianInt,
     GaussianRational,
     _gauss_map,
+    _gcd,
     _round_half_up,
     gauss_gcd,
 )
@@ -175,3 +179,37 @@ small = st.integers(min_value=-(1 << 40), max_value=1 << 40)
 def test_small_operands_match_boxed_loops(nre, nim, dre, dim):
     if dre or dim:
         check_against_oracles(g(nre, nim), g(dre, dim))
+
+
+def check_gcd(a, b, zz_i):
+    """_gcd(a, b) is _gauss_map's last remainder and its norm, and sympy's gcd up to a unit."""
+    gre, gim, gn = _gcd(a.re, a.im, b.re, b.im)
+    last = _gauss_map(a.re, a.im, b.re, b.im)[2]
+    assert (gre, gim) == last and gn == gre * gre + gim * gim
+    ref = zz_i.gcd(zz_i(a.re, a.im), zz_i(b.re, b.im))
+    assert g(gre, gim).canonical_associate()[0] == g(int(ref.x), int(ref.y)).canonical_associate()[0]
+
+
+def test_gcd_loop_matches_the_gauss_map_and_sympy():
+    zz_i = pytest.importorskip("sympy.polys.domains").ZZ_I
+    rng = random.Random("kernel-gcd-loop")
+    # zero numerators, units and associates of b
+    for b in (g(1), g(0, -1), g(3, 4), g(-2, 1), g(7, -5)):
+        for u in UNITS:
+            check_gcd(ZERO, b, zz_i)
+            check_gcd(u, b, zz_i)
+            check_gcd(b, u, zz_i)
+            check_gcd(u * b, b, zz_i)
+    # ties: a/b has a component of exactly +-1/2 at the first step
+    for c in (g(1), g(2, 1), g(3, -2), g(5, 8)):
+        for e in (g(1), g(-1), g(0, 1), g(0, -1), g(1, 1), g(-1, -1), g(1, -1)):
+            check_gcd(g(rng.randint(-9, 9), rng.randint(-9, 9)) * 2 * c + c * e, 2 * c, zz_i)
+    # unreduced inputs with a known common factor, on both sides of _EUCLID_BITS
+    for bits in (1, 17, 64, _EUCLID_BITS - 8, _EUCLID_BITS, _EUCLID_BITS + 1, 400):
+        for _ in range(8):
+            a, b = random_gaussian(rng, bits), random_gaussian(rng, bits)
+            common = random_gaussian(rng, rng.choice([0, 3, 20]))
+            if b.is_zero() or common.is_zero():
+                continue
+            check_gcd(a * common, b * common, zz_i)
+            assert gauss_gcd(a * common, b * common) == (gauss_gcd(a, b) * common).canonical_associate()[0]

@@ -7,6 +7,7 @@ from math import isqrt
 
 import pytest
 
+import exponent_reference as exponent_ref
 import value_reference as ref
 from hurwitzcf import spectrum
 from hurwitzcf.cf import CfSequence, evaluate
@@ -16,6 +17,7 @@ from hurwitzcf.spectrum import (
     DigitExpansion,
     FoldingSchedule,
     PsiFunction,
+    XiNumber,
     build_xi,
     check_tail_sandwich,
     decode_base_b,
@@ -433,3 +435,32 @@ def test_estimate_exponent_brackets_each_logarithm_once(monkeypatch):
     monkeypatch.setattr(spectrum, "ln_brackets", lambda *a: calls.append(a) or original(*a))
     assert estimate_exponent(xi) == first
     assert calls == []
+
+
+def test_estimate_exponent_matches_the_fraction_formula():
+    # estimate_exponent reads only the base and the schedule, so the corpus
+    # needs no stage built.
+    def check(schedule, base):
+        xi = XiNumber(base, schedule, ())
+        n = schedule.stage_count
+        for depth in (None, 0, 1, n // 2, n, n + 3):
+            assert estimate_exponent(xi, depth) == exponent_ref.estimate_exponent(xi, depth), (schedule, depth)
+
+    bases = [g(-a, s) for a in (1, 2, 3) for s in (1, -1)]
+    for base in bases:
+        for tau in (Fraction(2), Fraction(5, 2), Fraction(3), Fraction(7, 3)):
+            for lam in (Fraction(1), Fraction(1, 3), Fraction(7, 2)):
+                schedule = schedule_from_tau(tau, lam, base, 6)
+                check(schedule, base)
+                check(variant_schedule(schedule, base, (1, 0, 1)), base)
+        for psi in (PsiFunction(2, 0), PsiFunction(Fraction(5, 2), 1)):
+            check(schedule_from_psi(psi, base, 4, 5), base)
+    xi = build_xi(certify(B, 4).digits, FoldingSchedule(4, (3, 3, 3)), B)
+    assert estimate_exponent(xi) == exponent_ref.estimate_exponent(xi)
+
+
+def test_estimate_exponent_rejects_a_negative_depth():
+    xi = build_xi(certify(B, 4).digits, FoldingSchedule(4, (3, 3, 3)), B)
+    assert estimate_exponent(xi, 0) == ()
+    with pytest.raises(ValueError, match="depth must be at least 0"):
+        estimate_exponent(xi, -1)
