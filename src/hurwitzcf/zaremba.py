@@ -25,9 +25,12 @@ from .geometry import closed_cylinder_nonempty, get_automaton
 DESK_NORM_CAP = 1 << 25
 
 # Work budget: the largest component size, in bits, of base**power that certify
-# will build a certificate for.  A cold certify grows about 4x per doubling of
-# the power; the largest admitted call, (-2+i)**84000 at about 97.5k bits, took
-# 24 s on a 2-CPU machine.
+# will build a certificate for.  A fold proved from its child's convergent pair
+# costs a few big products, and a cold certify(-2+i, 65536) takes 0.05 s on a
+# 2-CPU machine.  A Gauss-map pass grows about 4x per doubling of the power:
+# certificate_transcript makes one (5.9 s at (-2+i)**84000, about 97.5k bits,
+# the largest admitted), and so does each non-canonical fold candidate, two per
+# level on that call's chain, so the cold call itself took 17.7 s.
 MAX_CERTIFY_BITS = 100_000
 
 ETA_SQ = {
@@ -157,34 +160,50 @@ def verify_certificate(cert: ZarembaCertificate) -> tuple[tuple[str, bool], ...]
 
 
 def _checks(
-    cert: ZarembaCertificate, den: GaussianInt, gauss, keys: list[tuple[int, int]]
+    cert: ZarembaCertificate, den: GaussianInt, evidence, keys: list[tuple[int, int]]
 ) -> tuple[tuple[str, bool], ...]:
-    """The seven-check transcript of cert from its Gauss-map pass over numerator / den.
+    """The seven-check transcript of cert from its evidence over numerator / den.
 
-    Every digit check reads the digits' (re, im) pairs, keys, in one pass: one
-    norm per digit gives the alphabet test, the digit bound and the digit
-    window, and the open automaton decides validity; the half-open one runs
-    only when that run fails, for a word that may be valid on the boundary
-    alone.  A canonical expansion of numerator / den evaluates to that
-    fraction by construction, so the digits are evaluated only when they are
-    not canonical.
+    The evidence is either a Gauss-map pass over numerator / den or a
+    _FoldProof.  Every digit check reads the digits' (re, im) pairs, keys, in
+    one pass: one norm per digit gives the alphabet test, the digit bound and
+    the digit window, and one run of the open automaton decides validity; the
+    half-open one runs only when that run fails, for a word that may be valid
+    on the boundary alone.
+
+    A pass gives the domain check, the canonical check and coprimality (its
+    last remainder).  A canonical expansion of numerator / den evaluates to
+    that fraction by construction, so the digits are evaluated only when they
+    are not canonical.  A fold proof has shown evaluation and coprimality;
+    the digits are the canonical expansion of numerator / den, and that
+    value lies in F, when the open run ends in the full state.  Its region is
+    the open box, which holds 0, so 0 is the image of a point that reads the
+    digits with every tail point inside the open box, and that point is
+    [0; digits].  A run that ends elsewhere proves neither; _folded_step then
+    checks the candidate by a pass instead.
     """
-    head, expansion, last = gauss
-    num = cert.numerator
-    in_domain = head == (0, 0)
     digits_ok, bounded, window = _digit_checks(cert, keys)
-    canonical = in_domain and expansion == keys
-    evaluated = canonical
-    if not canonical:
-        try:
-            value = evaluate(CfSequence(ZERO, cert.digits))
-            evaluated = value.num * den == num * value.den
-        except (ArithmeticError, ValueError):
-            pass
-    valid = digits_ok and (get_automaton().run_keys(keys) is not None or closed_cylinder_nonempty(cert.digits))
+    auto = get_automaton()
+    run = auto.run_keys(keys) if digits_ok else None
+    if isinstance(evidence, _FoldProof):
+        evaluated = coprime = True
+        in_domain = canonical = run == auto.full_index
+    else:
+        head, expansion, last = evidence
+        in_domain = head == (0, 0)
+        coprime = last[0] * last[0] + last[1] * last[1] == 1
+        canonical = in_domain and expansion == keys
+        evaluated = canonical
+        if not canonical:
+            try:
+                value = evaluate(CfSequence(ZERO, cert.digits))
+                evaluated = value.num * den == cert.numerator * value.den
+            except (ArithmeticError, ValueError):
+                pass
+    valid = digits_ok and (run is not None or closed_cylinder_nonempty(cert.digits))
     return (
         ("evaluation", evaluated),
-        ("coprime", last[0] * last[0] + last[1] * last[1] == 1),
+        ("coprime", coprime),
         ("fundamental_domain", in_domain),
         ("digit_bound", bounded),
         ("canonical_expansion", canonical),
@@ -233,8 +252,74 @@ def digit_window_ok(cert: ZarembaCertificate) -> bool:
 # Certificates that certify built and verified, each with its transcript and
 # the unit u with q_n = u * base**power and p_n = u * numerator, where p_n / q_n
 # is the last convergent of the digits.  _folded_step reads a child's u to
-# pick the sign of its fold; it needs no convergent of the folded word.
-_CACHE: dict[tuple[tuple[int, int], int], tuple[ZarembaCertificate, tuple[tuple[str, bool], ...], GaussianInt]] = {}
+# pick the sign of its fold and to prove the folded certificate from the
+# child's last convergent.
+_Entry = tuple[ZarembaCertificate, tuple[tuple[str, bool], ...], GaussianInt]
+_CACHE: dict[tuple[tuple[int, int], int], _Entry] = {}
+
+_UNITS = (ONE, -ONE, GaussianInt(0, 1), GaussianInt(0, -1))
+
+
+@dataclass(frozen=True)
+class _FoldProof:
+    """Evidence that a folded word's last convergent is (unit den, unit numerator).
+
+    _fold_proof makes one only when the word's structure and its convergent
+    pair both check; the determinant of a convergent matrix is a unit, so
+    that pair is coprime.
+    """
+
+    unit: GaussianInt
+
+
+def _fold_proof(
+    word: tuple[GaussianInt, ...],
+    pair: tuple[GaussianInt, GaussianInt],
+    tail: tuple[GaussianInt, ...],
+    keys: list[tuple[int, int]],
+    numerator: GaussianInt,
+    den: GaussianInt,
+) -> _FoldProof | None:
+    """Prove that [0; tail] is the fold of the child [0; word] with value numerator / den.
+
+    word is the child's certified tail, n digits long, and pair its last
+    convergent (q_n, p_n); keys are tail's (re, im) pairs.  With
+    A_a = [[a, 1], [1, 0]], [0; word] has convergent matrix
+    [[0, 1], [1, 0]] A_(a_1) ... A_(a_n) = [[p_n, p_(n-1)], [q_n, q_(n-1)]].
+
+    (a) Structure, digit by digit: tail is word + (x,) + word reversed and
+    negated (a fold by x), or body + (a + s, a - s) + body reversed for
+    word = body + (a,) and s = +-1 (a unit fold).
+    (b) Pair: the folded word's last convergent is then, from
+    A_(-a) = -D A_a D with D = diag(1, -1) and p_(n-1) q_n - p_n q_(n-1) = (-1)^n,
+    (q', p') = (-1)^n (x q_n^2, x q_n p_n) + (0, 1) for a fold by x, and, from
+    A_a A_s A_(-a) = A_(a+s) A_(a-s) diag(-s, s),
+    (q', p') = (q_n^2, q_n p_n + s (-1)^n) for a unit fold.  It must be
+    u' (den, numerator) for a unit u'.
+    Returns the proof with u', or None when either check fails.
+    """
+    n = len(word)
+    q, p = pair
+    sign = fold_sign(n)
+    if len(tail) == 2 * n + 1:
+        if tail[:n] != word or keys[n + 1:] != [(-re, -im) for re, im in reversed(keys[:n])]:
+            return None
+        x = tail[n] * sign
+        folded = (x * (q * q), x * (q * p) + 1)
+    elif len(tail) == 2 * n:
+        a = word[-1]
+        s = tail[n - 1] - a
+        if s not in (ONE, -ONE) or tail[n] != a - s:
+            return None
+        if tail[: n - 1] != word[:-1] or keys[n + 1:] != keys[: n - 1][::-1]:
+            return None
+        folded = (q * q, q * p + s * sign)
+    else:
+        return None
+    for unit in _UNITS:
+        if folded == (unit * den, unit * numerator):
+            return _FoldProof(unit)
+    return None
 
 
 def _fold_plan(base: GaussianInt, power: int) -> tuple[int, GaussianInt]:
@@ -249,41 +334,58 @@ def _fold_plan(base: GaussianInt, power: int) -> tuple[int, GaussianInt]:
     return (power - 1) // 2, base
 
 
-def _folded_step(base: GaussianInt, power: int) -> tuple[GaussianInt, tuple[GaussianInt, ...], GaussianInt, tuple]:
-    """Numerator, digits, denominator and Gauss-map pass of the folded certificate for base**power.
+def _folded_step(base: GaussianInt, power: int) -> _Entry:
+    """The folded certificate for base**power, its transcript and its unit: a _CACHE entry.
 
     The child c / B, B = base**k, has last convergent (u B, u c), so
     cf._fold_series folds its word to the value (c middle B + sign) /
     (middle B^2), and middle B^2 = base**power.  The sign (-1)^n u^2, for n
     child digits, is tried first: it is the fold by +middle (the unit fold
     fold_unit for middle = ONE).  Prefer a folded word that is its own
-    canonical expansion, read off the one Gauss-map pass that verification
-    uses; the other sign, the fold by -middle, is an equally valid folding
-    step, built only when the first is not canonical.  If neither is, the
-    first candidate's fraction still is the target, so certify its canonical
-    digits instead.  A canonical word is stored as the folded tail itself,
-    sharing digit objects with the child.  Either way the returned digits
-    have the pass's expansion, gauss[1], as their (re, im) keys.
+    canonical expansion.  _fold_proof and the open run in _checks prove that
+    from the child's convergent pair; a candidate they do not prove is
+    checked by one Gauss-map pass, as a seed is.  The other sign, the fold by
+    -middle, is an equally valid folding step, built only when the first is
+    not canonical.  If neither is, the first candidate's fraction still is
+    the target, so certify its canonical digits instead.  A canonical word is
+    stored as the folded tail itself, sharing digit objects with the child.
     """
+    key = base.key()
     child_power, middle = _fold_plan(base, power)
     child = certify(base, child_power)
-    unit = _CACHE[(base.key(), child_power)][2]
+    unit = _CACHE[(key, child_power)][2]
     scale = base ** child_power
     lift = middle * scale
     den = lift * scale
     series = lift * child.numerator
+    pair = (unit * scale, unit * child.numerator)
     first = fold_sign(len(child.digits)) * (unit * unit).re
     tried = []
     for sign in (first, -first):
         tail = _fold_series(child.digits, unit, middle, sign)
-        numerator = series + sign
+        cert = ZarembaCertificate(base, power, series + sign, ETA_SQ[key], tail)
+        keys = [(d.re, d.im) for d in tail]
+        proof = _fold_proof(child.digits, pair, tail, keys, cert.numerator, den)
+        if proof is not None:
+            transcript = _checks(cert, den, proof, keys)
+            if dict(transcript)["canonical_expansion"]:
+                return cert, transcript, proof.unit
+        numerator = cert.numerator
         gauss = _gauss_map(numerator.re, numerator.im, den.re, den.im)
-        head, expansion, _ = gauss
-        if head == (0, 0) and expansion == [(d.re, d.im) for d in tail]:
-            return numerator, tail, den, gauss
+        if gauss[0] == (0, 0) and gauss[1] == keys:
+            return _gauss_checked(cert, den, gauss)
         tried.append((numerator, gauss))
     numerator, gauss = tried[0]
-    return numerator, _pass_digits(gauss), den, gauss
+    return _gauss_checked(ZarembaCertificate(base, power, numerator, ETA_SQ[key], _pass_digits(gauss)), den, gauss)
+
+
+def _gauss_checked(cert: ZarembaCertificate, den: GaussianInt, gauss) -> _Entry:
+    """cert with the transcript of its Gauss-map pass, whose digits are cert's, and its unit.
+
+    When the digits pass as canonical, num = p_n * last and den = q_n * last
+    for the pass's last remainder, so u = conj(last).
+    """
+    return cert, _checks(cert, den, gauss, gauss[1]), GaussianInt(gauss[2][0], -gauss[2][1])
 
 
 def _pass_digits(gauss) -> tuple[GaussianInt, ...]:
@@ -305,13 +407,12 @@ def certify(base: GaussianInt | int, power: int) -> ZarembaCertificate:
         return cached[0]
     numerator = _SEEDS[key].get(power)
     if numerator is None:
-        numerator, digits, den, gauss = _folded_step(base, power)
+        entry = _folded_step(base, power)
     else:
         den = base ** power
         gauss = _gauss_map(numerator.re, numerator.im, den.re, den.im)
-        digits = _pass_digits(gauss)
-    cert = ZarembaCertificate(base, power, numerator, ETA_SQ[key], digits)
-    transcript = _checks(cert, den, gauss, gauss[1])
+        entry = _gauss_checked(ZarembaCertificate(base, power, numerator, ETA_SQ[key], _pass_digits(gauss)), den, gauss)
+    cert, transcript, _ = entry
     if not all(ok for _, ok in transcript):
         failing = ", ".join(name for name, ok in transcript if not ok)
         raise CertificateError(
@@ -319,9 +420,7 @@ def certify(base: GaussianInt | int, power: int) -> ZarembaCertificate:
             f" power {power}: {failing}",
             transcript,
         )
-    # The digits passed as canonical, so num = p_n * last and den = q_n * last:
-    # u = conj(last).
-    _CACHE[(key, power)] = (cert, transcript, GaussianInt(gauss[2][0], -gauss[2][1]))
+    _CACHE[(key, power)] = entry
     return cert
 
 

@@ -386,14 +386,15 @@ def test_folded_candidate_outside_the_domain_is_not_canonical(monkeypatch):
     child = ZarembaCertificate(g(2), 1, g(-1), 64, (g(-2),))
     # [0; -2] has (q_1, p_1) = (-2, 1) = -1 * (2, -1), so the child's unit is -1.
     monkeypatch.setattr(zaremba, "_CACHE", {((2, 0), 1): (child, (), g(-1))})
-    numerator, digits, den, gauss = zaremba._folded_step(g(2), 4)
+    # Both words pass the fold proof's structure and pair checks, but neither
+    # open run ends in the full state, so each is checked by a Gauss-map pass.
+    cert, transcript, _ = zaremba._folded_step(g(2), 4)
+    numerator, digits, den = cert.numerator, cert.digits, cert.denominator()
     assert (numerator, den) == (g(-9), g(16))
     assert digits == hcf_expand(GaussianRational(g(-9), g(16))).digits == (g(2), g(4), g(-2))
-    assert gauss[0] == (-1, 0)
+    assert _gauss_map(numerator.re, numerator.im, den.re, den.im)[0] == (-1, 0)
     assert (numerator, digits) == _ref_folded_step(g(2), 4)
-    cert = ZarembaCertificate(g(2), 4, numerator, 64, digits)
-    keys = [(d.re, d.im) for d in digits]
-    assert zaremba._checks(cert, den, gauss, keys)[:6] == verify_certificate(cert) == _ref_verify_certificate(cert)
+    assert transcript[:6] == verify_certificate(cert) == _ref_verify_certificate(cert)
     assert {n for n, ok in verify_certificate(cert) if not ok} == {"evaluation", "fundamental_domain", "canonical_expansion"}
 
 
@@ -438,9 +439,10 @@ def test_certifying_makes_one_pass_and_no_evaluation_per_certificate(monkeypatch
     )
     cert = certify(g(-2, 1), 1024)
     assert all(ok for _, ok in zaremba._CACHE[(cert.base.key(), 1024)][1])
-    # powers 1024, 512, ..., 8 folded and the seed 4: one verifying pass each
+    # powers 1024, 512, ..., 8 folded, each proved from its child's
+    # convergent pair; only the seed 4 takes a verifying pass
     assert len(zaremba._CACHE) == 9
-    assert calls == {"evaluate": 0, "exact_div": 0, "_gauss_map": 9}
+    assert calls == {"evaluate": 0, "exact_div": 0, "_gauss_map": 1}
 
 
 def test_certifying_reads_norms_and_the_open_run_off_the_digit_keys(monkeypatch):
@@ -456,7 +458,18 @@ def test_certifying_reads_norms_and_the_open_run_off_the_digit_keys(monkeypatch)
     )
     cert = certify(g(-2, 1), 1024)
     assert all(ok for _, ok in zaremba._CACHE[(cert.base.key(), 1024)][1])
-    assert calls == {"digit_in_alphabet": 0, "is_valid": 0, "_gauss_map": 9}
+    assert calls == {"digit_in_alphabet": 0, "is_valid": 0, "_gauss_map": 1}
+
+
+@pytest.mark.parametrize("base", supported_bases(), ids=str)
+def test_a_cold_certify_makes_only_the_seed_pass(monkeypatch, base):
+    # every fold on the chain down from 4096 is proved from its child's
+    # convergent pair and the open run; each chain ends at one seed
+    monkeypatch.setattr(zaremba, "_CACHE", {})
+    calls = _count_calls(monkeypatch, (hurwitzcf.gaussian, "_gauss_map"))
+    certify(base, 4096)
+    assert sum(power in zaremba._SEEDS[base.key()] for _, power in zaremba._CACHE) == 1
+    assert calls == {"_gauss_map": 1}
 
 
 def test_boundary_only_digits_pass_the_validity_check(monkeypatch):
@@ -620,6 +633,129 @@ def test_tampered_transcripts_match_the_evaluating_reference():
     assert "canonical_expansion" in failed["non-canonical"] and "evaluation" not in failed["non-canonical"]
     assert {"evaluation", "canonical_expansion"} <= failed["zero suffix"]
     assert {"evaluation", "canonical_expansion"} <= failed["shifted"]
+
+
+LADDER_POWERS = (256, 300, 384, 1000, 1024, 2048, 4096, 8192)
+
+
+def _spy_passes(monkeypatch):
+    """Record every Gauss-map pass zaremba makes, in order."""
+    passes = []
+
+    def spy(*args):
+        passes.append(_gauss_map(*args))
+        return passes[-1]
+
+    monkeypatch.setattr(zaremba, "_gauss_map", spy)
+    return passes
+
+
+def test_fold_proved_certificates_match_a_fresh_gauss_map_pass(monkeypatch):
+    # certify proves folds from the child's convergent pair and the open run;
+    # certificate_transcript re-verifies with a Gauss-map pass, whose last
+    # remainder r gives the unit conj(r)
+    certs = [certify(b, p) for b in supported_bases() for p in (*range(1, 513), *LADDER_POWERS)]
+    passes = _spy_passes(monkeypatch)
+    for cert in certs:
+        _, transcript, unit = zaremba._CACHE[(cert.base.key(), cert.power)]
+        assert certificate_transcript(cert) == transcript, (cert.base, cert.power)
+        last = passes[-1][2]
+        assert unit == g(last[0], -last[1]), (cert.base, cert.power)
+    assert len(passes) == len(certs)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no integer string limit")
+def test_the_power_8192_certificates_are_pinned():
+    # recorded when every fold still took a Gauss-map pass; the numerators
+    # pass the default limit on integer string conversion
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        text = emit_certificates([certify(b, 8192) for b in supported_bases()])
+    finally:
+        sys.set_int_max_str_digits(saved)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "24d794c2f0810e3907d0f23e9fa4e0cdb7bdfe58be313f4cc6bea82e7b2d7119"
+    )
+
+
+def test_a_run_that_ends_in_the_full_state_reads_a_canonical_expansion():
+    # the fold proof's third check, tested without certify: a word whose open
+    # run ends in the full state is the canonical expansion of [0; word]
+    auto = get_automaton()
+    words = [
+        w for n in (1, 2, 3) for w in itertools.product(frontier_digits(2), repeat=n)
+        if auto.run(w) == auto.full_index
+    ]
+    assert len(words) == 820
+    folded = [
+        certify(b, p).digits for b in supported_bases() for p in range(1, 513) if p not in zaremba._SEEDS[b.key()]
+    ]
+    assert all(auto.run(w) == auto.full_index for w in folded)
+    for word in words + folded:
+        expansion = hcf_expand(evaluate(CfSequence(ZERO, word)))
+        assert expansion.integer_part == ZERO and expansion.digits == word
+
+
+def _mutant(kind):
+    """A _fold_series that builds a wrong tail of the given kind; the tails it changed go in .changed."""
+    real = zaremba._fold_series
+
+    def mutant(word, unit, middle, sign):
+        n = len(word)
+        honest = real(word, unit, middle, sign)
+        tail = real(word, unit * g(0, 1), middle, sign) if kind == "unit" else honest
+        unit_fold = len(tail) == 2 * n
+        if kind == "mirror":
+            tail = tail[: n + 1] + (tuple(-d for d in word[-2::-1]) if unit_fold else word[::-1])
+        elif kind == "first half":
+            tail = tail[: n // 2] + (tail[n // 2] + 1,) + tail[n // 2 + 1:]
+        elif kind == "last digit":
+            tail = tail[:-1] + (tail[-1] + g(0, 1),)
+        elif kind == "pivot" and unit_fold:
+            tail = tail[: n - 1] + (tail[n], tail[n - 1]) + tail[n + 1:]
+        elif kind == "middle" and not unit_fold:
+            tail = tail[:n] + tail[n + 1:]
+        if tail != honest:
+            mutant.changed.add(tail)
+        return tail
+
+    mutant.changed = set()
+    return mutant
+
+
+@pytest.mark.parametrize("kind", ("mirror", "first half", "last digit", "pivot", "middle", "unit"))
+def test_a_tampered_fold_is_never_proved(monkeypatch, kind):
+    # every wrong tail fails the fold proof and takes a Gauss-map pass, or
+    # certify raises; no certificate whose fresh transcript fails is cached
+    mutant = _mutant(kind)
+    proofs = []
+    real_proof = zaremba._fold_proof
+
+    def spy_proof(word, pair, tail, *rest):
+        proofs.append((tail, real_proof(word, pair, tail, *rest)))
+        return proofs[-1][1]
+
+    monkeypatch.setattr(zaremba, "_fold_series", mutant)
+    monkeypatch.setattr(zaremba, "_fold_proof", spy_proof)
+    monkeypatch.setattr(zaremba, "_CACHE", {})
+    passes = _spy_passes(monkeypatch)
+    raised = 0
+    for base, powers in ((g(-2, 1), range(5, 49)), (g(2), range(14, 41)), (g(5), range(3, 33))):
+        for power in powers:
+            try:
+                certify(base, power)
+            except CertificateError:
+                raised += 1
+    rejected = [tail for tail, proof in proofs if tail in mutant.changed]
+    assert rejected and all(proof is None for tail, proof in proofs if tail in mutant.changed)
+    assert len(passes) >= len(rejected)
+    cached = list(zaremba._CACHE.values())
+    assert cached or raised
+    for cert, transcript, unit in cached:
+        assert certificate_transcript(cert) == transcript and all(ok for _, ok in transcript)
+        last = passes[-1][2]
+        assert unit == g(last[0], -last[1])
 
 
 # The earlier digit_window_ok, copied verbatim as the reference for the one-pass window.
