@@ -779,12 +779,40 @@ def _coerce_digits(digits) -> tuple[GaussianInt, ...]:
     return out
 
 
-def closed_cylinder_nonempty(digits) -> bool:
-    """Whether some z in the half-open box follows the digits without leaving it."""
+def _half_open_automaton() -> Automaton:
     global _HALF_OPEN_AUTOMATON
     if _HALF_OPEN_AUTOMATON is None:  # created on first use, so set-up never builds it
         _HALF_OPEN_AUTOMATON = Automaton(_BOX_HALF_OPEN)
-    return _HALF_OPEN_AUTOMATON.run(_coerce_digits(digits)) is not None
+    return _HALF_OPEN_AUTOMATON
+
+
+def closed_cylinder_nonempty(digits) -> bool:
+    """Whether some z in the half-open box follows the digits without leaving it."""
+    return _half_open_automaton().run(_coerce_digits(digits)) is not None
+
+
+_ORIGIN_BIT = 1 << _FINGERPRINT_POINTS.index((0, 0, 0, 0, 8, 0))
+
+
+def _canonical_word(keys: list[tuple[int, int]], open_final: int | None) -> bool:
+    """Whether alphabet digits, as (re, im) pairs, are the canonical expansion of [0; keys].
+
+    open_final is the final state of the keys' open run (run_keys).  A run
+    that ends in the full state answers yes: that state's region is the open
+    box, which holds 0, so some point reads the digits with every iterate in
+    the open box and lands on 0 after the last one; that point is [0; keys],
+    and inside the open box the half-open rounding agrees.  Otherwise the
+    half-open run decides.  Its region after n digits is exactly T**n of the
+    digits' half-open cylinder, T the Gauss map, so it holds 0 exactly when
+    [0; keys] lies in that cylinder: when the Gauss map reads exactly these
+    digits from [0; keys] and stops.  Bit _ORIGIN_BIT of a region's
+    fingerprint is its membership of 0.
+    """
+    if open_final == get_automaton().full_index:
+        return True
+    auto = _half_open_automaton()
+    final = auto.run_keys(keys)
+    return final is not None and fingerprint(auto.states[final].region) & _ORIGIN_BIT != 0
 
 
 def is_valid(digits) -> Validity:

@@ -21,11 +21,11 @@ from .gaussian import (
     _brief,
     _check_power_budget,
     _exact_quo,
+    _gauss_map,
     _mul3,
     _power_bits,
 )
-from .geometry import is_full
-from .hcf import hcf_expand
+from .geometry import _canonical_word, get_automaton, is_full
 
 _MAX_BRACKET_BITS = 4096
 
@@ -291,10 +291,11 @@ def unit_seed(base: GaussianInt, v0: int) -> tuple[GaussianInt, ...]:
     if v0 < 1:
         raise ValueError("v0 must be a positive integer")
     _check_power_budget(base, v0, MAX_POWER_BITS)
-    expansion = hcf_expand(GaussianRational(ONE, base**v0))
-    if expansion.integer_part != ZERO:
+    power = base**v0
+    head, digits, _ = _gauss_map(1, 0, power.re, power.im)
+    if head != (0, 0):
         raise AssertionError("seed fraction should lie in the fundamental domain")
-    return expansion.digits
+    return tuple(_box(re, im) for re, im in digits)
 
 
 def _seed_checks(seed: tuple[GaussianInt, ...]) -> None:
@@ -313,11 +314,11 @@ def _norm_at_least_8(d: GaussianInt) -> bool:
     return not (-3 < d.re < 3 and -3 < d.im < 3) or d.norm >= 8
 
 
-def _canonical_stage(digits: tuple[GaussianInt, ...], value: GaussianRational, n: int) -> None:
+def _canonical_stage(digits: tuple[GaussianInt, ...], n: int) -> None:
     if all(map(_norm_at_least_8, digits)):
         return
-    expansion = hcf_expand(value)
-    if expansion.integer_part != ZERO or expansion.digits != digits:
+    keys = [(d.re, d.im) for d in digits]
+    if not _canonical_word(keys, get_automaton().run_keys(keys)):
         raise AssertionError(f"stage {n}: stream is not the canonical expansion")
 
 
@@ -389,7 +390,7 @@ def build_xi(seed: tuple[GaussianInt, ...], schedule: FoldingSchedule, base: Gau
         raise ValueError("seed value must have denominator base**v0")
     numerator = unit.conj() * p
     value = GaussianRational._raw(numerator, power)
-    _canonical_stage(seed, value, 0)
+    _canonical_stage(seed, 0)
     stage_list = [XiStage(0, value, numerator, seed)]
     digits = seed
     base_norm = base.norm
@@ -419,7 +420,7 @@ def build_xi(seed: tuple[GaussianInt, ...], schedule: FoldingSchedule, base: Gau
             raise AssertionError(f"stage {n}: folded stream disagrees with the series")
         unit = UNITS[multiples.index(q)]
         partial = GaussianRational._raw(numerator, power)
-        _canonical_stage(digits, partial, n)
+        _canonical_stage(digits, n)
         stage_list.append(XiStage(n, partial, numerator, digits))
     return XiNumber(base, schedule, tuple(stage_list))
 

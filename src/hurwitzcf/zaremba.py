@@ -20,7 +20,7 @@ from .gaussian import (
     format_gaussian_int,
     parse_gaussian_int,
 )
-from .geometry import closed_cylinder_nonempty, get_automaton
+from .geometry import _canonical_word, closed_cylinder_nonempty, get_automaton
 
 DESK_NORM_CAP = 1 << 25
 
@@ -29,8 +29,8 @@ DESK_NORM_CAP = 1 << 25
 # costs a few big products, and a cold certify(-2+i, 65536) takes 0.05 s on a
 # 2-CPU machine.  A Gauss-map pass grows about 4x per doubling of the power:
 # certificate_transcript makes one (5.9 s at (-2+i)**84000, about 97.5k bits,
-# the largest admitted), and so does each non-canonical fold candidate, two per
-# level on that call's chain, so the cold call itself took 17.7 s.
+# the largest admitted), and so does each fold with no canonical candidate,
+# one per level on that call's chain, so the cold call itself takes 9.1-9.4 s.
 MAX_CERTIFY_BITS = 100_000
 
 ETA_SQ = {
@@ -175,19 +175,16 @@ def _checks(
     last remainder).  A canonical expansion of numerator / den evaluates to
     that fraction by construction, so the digits are evaluated only when they
     are not canonical.  A fold proof has shown evaluation and coprimality;
-    the digits are the canonical expansion of numerator / den, and that
-    value lies in F, when the open run ends in the full state.  Its region is
-    the open box, which holds 0, so 0 is the image of a point that reads the
-    digits with every tail point inside the open box, and that point is
-    [0; digits].  A run that ends elsewhere proves neither; _folded_step then
-    checks the candidate by a pass instead.
+    geometry._canonical_word decides from the open run, and at most one
+    half-open run, whether the digits are the canonical expansion of
+    numerator / den, and so whether that value lies in F.
     """
     digits_ok, bounded, window = _digit_checks(cert, keys)
     auto = get_automaton()
     run = auto.run_keys(keys) if digits_ok else None
     if isinstance(evidence, _FoldProof):
         evaluated = coprime = True
-        in_domain = canonical = run == auto.full_index
+        in_domain = canonical = digits_ok and _canonical_word(keys, run)
     else:
         head, expansion, last = evidence
         in_domain = head == (0, 0)
@@ -342,13 +339,14 @@ def _folded_step(base: GaussianInt, power: int) -> _Entry:
     (middle B^2), and middle B^2 = base**power.  The sign (-1)^n u^2, for n
     child digits, is tried first: it is the fold by +middle (the unit fold
     fold_unit for middle = ONE).  Prefer a folded word that is its own
-    canonical expansion.  _fold_proof and the open run in _checks prove that
-    from the child's convergent pair; a candidate they do not prove is
-    checked by one Gauss-map pass, as a seed is.  The other sign, the fold by
-    -middle, is an equally valid folding step, built only when the first is
-    not canonical.  If neither is, the first candidate's fraction still is
-    the target, so certify its canonical digits instead.  A canonical word is
-    stored as the folded tail itself, sharing digit objects with the child.
+    canonical expansion: a candidate is stored only when _fold_proof proves
+    it from the child's convergent pair and _checks finds it canonical, and
+    any other candidate is skipped without a Gauss-map pass.  The other
+    sign, the fold by -middle, is an equally valid folding step, built only
+    when the first is not stored.  If neither is, the first candidate's
+    fraction still is the target, so one Gauss-map pass gives its canonical
+    digits, as for a seed.  A stored word is the folded tail itself, sharing
+    digit objects with the child.
     """
     key = base.key()
     child_power, middle = _fold_plan(base, power)
@@ -360,7 +358,6 @@ def _folded_step(base: GaussianInt, power: int) -> _Entry:
     series = lift * child.numerator
     pair = (unit * scale, unit * child.numerator)
     first = fold_sign(len(child.digits)) * (unit * unit).re
-    tried = []
     for sign in (first, -first):
         tail = _fold_series(child.digits, unit, middle, sign)
         cert = ZarembaCertificate(base, power, series + sign, ETA_SQ[key], tail)
@@ -370,12 +367,8 @@ def _folded_step(base: GaussianInt, power: int) -> _Entry:
             transcript = _checks(cert, den, proof, keys)
             if dict(transcript)["canonical_expansion"]:
                 return cert, transcript, proof.unit
-        numerator = cert.numerator
-        gauss = _gauss_map(numerator.re, numerator.im, den.re, den.im)
-        if gauss[0] == (0, 0) and gauss[1] == keys:
-            return _gauss_checked(cert, den, gauss)
-        tried.append((numerator, gauss))
-    numerator, gauss = tried[0]
+    numerator = series + first
+    gauss = _gauss_map(numerator.re, numerator.im, den.re, den.im)
     return _gauss_checked(ZarembaCertificate(base, power, numerator, ETA_SQ[key], _pass_digits(gauss)), den, gauss)
 
 
@@ -452,6 +445,9 @@ def emit_certificates(certs: Iterable[ZarembaCertificate]) -> str:
     return "\n\n".join(blocks) + "\n"
 
 
+_CERTIFICATE_FIELDS = ("base", "power", "numerator", "digits", "eta_sq")
+
+
 def parse_certificates(text: str) -> list[ZarembaCertificate]:
     """Parse records produced by emit_certificates (check lines are recomputable)."""
     certs: list[ZarembaCertificate] = []
@@ -460,6 +456,9 @@ def parse_certificates(text: str) -> list[ZarembaCertificate]:
     def flush() -> None:
         if not fields:
             return
+        missing = [name for name in _CERTIFICATE_FIELDS if name not in fields]
+        if missing:
+            raise ValueError(f"certificate record {len(certs) + 1} has no {', '.join(missing)} field")
         certs.append(
             ZarembaCertificate(
                 base=parse_gaussian_int(fields["base"]),

@@ -25,6 +25,31 @@ def test_only_the_oracle_imports_numpy():
     assert [path.stem for path in modules if "numpy" in _imported_roots(path)] == ["zaremba"]
 
 
+def _imported_siblings(path: Path) -> set[str]:
+    """The hurwitzcf modules a module imports from: `from .m`, `from . import m` or `from hurwitzcf.m`."""
+    siblings = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        parts = (node.module or "").split(".")
+        if node.level == 0:
+            if parts[0] != "hurwitzcf":
+                continue
+            parts = parts[1:]
+        if parts and parts[0]:
+            siblings.add(parts[0])
+        else:
+            siblings.update(alias.name for alias in node.names)
+    return siblings
+
+
+def test_no_pipeline_imports_the_expansion_module():
+    # certify and build_xi decide whether a folded word is canonical by
+    # geometry's automaton test; neither re-expands a folded word
+    assert "cf" in _imported_siblings(SRC / "spectrum.py")
+    assert [stem for stem in ("spectrum", "zaremba") if "hcf" in _imported_siblings(SRC / f"{stem}.py")] == []
+
+
 def test_the_cli_imports_only_public_library_names():
     # the command line is a client of the library's public API, like any other caller
     private = []

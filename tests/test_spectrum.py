@@ -222,6 +222,15 @@ def test_unit_seed_expands_reciprocal_power():
             unit_seed(B, v0)
 
 
+def test_the_stage_check_refuses_a_word_that_is_not_canonical():
+    # -7/16 = [0; -2, -3, -2], not [0; -2, -4, 2]; a word of big digits is
+    # canonical without a run, by the full-to-full rule
+    spectrum._canonical_stage((g(-2), g(-3), g(-2)), 0)
+    spectrum._canonical_stage((B**40, -(B**40)), 1)
+    with pytest.raises(AssertionError, match="stage 2: stream is not the canonical expansion"):
+        spectrum._canonical_stage((g(-2), g(-4), g(2)), 2)
+
+
 def test_build_stage_one_frozen():
     seed = certify(B, 4).digits
     xi = build_xi(seed, FoldingSchedule(4, (3, 4)), B, stages=1)

@@ -65,7 +65,7 @@ def build_xi(seed: tuple[GaussianInt, ...], schedule: FoldingSchedule, base: Gau
         raise ValueError("seed value must have denominator base**v0")
     numerator = unit.conj() * p
     value = GaussianRational._raw(numerator, power)
-    _canonical_stage(seed, value, 0)
+    _canonical_stage(seed, 0)
     stage_list = [XiStage(0, value, numerator, seed)]
     digits = seed
     base_norm = base.norm
@@ -92,6 +92,6 @@ def build_xi(seed: tuple[GaussianInt, ...], schedule: FoldingSchedule, base: Gau
         if unit is None or p != unit * numerator:
             raise AssertionError(f"stage {n}: folded stream disagrees with the series")
         partial = GaussianRational._raw(numerator, power)
-        _canonical_stage(digits, partial, n)
+        _canonical_stage(digits, n)
         stage_list.append(XiStage(n, partial, numerator, digits))
     return XiNumber(base, schedule, tuple(stage_list))
