@@ -29,7 +29,7 @@ from .spectrum import (
     unit_seed,
     variant_schedule,
 )
-from .zaremba import MAX_CERTIFY_BITS, CertificateError, brute_force_min_K, certify, emit_certificates
+from .zaremba import MAX_CERTIFY_DIGITS, CertificateError, brute_force_min_K, certify, emit_certificates
 
 # Work budget of `hcf expand`: the largest component size, in bits, of the parsed
 # fraction.  It prints one convergent per digit, so its output grows about 4x per
@@ -41,9 +41,6 @@ _MAX_EXPAND_BITS = 8192
 # encode_base_b takes time quadratic in it: at 16384 bits base -1+i gives
 # 32 769 digits in 0.45 s on a 2-CPU machine, and 32768 bits take 1.7 s.
 _MAX_ENCODE_BITS = 16384
-
-# Decimal digits of a MAX_CERTIFY_BITS-bit integer (log10 2 < 0.30103): what any admitted certificate needs.
-_MAX_CERTIFY_DIGITS = MAX_CERTIFY_BITS * 30103 // 100000 + 1
 
 
 def _parse_digits(text: str) -> tuple[GaussianInt, ...]:
@@ -279,8 +276,8 @@ def main(argv: list[str] | None = None) -> int:
     # downstream parser strips whitespace.
     guarded = [f" {a}" if a.startswith("-") and not a.startswith("--") and a != "-h" else a for a in raw]
     args = _build_parser().parse_args(guarded)
-    if hasattr(sys, "set_int_max_str_digits") and 0 < sys.get_int_max_str_digits() < _MAX_CERTIFY_DIGITS:
-        sys.set_int_max_str_digits(_MAX_CERTIFY_DIGITS)
+    if hasattr(sys, "set_int_max_str_digits") and 0 < sys.get_int_max_str_digits() < MAX_CERTIFY_DIGITS:
+        sys.set_int_max_str_digits(MAX_CERTIFY_DIGITS)
     try:
         return args.handler(args)
     except CertificateError as exc:

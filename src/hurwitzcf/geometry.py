@@ -572,6 +572,12 @@ def frontier_digits(bound: int = 4) -> tuple[GaussianInt, ...]:
 _MISS = object()  # run_keys' marker for a transition not yet in the table
 
 
+def _norm_at_least_8(key: tuple[int, int]) -> bool:
+    """Whether digit (re, im) has norm >= 8; a component outside (-3, 3) gives norm >= 9 unsquared."""
+    re, im = key
+    return not (-3 < re < 3 and -3 < im < 3) or re * re + im * im >= 8
+
+
 @dataclass
 class AutomatonState:
     index: int
@@ -621,7 +627,7 @@ class Automaton:
         if key in self._transitions:
             return self._transitions[key]
         region = self.states[index].region
-        if index == self.full_index and digit.norm >= 8:
+        if index == self.full_index and _norm_at_least_8(key[1]):
             # 1/(v + d) stays inside the open box for every v there, so the
             # step is the full box again; verified against the exact step in tests.
             result: int | None = self.full_index
@@ -682,29 +688,23 @@ def _act_constraints(sym: _Symmetry, cons: tuple[Constraint, ...]) -> tuple[Cons
     )).constraints
 
 
-def explore_automaton(bound: int = 4, max_states: int = 64, box: tuple[Constraint, ...] = _BOX_OPEN) -> Automaton:
-    """Breadth-first closure of the automaton over the digit frontier.
+def explore_automaton(bound: int = 4, max_states: int = 64) -> Automaton:
+    """Breadth-first closure of the open-box automaton over the digit frontier.
 
     Write T_d(R) for prototype_step(R, d), the image of R under z -> 1/z - d
-    clipped to the box.  Then T_d(iR) = -i * T_{id}(R) and T_d(conj R) =
-    conj(T_{conj d}(R)), provided the box is invariant under z -> iz and
-    z -> conj z; the frontier and the digit norm (which the full-state
-    shortcut reads) always are.  Over the group D4 these two generate, with
-    g*(z) = 1/g(1/z), this gives T_d(g R) = g*(T_e(R)) for e = g*^-1(d).  So
-    only the first state of each orbit met takes prototype steps; the
-    transitions of any later state g(R) are those of R, mapped by g*.  The
-    open box is invariant; the half-open box [-1/2, 1/2)^2 is invariant under
-    neither generator, so its group is trivial and every state takes its own
-    steps.  Transitions are filled in the same (state, digit) order either
-    way, and a successor whose image is not yet a state is stepped exactly,
-    so the states, their indices, labels and regions do not depend on the
-    group.
+    clipped to the open box.  The box, the frontier and the digit norm (which
+    the full-state shortcut reads) are invariant under z -> iz and z -> conj z,
+    so T_d(iR) = -i * T_{id}(R) and T_d(conj R) = conj(T_{conj d}(R)).  Over
+    the group D4 these two generate, with g*(z) = 1/g(1/z), this gives
+    T_d(g R) = g*(T_e(R)) for e = g*^-1(d).  So only the first state of each
+    orbit met takes prototype steps; the transitions of any later state g(R)
+    are those of R, mapped by g*.  Transitions are filled in the same
+    (state, digit) order as a plain breadth-first search, and every mapped
+    successor is already a state when it is met, so the states, their
+    indices, labels and regions are the plain search's.
     """
-    auto = Automaton(box)
+    auto = Automaton()
     digits = frontier_digits(bound)
-    edges = Region(box).constraints
-    symmetric = all(_act_constraints(sym, box) == edges for sym in ((1, False), (0, True)))
-    group = _D4 if symmetric else (_IDENTITY,)
     images: dict[tuple[int, _Symmetry], tuple[Constraint, ...]] = {}
     orbit: dict[tuple[Constraint, ...], tuple[int, _Symmetry]] = {}  # key of g(R) -> (R, g), R first met
 
@@ -720,7 +720,7 @@ def explore_automaton(bound: int = 4, max_states: int = 64, box: tuple[Constrain
         index = pending.pop(0)
         rep, sym = orbit.get(auto.states[index].region.constraints, (index, _IDENTITY))
         if rep == index:
-            for g in group:
+            for g in _D4:
                 orbit.setdefault(image(index, g), (index, g))
         star = (-sym[0] % 4, sym[1])
         pull = star if sym[1] else sym  # the inverse of star
@@ -730,8 +730,8 @@ def explore_automaton(bound: int = 4, max_states: int = 64, box: tuple[Constrain
             else:
                 step = auto._transitions[rep, _act_key(pull, d.re, d.im)]
                 target = None if step is None else auto._key_index.get(image(step, star))
-                if step is not None and target is None:  # no state yet: step exactly, adding it in BFS order
-                    target = auto.transition(index, d)
+                if step is not None and target is None:
+                    raise AssertionError(f"the image of state {step} under {star} is not a state yet")
                 auto._transitions[index, d.key()] = target
             if auto.state_count > max_states:
                 raise RuntimeError("automaton failed to close: state budget exceeded")
@@ -741,15 +741,9 @@ def explore_automaton(bound: int = 4, max_states: int = 64, box: tuple[Constrain
     return auto
 
 
-_AUTOMATON: Automaton | None = None
-_HALF_OPEN_AUTOMATON: Automaton | None = None
-
-
+@cache
 def get_automaton() -> Automaton:
-    global _AUTOMATON
-    if _AUTOMATON is None:
-        _AUTOMATON = explore_automaton()
-    return _AUTOMATON
+    return explore_automaton()
 
 
 def export_state_table(auto: Automaton, bound: int = 4) -> str:
@@ -779,11 +773,9 @@ def _coerce_digits(digits) -> tuple[GaussianInt, ...]:
     return out
 
 
+@cache
 def _half_open_automaton() -> Automaton:
-    global _HALF_OPEN_AUTOMATON
-    if _HALF_OPEN_AUTOMATON is None:  # created on first use, so set-up never builds it
-        _HALF_OPEN_AUTOMATON = Automaton(_BOX_HALF_OPEN)
-    return _HALF_OPEN_AUTOMATON
+    return Automaton(_BOX_HALF_OPEN)  # created on first use, so set-up never builds it
 
 
 def closed_cylinder_nonempty(digits) -> bool:
@@ -794,25 +786,25 @@ def closed_cylinder_nonempty(digits) -> bool:
 _ORIGIN_BIT = 1 << _FINGERPRINT_POINTS.index((0, 0, 0, 0, 8, 0))
 
 
-def _canonical_word(keys: list[tuple[int, int]], open_final: int | None) -> bool:
-    """Whether alphabet digits, as (re, im) pairs, are the canonical expansion of [0; keys].
+def _word_verdicts(keys: list[tuple[int, int]]) -> tuple[bool, bool]:
+    """(closed_cylinder_nonempty, canonical expansion of [0; keys]) for alphabet digits as (re, im) pairs.
 
-    open_final is the final state of the keys' open run (run_keys).  A run
-    that ends in the full state answers yes: that state's region is the open
-    box, which holds 0, so some point reads the digits with every iterate in
-    the open box and lands on 0 after the last one; that point is [0; keys],
-    and inside the open box the half-open rounding agrees.  Otherwise the
-    half-open run decides.  Its region after n digits is exactly T**n of the
-    digits' half-open cylinder, T the Gauss map, so it holds 0 exactly when
-    [0; keys] lies in that cylinder: when the Gauss map reads exactly these
-    digits from [0; keys] and stops.  Bit _ORIGIN_BIT of a region's
-    fingerprint is its membership of 0.
+    Digits of norm >= 8 only, or an open run that ends in the full state,
+    give both: that state's region is the open box, which holds 0, so some
+    point reads the digits inside the open box and lands on 0 after the last
+    one; that point is [0; keys], and there the half-open rounding agrees.
+    Otherwise one half-open run gives both: the word is valid when it
+    survives, and its final region, T**n of the half-open cylinder for T the
+    Gauss map, holds 0 (bit _ORIGIN_BIT of its fingerprint) exactly when the
+    Gauss map reads these digits from [0; keys] and stops.
     """
-    if open_final == get_automaton().full_index:
-        return True
-    auto = _half_open_automaton()
-    final = auto.run_keys(keys)
-    return final is not None and fingerprint(auto.states[final].region) & _ORIGIN_BIT != 0
+    auto = get_automaton()
+    if all(map(_norm_at_least_8, keys)) or auto.run_keys(keys) == auto.full_index:
+        return True, True
+    half_open = _half_open_automaton()
+    final = half_open.run_keys(keys)
+    valid = final is not None
+    return valid, valid and fingerprint(half_open.states[final].region) & _ORIGIN_BIT != 0
 
 
 def is_valid(digits) -> Validity:

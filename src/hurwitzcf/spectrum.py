@@ -25,7 +25,7 @@ from .gaussian import (
     _mul3,
     _power_bits,
 )
-from .geometry import _canonical_word, get_automaton, is_full
+from .geometry import _word_verdicts, is_full
 
 _MAX_BRACKET_BITS = 4096
 
@@ -309,16 +309,8 @@ def _seed_checks(seed: tuple[GaussianInt, ...]) -> None:
         raise ValueError("seed word must drive the full state back to itself, forwards and mirrored")
 
 
-def _norm_at_least_8(d: GaussianInt) -> bool:
-    """d.norm >= 8 without squaring a big digit: a component outside (-3, 3) gives norm >= 9."""
-    return not (-3 < d.re < 3 and -3 < d.im < 3) or d.norm >= 8
-
-
 def _canonical_stage(digits: tuple[GaussianInt, ...], n: int) -> None:
-    if all(map(_norm_at_least_8, digits)):
-        return
-    keys = [(d.re, d.im) for d in digits]
-    if not _canonical_word(keys, get_automaton().run_keys(keys)):
+    if not _word_verdicts([(d.re, d.im) for d in digits])[1]:
         raise AssertionError(f"stage {n}: stream is not the canonical expansion")
 
 

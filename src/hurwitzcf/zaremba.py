@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from math import isqrt
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -20,7 +22,7 @@ from .gaussian import (
     format_gaussian_int,
     parse_gaussian_int,
 )
-from .geometry import _canonical_word, closed_cylinder_nonempty, get_automaton
+from .geometry import _word_verdicts
 
 DESK_NORM_CAP = 1 << 25
 
@@ -32,6 +34,9 @@ DESK_NORM_CAP = 1 << 25
 # the largest admitted), and so does each fold with no canonical candidate,
 # one per level on that call's chain, so the cold call itself takes 9.1-9.4 s.
 MAX_CERTIFY_BITS = 100_000
+
+# Decimal digits of a MAX_CERTIFY_BITS-bit integer (log10 2 < 0.30103): what any admitted certificate needs.
+MAX_CERTIFY_DIGITS = MAX_CERTIFY_BITS * 30103 // 100000 + 1
 
 ETA_SQ = {
     (-3, 1): 18,
@@ -165,26 +170,22 @@ def _checks(
     """The seven-check transcript of cert from its evidence over numerator / den.
 
     The evidence is either a Gauss-map pass over numerator / den or a
-    _FoldProof.  Every digit check reads the digits' (re, im) pairs, keys, in
-    one pass: one norm per digit gives the alphabet test, the digit bound and
-    the digit window, and one run of the open automaton decides validity; the
-    half-open one runs only when that run fails, for a word that may be valid
-    on the boundary alone.
+    _FoldProof.  Every digit check reads the digits' (re, im) pairs, keys:
+    one norm per digit gives the alphabet test, the digit bound and the
+    digit window, and geometry._word_verdicts gives validity.
 
     A pass gives the domain check, the canonical check and coprimality (its
     last remainder).  A canonical expansion of numerator / den evaluates to
     that fraction by construction, so the digits are evaluated only when they
-    are not canonical.  A fold proof has shown evaluation and coprimality;
-    geometry._canonical_word decides from the open run, and at most one
-    half-open run, whether the digits are the canonical expansion of
+    are not canonical.  A fold proof has shown evaluation and coprimality,
+    and _word_verdicts says whether its digits are the canonical expansion of
     numerator / den, and so whether that value lies in F.
     """
     digits_ok, bounded, window = _digit_checks(cert, keys)
-    auto = get_automaton()
-    run = auto.run_keys(keys) if digits_ok else None
+    valid, canonical_word = _word_verdicts(keys) if digits_ok else (False, False)
     if isinstance(evidence, _FoldProof):
         evaluated = coprime = True
-        in_domain = canonical = digits_ok and _canonical_word(keys, run)
+        in_domain = canonical = canonical_word
     else:
         head, expansion, last = evidence
         in_domain = head == (0, 0)
@@ -197,7 +198,6 @@ def _checks(
                 evaluated = value.num * den == cert.numerator * value.den
             except (ArithmeticError, ValueError):
                 pass
-    valid = digits_ok and (run is not None or closed_cylinder_nonempty(cert.digits))
     return (
         ("evaluation", evaluated),
         ("coprime", coprime),
@@ -388,6 +388,8 @@ def _pass_digits(gauss) -> tuple[GaussianInt, ...]:
 
 def certify(base: GaussianInt | int, power: int) -> ZarembaCertificate:
     """Build, verify, and cache the bounded-digit certificate for base**power."""
+    if not isinstance(power, int) or isinstance(power, bool):  # True == 1 would share 1's cache entry
+        raise TypeError(f"power must be int, not {type(power).__name__}")
     base = GaussianInt.from_any(base)
     key = base.key()
     if key not in ETA_SQ:
@@ -425,23 +427,38 @@ def _emitted_transcript(cert: ZarembaCertificate) -> tuple[tuple[str, bool], ...
     return certificate_transcript(cert)
 
 
+@contextmanager
+def _certificate_digits() -> Iterator[None]:
+    """Python's limit on integer string conversion, raised to MAX_CERTIFY_DIGITS for the block if set lower."""
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    raised = 0 < limit < MAX_CERTIFY_DIGITS
+    if raised:
+        sys.set_int_max_str_digits(MAX_CERTIFY_DIGITS)
+    try:
+        yield
+    finally:
+        if raised:
+            sys.set_int_max_str_digits(limit)
+
+
 def emit_certificates(certs: Iterable[ZarembaCertificate]) -> str:
     """Render certificates as '[certificate]' records with a stable field order."""
     blocks = []
-    for cert in certs:
-        lines = [
-            "[certificate]",
-            f"base = {format_gaussian_int(cert.base)}",
-            f"power = {cert.power}",
-            f"numerator = {format_gaussian_int(cert.numerator)}",
-            "digits = " + ", ".join(format_gaussian_int(d) for d in cert.digits),
-            f"eta_sq = {cert.eta_sq}",
-        ]
-        lines.extend(
-            f"check.{name} = {'pass' if ok else 'FAIL'}"
-            for name, ok in _emitted_transcript(cert)
-        )
-        blocks.append("\n".join(lines))
+    with _certificate_digits():
+        for cert in certs:
+            lines = [
+                "[certificate]",
+                f"base = {format_gaussian_int(cert.base)}",
+                f"power = {cert.power}",
+                f"numerator = {format_gaussian_int(cert.numerator)}",
+                "digits = " + ", ".join(format_gaussian_int(d) for d in cert.digits),
+                f"eta_sq = {cert.eta_sq}",
+            ]
+            lines.extend(
+                f"check.{name} = {'pass' if ok else 'FAIL'}"
+                for name, ok in _emitted_transcript(cert)
+            )
+            blocks.append("\n".join(lines))
     return "\n\n".join(blocks) + "\n"
 
 
@@ -473,15 +490,16 @@ def parse_certificates(text: str) -> list[ZarembaCertificate]:
             )
         )
 
-    for line in text.splitlines():
-        line = line.strip()
-        if line == "[certificate]":
-            flush()
-            fields = {}
-        elif "=" in line and not line.startswith("check."):
-            name, _, value = line.partition("=")
-            fields[name.strip()] = value.strip()
-    flush()
+    with _certificate_digits():
+        for line in text.splitlines():
+            line = line.strip()
+            if line == "[certificate]":
+                flush()
+                fields = {}
+            elif "=" in line and not line.startswith("check."):
+                name, _, value = line.partition("=")
+                fields[name.strip()] = value.strip()
+        flush()
     return certs
 
 

@@ -18,6 +18,16 @@ def _imported_roots(path: Path) -> set[str]:
     return roots
 
 
+def test_the_library_parses_at_the_declared_python_floor():
+    # pyproject.toml declares requires-python >= 3.10; syntax newer than that fails here
+    floor = re.search(r'requires-python = ">=3\.(\d+)"', (SRC.parent.parent / "pyproject.toml").read_text())
+    assert floor is not None and floor.group(1) == "10"
+    modules = sorted(SRC.glob("*.py"))
+    assert len(modules) >= 8
+    for path in modules:
+        ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
+
+
 def test_only_the_oracle_imports_numpy():
     # the lockstep oracle vectorises its candidate scan; every other module is exact integer code
     modules = sorted(SRC.glob("*.py"))

@@ -168,7 +168,7 @@ def test_half_open_automaton_matches_pullback():
 
 def test_half_open_automaton_closes_and_its_shortcuts_hold(recorded_builds):
     box = geometry._BOX_HALF_OPEN
-    auto = recorded_builds[1]  # explore_automaton(3, box=box) from a cold memo
+    auto = recorded_builds[1]  # _reference_explore(3, box) from a cold memo
     assert auto.state_count == 63
     for state in auto.states:
         for d in frontier_digits(4):
@@ -189,7 +189,7 @@ def test_set_up_and_explore_build_no_half_open_state(tmp_path):
         "assert geometry.get_automaton().state_count == 13",
         "with contextlib.redirect_stdout(io.StringIO()):",
         "    assert main(['prototype', 'explore', '--export', sys.argv[1]]) == 0",
-        "assert geometry._HALF_OPEN_AUTOMATON is None",
+        "assert geometry._half_open_automaton.cache_info().currsize == 0",
     ])
     src = str(Path(hurwitzcf.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
@@ -247,6 +247,20 @@ def _build_work(explore):
             mp.setattr(geometry, name, counted)
         explore()
     return counts["prototype_step"], counts["_is_empty_uncached"]
+
+
+@pytest.mark.parametrize("bound", [2, 3, 4, 5])
+def test_symmetric_build_takes_exact_transitions_for_four_orbits_only(monkeypatch, bound):
+    # every mapped successor is already a state, so only the four orbit
+    # representatives step: 304 exact transitions at the default bound
+    calls = []
+    transition = geometry.Automaton.transition
+    monkeypatch.setattr(geometry.Automaton, "transition", lambda self, index, d: calls.append(index)
+                        or transition(self, index, d))
+    auto = explore_automaton(bound)
+    assert auto.state_count == 13
+    assert len(calls) == 4 * len(frontier_digits(bound))
+    assert len(set(calls)) == 4
 
 
 def test_symmetric_build_steps_one_state_per_orbit():
@@ -427,7 +441,7 @@ def recorded_builds():
         opened = _reference_explore()
         exact = seen["_is_empty_exact"]
         open_exact = list(exact)
-        half_open = explore_automaton(3, box=geometry._BOX_HALF_OPEN)
+        half_open = _reference_explore(3, geometry._BOX_HALF_OPEN)
     return opened, half_open, seen["_is_empty_uncached"], open_exact, exact[len(open_exact):]
 
 

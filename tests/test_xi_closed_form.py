@@ -18,7 +18,7 @@ import xi_reference as ref
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hurwitzcf import gaussian, spectrum
+from hurwitzcf import gaussian, geometry, spectrum
 from hurwitzcf.cf import CfSequence, _fold_series, convergents, fold, fold_unit, fold_unit_neg
 from hurwitzcf.gaussian import ONE, UNITS, ZERO, GaussianInt
 from hurwitzcf.spectrum import (
@@ -366,12 +366,13 @@ def test_stage_check_map_is_a_ring_map_that_keeps_the_units_apart():
 
 
 def test_digit_norm_test_matches_the_norm():
+    # the full-to-full rule the stage check's canonicity test reads, on big digits too
     for re in range(-6, 7):
         for im in range(-6, 7):
             d = g(re, im)
-            assert spectrum._norm_at_least_8(d) is (d.norm >= 8), d
+            assert geometry._norm_at_least_8(d.key()) is (d.norm >= 8), d
     for d in (B**40, -(B**41), g(0, 3**50), g(2, -(3**50)), g(-(3**50), 1)):
-        assert spectrum._norm_at_least_8(d) and d.norm >= 8
+        assert geometry._norm_at_least_8(d.key()) and d.norm >= 8
 
 
 def _tampered(xi, m, delta):

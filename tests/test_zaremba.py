@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hurwitzcf
-from hurwitzcf import zaremba
+from hurwitzcf import geometry, zaremba
 from hurwitzcf.cf import CfSequence, CfUndefinedError, convergents, evaluate, fold, fold_unit, fold_unit_neg
 from hurwitzcf.gaussian import (
     ONE,
@@ -25,7 +25,14 @@ from hurwitzcf.gaussian import (
     exact_div,
     gauss_gcd,
 )
-from hurwitzcf.geometry import Validity, _canonical_word, frontier_digits, get_automaton, is_valid
+from hurwitzcf.geometry import (
+    Validity,
+    _word_verdicts,
+    closed_cylinder_nonempty,
+    frontier_digits,
+    get_automaton,
+    is_valid,
+)
 from hurwitzcf.hcf import digit_in_alphabet, hcf_expand
 from hurwitzcf.zaremba import (
     DESK_NORM_CAP,
@@ -62,6 +69,30 @@ def test_certify_rejects_bad_requests():
         certify(g(1, 1), 3)
     with pytest.raises(ValueError, match="power must be a positive integer"):
         certify(g(2), 0)
+
+
+def test_certify_refuses_a_power_that_is_not_an_int(monkeypatch):
+    # True == 1 and hash(True) == hash(1): a bool power would share 1's cache entry
+    monkeypatch.setattr(zaremba, "_CACHE", {})
+    for power in (True, 2.0, "2"):
+        with pytest.raises(TypeError, match="power must be int"):
+            certify(g(-2, 1), power)
+    assert zaremba._CACHE == {}
+    assert type(certify(g(-2, 1), 1).power) is int
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no integer string limit")
+def test_certificates_past_the_default_int_digit_limit_round_trip():
+    # 2**14300 has 4305 decimal digits; emitting and parsing raise the limit
+    # only while they convert, and put it back
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        cert = certify(2, 14300)
+        assert parse_certificates(emit_certificates([cert])) == [cert]
+        assert sys.get_int_max_str_digits() == 4300
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 def test_small_certificates_are_canonical_expansions():
@@ -493,9 +524,23 @@ def test_a_level_without_a_canonical_candidate_makes_one_pass(monkeypatch):
     assert calls == {"_gauss_map": 9}
 
 
+def _count_half_open_runs(monkeypatch):
+    """A list that gains one entry per run of the half-open automaton."""
+    runs = []
+    run_keys = geometry.Automaton.run_keys
+
+    def counted(self, keys):
+        if self.box == geometry._BOX_HALF_OPEN:
+            runs.append(keys)
+        return run_keys(self, keys)
+
+    monkeypatch.setattr(geometry.Automaton, "run_keys", counted)
+    return runs
+
+
 def test_boundary_only_digits_pass_the_validity_check(monkeypatch):
-    # the open run rejects these words, so the check falls back to the
-    # half-open run alone; is_valid would repeat the failed open run
+    # the open run rejects these words, so one half-open run per word decides
+    # validity; is_valid would repeat the failed open run
     auto = get_automaton()
     words = [w for w in itertools.product(frontier_digits(2), repeat=2) if auto.run(w) is None]
     boundary = [w for w in words if is_valid(w) is Validity.VALID_BOUNDARY_ONLY]
@@ -504,11 +549,25 @@ def test_boundary_only_digits_pass_the_validity_check(monkeypatch):
     bads = [dataclasses.replace(cert, digits=word) for word in boundary + words[:6]]
     calls = _count_calls(monkeypatch, (hurwitzcf.geometry, "is_valid"),
                          (hurwitzcf.geometry, "closed_cylinder_nonempty"))
+    runs = _count_half_open_runs(monkeypatch)
     transcripts = [verify_certificate(bad) for bad in bads]
-    assert calls == {"is_valid": 0, "closed_cylinder_nonempty": 12}
+    assert calls == {"is_valid": 0, "closed_cylinder_nonempty": 0}
+    assert len(runs) == 12
     for bad, transcript in zip(bads, transcripts):
         assert transcript == _ref_verify_certificate(bad)
         assert dict(transcript)["validity"] is (bad.digits in boundary)
+
+
+def test_a_rejected_fold_candidate_runs_the_half_open_automaton_once(monkeypatch):
+    # over powers 1-1024 on the seven bases, 506 fold candidates are rejected
+    # as not canonical, and 9 checked words end their open run outside the
+    # full state; each takes one half-open run for both verdicts
+    monkeypatch.setattr(zaremba, "_CACHE", {})
+    runs = _count_half_open_runs(monkeypatch)
+    for base in supported_bases():
+        for power in range(1, 1025):
+            certify(base, power)
+    assert len(runs) <= 515
 
 
 def test_a_transcript_makes_one_gauss_map_pass_and_one_digit_pass(monkeypatch):
@@ -685,39 +744,37 @@ def test_fold_proved_certificates_match_a_fresh_gauss_map_pass(monkeypatch):
     assert len(passes) == len(certs)
 
 
-@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no integer string limit")
 def test_the_power_8192_certificates_are_pinned():
     # recorded when every fold still took a Gauss-map pass; the numerators
-    # pass the default limit on integer string conversion
-    saved = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        text = emit_certificates([certify(b, 8192) for b in supported_bases()])
-    finally:
-        sys.set_int_max_str_digits(saved)
+    # pass the default limit on integer string conversion, which
+    # emit_certificates raises for itself
+    text = emit_certificates([certify(b, 8192) for b in supported_bases()])
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "24d794c2f0810e3907d0f23e9fa4e0cdb7bdfe58be313f4cc6bea82e7b2d7119"
     )
 
 
 def test_a_run_that_ends_in_the_full_state_reads_a_canonical_expansion():
-    # the one canonicity test, without certify: a word whose open run ends in
-    # the full state is the canonical expansion of [0; word], and any other
-    # word is one exactly when 0 lies in its half-open run's final region
+    # the one verdict call, without certify: valid is closed_cylinder_nonempty;
+    # a word whose open run ends in the full state is the canonical expansion
+    # of [0; word], and any other word is one exactly when 0 lies in its
+    # half-open run's final region
     auto = get_automaton()
     words = [w for n in (1, 2, 3) for w in itertools.product(frontier_digits(2), repeat=n)]
     verdicts, full = [], 0
     for word in words:
         keys = [(d.re, d.im) for d in word]
-        run = auto.run_keys(keys)
-        full += run == auto.full_index
-        verdicts.append(_canonical_word(keys, run))
-    assert (len(words), full, sum(verdicts)) == (8420, 820, 3449)
+        full += auto.run_keys(keys) == auto.full_index
+        verdicts.append(_word_verdicts(keys))
+    canonical = [c for _, c in verdicts]
+    assert (len(words), full, sum(canonical)) == (8420, 820, 3449)
+    assert [v for v, _ in verdicts] == [closed_cylinder_nonempty(w) for w in words]
     folded = [
         certify(b, p).digits for b in supported_bases() for p in range(1, 513) if p not in zaremba._SEEDS[b.key()]
     ]
     assert all(auto.run(w) == auto.full_index for w in folded)
-    for word, verdict in zip(words + folded, verdicts + [True] * len(folded)):
+    assert all(_word_verdicts([(d.re, d.im) for d in w]) == (True, True) for w in folded)
+    for word, verdict in zip(words + folded, canonical + [True] * len(folded)):
         try:
             expansion = hcf_expand(evaluate(CfSequence(ZERO, word)))
         except CfUndefinedError:  # a zero suffix: [0; word] has no value
