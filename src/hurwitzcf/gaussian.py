@@ -74,6 +74,8 @@ class GaussianInt:
         return self
 
     def __pow__(self, exponent: int) -> GaussianInt:
+        if isinstance(exponent, bool):
+            raise TypeError("GaussianInt powers must have an int exponent, not bool")
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("GaussianInt powers must have a nonnegative int exponent")
         if not exponent:

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache, cmp_to_key
+from itertools import starmap
 from math import gcd, isqrt
 from typing import NamedTuple
 
@@ -572,9 +573,8 @@ def frontier_digits(bound: int = 4) -> tuple[GaussianInt, ...]:
 _MISS = object()  # run_keys' marker for a transition not yet in the table
 
 
-def _norm_at_least_8(key: tuple[int, int]) -> bool:
-    """Whether digit (re, im) has norm >= 8; a component outside (-3, 3) gives norm >= 9 unsquared."""
-    re, im = key
+def _norm_at_least_8(re: int, im: int) -> bool:
+    """Whether digit re + im i has norm >= 8; a component outside (-3, 3) gives norm >= 9 unsquared."""
     return not (-3 < re < 3 and -3 < im < 3) or re * re + im * im >= 8
 
 
@@ -627,7 +627,7 @@ class Automaton:
         if key in self._transitions:
             return self._transitions[key]
         region = self.states[index].region
-        if index == self.full_index and _norm_at_least_8(key[1]):
+        if index == self.full_index and _norm_at_least_8(*key[1]):
             # 1/(v + d) stays inside the open box for every v there, so the
             # step is the full box again; verified against the exact step in tests.
             result: int | None = self.full_index
@@ -799,7 +799,7 @@ def _word_verdicts(keys: list[tuple[int, int]]) -> tuple[bool, bool]:
     Gauss map reads these digits from [0; keys] and stops.
     """
     auto = get_automaton()
-    if all(map(_norm_at_least_8, keys)) or auto.run_keys(keys) == auto.full_index:
+    if all(starmap(_norm_at_least_8, keys)) or auto.run_keys(keys) == auto.full_index:
         return True, True
     half_open = _half_open_automaton()
     final = half_open.run_keys(keys)

@@ -25,7 +25,7 @@ from .gaussian import (
     _mul3,
     _power_bits,
 )
-from .geometry import _word_verdicts, is_full
+from .geometry import _norm_at_least_8, _word_verdicts, is_full
 
 _MAX_BRACKET_BITS = 4096
 
@@ -254,10 +254,9 @@ def schedule_from_psi(psi: PsiFunction, base: GaussianInt, v0: int, stages: int)
 
 @dataclass(frozen=True)
 class XiStage:
-    """One stage of the folded series: exact partial sum and its digit stream."""
+    """One stage of the folded series: the numerator over base**v_index and its digit stream."""
 
     index: int
-    partial: GaussianRational
     numerator: GaussianInt
     digits: tuple[GaussianInt, ...]
 
@@ -275,10 +274,27 @@ class XiNumber:
         return len(self.stages) - 1
 
     def partial(self, m: int) -> GaussianRational:
-        return self.stages[m].partial
+        """Stage m's partial sum numerator_m / base**v_m, computed on demand.
+
+        build_xi checks each numerator coprime to the base, so the fraction
+        is already reduced.
+        """
+        stage = self.stages[m]
+        return GaussianRational._raw(stage.numerator, self.base ** self.schedule.v()[stage.index])
 
     def digits(self, m: int) -> tuple[GaussianInt, ...]:
         return self.stages[m].digits
+
+    @cached_property
+    def _lifts(self) -> tuple[GaussianInt, ...]:
+        """base**(v_k - v_(k-1)) for k = 1, ..., stage_count, at index k - 1.
+
+        build_xi stores the lifts it made; like every cached_property, the
+        cache is not carried into a dataclasses.replace copy, which computes
+        its own from its base and schedule.
+        """
+        v = self.schedule.v()
+        return tuple(self.base ** (v[k] - v[k - 1]) for k in range(1, self.stage_count + 1))
 
     @cached_property
     def _sandwich_verdicts(self) -> tuple[bool, ...]:
@@ -287,6 +303,8 @@ class XiNumber:
 
 def unit_seed(base: GaussianInt, v0: int) -> tuple[GaussianInt, ...]:
     """Digits of 1/base**v0, the simplest full seed."""
+    if isinstance(v0, bool):
+        raise TypeError("v0 must be int, not bool")
     base = GaussianInt.from_any(base)
     if v0 < 1:
         raise ValueError("v0 must be a positive integer")
@@ -310,6 +328,10 @@ def _seed_checks(seed: tuple[GaussianInt, ...]) -> None:
 
 
 def _canonical_stage(digits: tuple[GaussianInt, ...], n: int) -> None:
+    # _word_verdicts takes the same all-norms-at-least-8 shortcut, but only
+    # after the key list is built; a stream that takes it needs no keys.
+    if all(_norm_at_least_8(d.re, d.im) for d in digits):
+        return
     if not _word_verdicts([(d.re, d.im) for d in digits])[1]:
         raise AssertionError(f"stage {n}: stream is not the canonical expansion")
 
@@ -335,27 +357,34 @@ def _last_pair_mod(digits: tuple[GaussianInt, ...]) -> tuple[int, int]:
     return q, p
 
 
-def _unit_multiples(z: GaussianInt) -> tuple[int, int, int, int]:
-    """The images of u * z under the check's ring map, for u in UNITS in order."""
-    m, r = _CHECK_PRIME, _CHECK_ROOT
-    w = (z.re % m + z.im % m * r) % m
-    wr = w * r % m
-    return w, wr, m - w, m - wr
+def _image(z: GaussianInt) -> int:
+    """z under the check's ring map."""
+    m = _CHECK_PRIME
+    return (z.re % m + z.im % m * _CHECK_ROOT) % m
+
+
+def _unit_multiples(w: int) -> tuple[int, int, int, int]:
+    """The images of u * z for u in UNITS in order, given the image w of z."""
+    m = _CHECK_PRIME
+    wr = w * _CHECK_ROOT % m
+    return w, wr, (m - w) % m, (m - wr) % m
 
 
 def build_xi(seed: tuple[GaussianInt, ...], schedule: FoldingSchedule, base: GaussianInt,
              stages: int | None = None) -> XiNumber:
     """Fold the seed along the schedule, pinning stage m to denominator base**v_m.
 
-    Each stage costs three big products: lift = base**u_n * base**v_(n-1),
-    then base**v_n = base**v_(n-1) * lift and numerator_n =
-    numerator_(n-1) * lift +- 1.  Only the folded digits and these series
-    values are computed exactly; the check that the stream's last convergent
-    is unit * numerator_n / base**v_n runs the convergent recurrence over the
-    folded digits modulo a prime (_last_pair_mod), so it ties the digits
-    to the series values without a product of the power's size.  A correct
-    stage always passes; a wrong digit or a wrong product passes only if it
-    leaves both residues of the pair unchanged.
+    Each stage costs one power, lift = base**(v_n - v_(n-1)), and one big
+    product, numerator_n = numerator_(n-1) * lift +- 1; base**v_n itself is
+    never formed.  Only the folded digits and the numerators are computed
+    exactly; the check that the stream's last convergent is
+    unit * numerator_n / base**v_n runs the convergent recurrence over the
+    folded digits modulo a prime (_last_pair_mod) and takes base**v_n's
+    image as a modular power of the base's, so it ties the digits to the
+    series values without a product of the power's size.  A correct stage
+    always passes; a wrong digit or a wrong product passes only if it
+    leaves both residues of the pair unchanged.  The lifts stay on the
+    number for the tail sandwiches.
     """
     base = GaussianInt.from_any(base)
     _check_base(base)
@@ -381,11 +410,12 @@ def build_xi(seed: tuple[GaussianInt, ...], schedule: FoldingSchedule, base: Gau
             raise ValueError("seed numerator must be coprime to the base")
         raise ValueError("seed value must have denominator base**v0")
     numerator = unit.conj() * p
-    value = GaussianRational._raw(numerator, power)
     _canonical_stage(seed, 0)
-    stage_list = [XiStage(0, value, numerator, seed)]
+    stage_list = [XiStage(0, numerator, seed)]
+    lifts = []
     digits = seed
     base_norm = base.norm
+    base_image = _image(base)
     for n in range(1, stages + 1):
         length = len(digits)
         series_sign = -1 if n > 1 or len(seed) % 2 == 1 else 1
@@ -397,31 +427,32 @@ def build_xi(seed: tuple[GaussianInt, ...], schedule: FoldingSchedule, base: Gau
         digits = _fold_series(digits, unit, middle, series_sign)
         if len(digits) != 2 * length + (0 if step == 0 else 1):
             raise AssertionError(f"stage {n}: unexpected stream length")
-        # lift = base**(v_n - v_(n-1)), so power becomes base**v_n.
-        lift = _mul3(middle, power)
+        lift = base ** (v[n] - v[n - 1])
+        lifts.append(lift)
         numerator = _mul3(numerator, lift) + GaussianInt(series_sign, 0)
-        power = _mul3(power, lift)
         if divmod(numerator, base)[1] == ZERO:
             raise AssertionError(f"stage {n}: numerator shares a factor with the base")
         # The last convergent p/q is reduced and so is numerator / base**v_n,
         # so they are equal exactly when q = u base**v_n and p = u numerator;
         # compared under the check's ring map, where the four multiples differ.
         q, p = _last_pair_mod(digits)
-        multiples = _unit_multiples(power)
-        if q not in multiples or p != _unit_multiples(numerator)[multiples.index(q)]:
+        multiples = _unit_multiples(pow(base_image, v[n], _CHECK_PRIME))
+        if q not in multiples or p != _unit_multiples(_image(numerator))[multiples.index(q)]:
             raise AssertionError(f"stage {n}: folded stream disagrees with the series")
         unit = UNITS[multiples.index(q)]
-        partial = GaussianRational._raw(numerator, power)
         _canonical_stage(digits, n)
-        stage_list.append(XiStage(n, partial, numerator, digits))
-    return XiNumber(base, schedule, tuple(stage_list))
+        stage_list.append(XiStage(n, numerator, digits))
+    xi = XiNumber(base, schedule, tuple(stage_list))
+    xi.__dict__["_lifts"] = tuple(lifts)  # fills the cached_property
+    return xi
 
 
 def _tail_sandwiches(xi: XiNumber) -> tuple[bool, ...]:
     """check_tail_sandwich's verdicts for m = 0, ..., top - 3, from the per-stage residues.
 
-    The residues e_k = d_k - d_(k-1) b**(v_k - v_(k-1)) cost one power and one
-    big product per stage.  The gap g_m = d_top - d_m b**(v_top - v_m) is
+    The residues e_k = d_k - d_(k-1) b**(v_k - v_(k-1)) cost one big product
+    per stage; the lifts b**(v_k - v_(k-1)) are the number's own (XiNumber._lifts),
+    which build_xi made.  The gap g_m = d_top - d_m b**(v_top - v_m) is
     the sum of e_k b**(v_top - v_k) over k > m, and the sandwich asks
     1/2 <= |g_m / L_m| <= 3/2 for L_m = b**(v_top - v_(m+1)), whose squared
     modulus is the scale N**(v_top - v_(m+1)).  Now
@@ -435,19 +466,16 @@ def _tail_sandwiches(xi: XiNumber) -> tuple[bool, ...]:
     e_k = +-1, and its schedules pass the bound unless they are tiny.
 
     Where the bound fails for some m, the gaps are telescoped downwards,
-    g_(k-1) = g_k + e_k b**(v_top - v_k), reusing the residues and
-    recomputing each step power rather than keeping them all alive.
-    Nothing here trusts the stages' own partials: a tampered number gets
-    the verdicts of the plain formula.
+    g_(k-1) = g_k + e_k b**(v_top - v_k), reusing the residues and the
+    lifts.  Each residue is recomputed from the stages' numerators, so a
+    tampered number gets the verdicts of the plain formula.
     """
     top = xi.stage_count
     v = xi.schedule.v()
-    base = xi.base
+    lifts = xi._lifts
     numerators = [stage.numerator for stage in xi.stages]
-    residues = [ZERO] + [
-        numerators[k] - _mul3(numerators[k - 1], base ** (v[k] - v[k - 1])) for k in range(1, top + 1)
-    ]
-    lam = base.norm.bit_length() - 1
+    residues = [ZERO] + [numerators[k] - _mul3(numerators[k - 1], lifts[k - 1]) for k in range(1, top + 1)]
+    lam = xi.base.norm.bit_length() - 1
     beta = [max(abs(e.re), abs(e.im)).bit_length() + 1 for e in residues]
     if all(
         2 * beta[k] + 10 + 2 * (k - m - 1) <= lam * (v[k] - v[m + 1])
@@ -462,7 +490,7 @@ def _tail_sandwiches(xi: XiNumber) -> tuple[bool, ...]:
         if k <= top - 2:
             verdicts[k - 1] = _sandwich_holds(gap, lift)
         if k > 1:
-            lift = _mul3(lift, base ** (v[k] - v[k - 1]))
+            lift = _mul3(lift, lifts[k - 1])
     return tuple(verdicts)
 
 

@@ -250,3 +250,13 @@ def test_bool_components_are_rejected():
         GaussianInt(1.0, 0)
     with pytest.raises(TypeError):
         GaussianInt.from_any(True)
+
+
+def test_bool_exponents_are_rejected():
+    # True == 1 would otherwise power to the base itself
+    for exponent in (True, False):
+        with pytest.raises(TypeError, match="not bool"):
+            g(-2, 1) ** exponent
+    for bad in (-1, 2.0, "2"):
+        with pytest.raises(ValueError, match="nonnegative int exponent"):
+            g(-2, 1) ** bad

@@ -220,6 +220,9 @@ def test_unit_seed_expands_reciprocal_power():
     for v0 in (0, -1):
         with pytest.raises(ValueError, match="v0 must be a positive integer"):
             unit_seed(B, v0)
+    for v0 in (True, False):
+        with pytest.raises(TypeError, match="v0 must be int, not bool"):
+            unit_seed(B, v0)
 
 
 def test_the_stage_check_refuses_a_word_that_is_not_canonical():

@@ -161,12 +161,18 @@ def test_cli_schedules_match_the_full_stream_convergents(base, tau, stages, patt
 
 
 def _observed(build, *args, **kwargs):
-    """What a builder returns, as comparable data, or the error it raises."""
+    """(index, numerator, digits, partial) per stage as a builder returns them, or the error it raises.
+
+    build_xi's partials come from XiNumber.partial, which powers the base
+    afresh; the reference's from its exact product chain for base**v_n.
+    """
     try:
         xi = build(*args, **kwargs)
     except (ValueError, AssertionError) as exc:
         return type(exc), str(exc)
-    return [(s.index, s.numerator, s.digits, s.partial) for s in xi.stages]
+    if isinstance(xi, spectrum.XiNumber):
+        return [(s.index, s.numerator, s.digits, xi.partial(s.index)) for s in xi.stages]
+    return xi
 
 
 def test_build_xi_matches_the_two_sided_builder_on_the_corpus():
@@ -252,30 +258,37 @@ _CHECK_SEEDS = ((certify(B, 4).digits, (3,)), (unit_seed(B, 4), (0,)))
 
 
 @pytest.mark.parametrize("corrupt", [
-    lambda k, z: z + z if k == 2 else z,  # base**v_1 doubled: q is no unit times it
-    lambda k, z: -z if k == 1 else z,     # numerator_1 negated: q passes, p does not
+    lambda name, x: 2 * x % spectrum._CHECK_PRIME if name == "power" else x,  # q is no unit times it
+    lambda name, x: -x if name == "numerator" else x,  # q passes, p does not
 ])
 def test_stage_check_rejects_a_wrong_matrix(monkeypatch, corrupt):
-    # Stage 1's big products are, in order, lift, numerator and power; a wrong
-    # one stands for a series value that is not the stream's.  Each half of
-    # the check must fire on the general fold of the certificate seed (middle
-    # B**3) and on the unit fold of unit_seed(B, 4) (middle 1): the power
-    # half computes only the power's multiples, the numerator half both.
+    # Stage 1 makes one big product, numerator_1 = numerator_0 * lift + s, and
+    # reads base**v_1 only as its image, a modular power, which the check
+    # passes to _unit_multiples first.  A doubled power image or a negated
+    # numerator stands for a series value that is not the stream's.  Each
+    # half of the check must fire on the general fold of the certificate seed
+    # (middle B**3) and on the unit fold of unit_seed(B, 4) (middle 1): the
+    # power half computes only the power's multiples, the numerator half both.
     original, multiples = spectrum._unit_multiples, []
-    monkeypatch.setattr(spectrum, "_unit_multiples", lambda z: multiples.append(z) or original(z))
+
+    def unit_multiples(w):
+        multiples.append(w)
+        return original(corrupt("power", w) if len(multiples) == 1 else w)
+
+    monkeypatch.setattr(spectrum, "_unit_multiples", unit_multiples)
     for seed, u in _CHECK_SEEDS:
         products = []
 
         def product(z, w):
-            products.append(corrupt(len(products), gaussian._mul3(z, w)))
+            products.append(corrupt("numerator", gaussian._mul3(z, w)))
             return products[-1]
 
         monkeypatch.setattr(spectrum, "_mul3", product)
         multiples.clear()
         with pytest.raises(AssertionError, match="stage 1: folded stream disagrees with the series"):
             build_xi(seed, FoldingSchedule(4, u), B)
-        assert len(products) == 3
-        assert len(multiples) == (1 if corrupt(2, ONE) != ONE else 2)
+        assert len(products) == 1
+        assert len(multiples) == (1 if corrupt("power", 1) != 1 else 2)
 
 
 def test_stage_check_rejects_a_wrong_digit(monkeypatch):
@@ -321,7 +334,7 @@ def test_three_product_pipeline_matches_plain_products(monkeypatch, base, tau, s
         schedule = schedule_from_tau(Fraction(tau), Fraction(1), base, stages + 1)
         xi = build_xi(unit_seed(base, schedule.v0), schedule, base, stages=stages)
         return (
-            [(s.numerator, s.digits, s.partial) for s in xi.stages],
+            [(s.numerator, s.digits, xi.partial(s.index)) for s in xi.stages],
             estimate_exponent(xi, stages + 1),
             [check_tail_sandwich(xi, m) for m in range(stages - 2)],
         )
@@ -346,19 +359,24 @@ def test_stage_check_map_is_a_ring_map_that_keeps_the_units_apart():
     assert sympy.isprime(m) and r * r % m == m - 1
     rng = random.Random(5)
 
-    def image(z):
-        return spectrum._unit_multiples(z)[0]
+    image = spectrum._image
 
     def big():
         return g(rng.randrange(-2**300, 2**300), rng.randrange(-2**300, 2**300))
 
-    assert len(set(spectrum._unit_multiples(ONE))) == 4
+    assert len(set(spectrum._unit_multiples(image(ONE)))) == 4
     assert all(image(g(-a, s)) for a in range(1, 100) for s in (1, -1))
     for _ in range(50):
         z, w = big(), big()
         assert image(z * w) == image(z) * image(w) % m
         assert image(z + w) == (image(z) + image(w)) % m
-        assert spectrum._unit_multiples(z) == tuple(image(u * z) for u in UNITS)
+        assert spectrum._unit_multiples(image(z)) == tuple(image(u * z) for u in UNITS)
+    # the image of a multiple of P is 0, and so is each of its unit multiples
+    assert spectrum._unit_multiples(image(g(m, 3 * m))) == (0, 0, 0, 0)
+    # build_xi takes base**v's image as a modular power of the base's
+    for base in (B, g(-3, -1), g(-1, 1)):
+        for v in (1, 2, 61, 1000, 4097):
+            assert pow(image(base), v, m) == image(base**v)
     for length in (1, 2, 7, 40):
         word = tuple(rng.choice((big(), g(rng.randrange(-9, 10), rng.randrange(-9, 10)))) for _ in range(length))
         q, p = last_pair(CfSequence(ZERO, word))
@@ -370,9 +388,22 @@ def test_digit_norm_test_matches_the_norm():
     for re in range(-6, 7):
         for im in range(-6, 7):
             d = g(re, im)
-            assert geometry._norm_at_least_8(d.key()) is (d.norm >= 8), d
+            assert geometry._norm_at_least_8(d.re, d.im) is (d.norm >= 8), d
     for d in (B**40, -(B**41), g(0, 3**50), g(2, -(3**50)), g(-(3**50), 1)):
-        assert geometry._norm_at_least_8(d.key()) and d.norm >= 8
+        assert geometry._norm_at_least_8(d.re, d.im) and d.norm >= 8
+
+
+def test_a_stream_of_big_digits_skips_the_verdict_call(monkeypatch):
+    # the full-to-full rule settles these streams on the digits themselves;
+    # a stream with a small digit still goes to _word_verdicts
+    calls = []
+    original = spectrum._word_verdicts
+    monkeypatch.setattr(spectrum, "_word_verdicts", lambda keys: calls.append(len(keys)) or original(keys))
+    xi = _built(B, "5/2", 6)
+    assert all(d.norm >= 8 for d in xi.digits(6)) and calls == []
+    seed = certify(B, 4).digits  # -1-2i has norm 5
+    build_xi(seed, FoldingSchedule(4, (3,)), B)
+    assert calls == [len(seed), 2 * len(seed) + 1]
 
 
 def _tampered(xi, m, delta):
@@ -476,21 +507,64 @@ def test_both_sandwich_paths_run(monkeypatch):
         assert bool(exact) is falls_back
 
 
-def test_honest_sandwich_makes_one_big_product_per_stage(monkeypatch):
-    xi = _built(B, "5/2", 6)
-    exact = _exact_passes(monkeypatch)
-    calls = []
-    original = gaussian._mul3
+def _count_big_work(monkeypatch):
+    """Count the _mul3 products and the GaussianInt powers made from here on."""
+    calls = {"_mul3": 0, "__pow__": 0}
+    mul3, power = gaussian._mul3, GaussianInt.__pow__
 
-    def counted(z, w):
-        calls.append(1)
-        return original(z, w)
+    def counted_mul3(z, w):
+        calls["_mul3"] += 1
+        return mul3(z, w)
+
+    def counted_pow(z, exponent):
+        calls["__pow__"] += 1
+        return power(z, exponent)
 
     for module in (gaussian, spectrum):
-        monkeypatch.setattr(module, "_mul3", counted)
+        monkeypatch.setattr(module, "_mul3", counted_mul3)
+    monkeypatch.setattr(GaussianInt, "__pow__", counted_pow)
+    return calls
+
+
+def test_honest_sandwich_makes_one_big_product_per_stage(monkeypatch):
+    # the sandwiches read the build's lifts: one residue product per stage, no power
+    xi = _built(B, "5/2", 6)
+    exact = _exact_passes(monkeypatch)
+    calls = _count_big_work(monkeypatch)
     assert all(spectrum._tail_sandwiches(xi))
-    assert len(calls) == xi.stage_count == 6
+    assert calls == {"_mul3": xi.stage_count, "__pow__": 0}
+    assert xi.stage_count == 6
     assert exact == []
+
+
+@pytest.mark.parametrize("base, tau, stages", [(B, "5/2", 6), (g(-3, -1), "2", 9)])
+def test_build_xi_makes_one_big_product_per_stage(monkeypatch, base, tau, stages):
+    schedule = _tau_schedule(base, tau, stages)
+    seed = unit_seed(base, schedule.v0)
+    calls = _count_big_work(monkeypatch)
+    xi = build_xi(seed, schedule, base, stages=stages)
+    assert calls["_mul3"] == stages
+    # per stage the middle digit base**u_n and the lift; base**v0 once
+    assert calls["__pow__"] == 2 * stages + 1
+    assert xi._lifts == tuple(base ** (v - w) for v, w in zip(schedule.v()[1:], schedule.v()[:stages]))
+
+
+def test_a_copy_computes_its_own_lifts():
+    # dataclasses.replace does not carry build_xi's lifts into the copy: a
+    # copy with another schedule, or with a tampered numerator, gets the per-m
+    # formula's verdicts on its own schedule
+    xi = _built(B, "5/2", 6)
+    top = xi.stage_count
+    other = dataclasses.replace(xi, schedule=variant_schedule(xi.schedule, B, (0, 1)))
+    assert "_lifts" in vars(xi) and "_lifts" not in vars(other)
+    got = [check_tail_sandwich(other, m) for m in range(top - 2)]
+    assert got == [old_sandwich(other, m) for m in range(top - 2)]
+    assert not all(got)
+    bad = _tampered(xi, 3, g(0, 1))
+    got = [check_tail_sandwich(bad, m) for m in range(top - 2)]
+    assert got == [old_sandwich(bad, m) for m in range(top - 2)]
+    assert not all(got)
+    assert all(check_tail_sandwich(xi, m) for m in range(top - 2))
 
 
 def test_sandwich_bracket_ties_fall_back_to_exact_norms():

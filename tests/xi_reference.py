@@ -4,10 +4,11 @@ It keeps the earlier stage loop: each stage carries the folded word's last
 convergent pair (q, p) through the Folding Lemma's closed form, computed
 here from the fold by x itself (y = (-1)^n x, q' = y q^2, p' = 1 + y q p;
 for x = +-1 the word is the unit fold and the pair y times its last
-convergent), computes the series side (base**v_n and the numerator) as
-well, and compares the two pairs in full.
+convergent), computes the series side (base**v_n by an exact product
+chain, and the numerator) as well, and compares the two pairs in full.
 The seed, the argument checks and the canonical-stream check are
-spectrum's own; only the per-stage check differs from build_xi's.
+spectrum's own; only the per-stage check and the powers differ from
+build_xi's, which never forms base**v_n.
 """
 
 from __future__ import annotations
@@ -17,8 +18,6 @@ from hurwitzcf.gaussian import ONE, ZERO, GaussianInt, GaussianRational, _associ
 from hurwitzcf.spectrum import (
     MAX_POWER_BITS,
     FoldingSchedule,
-    XiNumber,
-    XiStage,
     _canonical_stage,
     _check_base,
     _check_power_budget,
@@ -40,9 +39,16 @@ def _fold_pair(
     return folded, yq * q, ONE + yq * p
 
 
+Stage = tuple[int, GaussianInt, tuple[GaussianInt, ...], GaussianRational]
+
+
 def build_xi(seed: tuple[GaussianInt, ...], schedule: FoldingSchedule, base: GaussianInt,
-             stages: int | None = None) -> XiNumber:
-    """spectrum.build_xi with the stage check done on the fold pair and the series pair."""
+             stages: int | None = None) -> list[Stage]:
+    """spectrum.build_xi with the stage check done on the fold pair and the series pair.
+
+    Returns (index, numerator, digits, partial) for each stage, the partial
+    being numerator_n over the product chain's base**v_n.
+    """
     base = GaussianInt.from_any(base)
     _check_base(base)
     seed = tuple(GaussianInt.from_any(d) for d in seed)
@@ -66,7 +72,7 @@ def build_xi(seed: tuple[GaussianInt, ...], schedule: FoldingSchedule, base: Gau
     numerator = unit.conj() * p
     value = GaussianRational._raw(numerator, power)
     _canonical_stage(seed, 0)
-    stage_list = [XiStage(0, value, numerator, seed)]
+    stage_list = [(0, numerator, seed, value)]
     digits = seed
     base_norm = base.norm
     for n in range(1, stages + 1):
@@ -93,5 +99,5 @@ def build_xi(seed: tuple[GaussianInt, ...], schedule: FoldingSchedule, base: Gau
             raise AssertionError(f"stage {n}: folded stream disagrees with the series")
         partial = GaussianRational._raw(numerator, power)
         _canonical_stage(digits, n)
-        stage_list.append(XiStage(n, partial, numerator, digits))
-    return XiNumber(base, schedule, tuple(stage_list))
+        stage_list.append((n, numerator, digits, partial))
+    return stage_list
