@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 
@@ -29,7 +30,7 @@ from .spectrum import (
     unit_seed,
     variant_schedule,
 )
-from .zaremba import MAX_CERTIFY_DIGITS, CertificateError, brute_force_min_K, certify, emit_certificates
+from .zaremba import CertificateError, brute_force_min_K, certify, emit_certificates, wide_int_strings
 
 # Work budget of `hcf expand`: the largest component size, in bits, of the parsed
 # fraction.  It prints one convergent per digit, so its output grows about 4x per
@@ -41,6 +42,19 @@ _MAX_EXPAND_BITS = 8192
 # encode_base_b takes time quadratic in it: at 16384 bits base -1+i gives
 # 32 769 digits in 0.45 s on a 2-CPU machine, and 32768 bits take 1.7 s.
 _MAX_ENCODE_BITS = 16384
+
+
+def _wide_ints(handler):
+    """The handler run with Python's integer string limit raised to zaremba.MAX_CERTIFY_DIGITS, then restored.
+
+    For the commands whose admitted input or output has integers past the
+    default limit of 4300 decimal digits.
+    """
+    @functools.wraps(handler)
+    def run(args: argparse.Namespace) -> int:
+        with wide_int_strings():
+            return handler(args)
+    return run
 
 
 def _parse_digits(text: str) -> tuple[GaussianInt, ...]:
@@ -101,6 +115,7 @@ def _cmd_hcf_expand(args: argparse.Namespace) -> int:
     return 0
 
 
+@_wide_ints
 def _cmd_cf_eval(args: argparse.Namespace) -> int:
     digits = _parse_digits(args.digits)
     value = evaluate(CfSequence(ZERO, digits))
@@ -108,6 +123,7 @@ def _cmd_cf_eval(args: argparse.Namespace) -> int:
     return 0
 
 
+@_wide_ints
 def _cmd_cf_fold(args: argparse.Namespace) -> int:
     word = CfSequence(ZERO, _parse_digits(args.digits))
     if args.unit:
@@ -120,6 +136,7 @@ def _cmd_cf_fold(args: argparse.Namespace) -> int:
     return 0
 
 
+@_wide_ints
 def _cmd_validity_check(args: argparse.Namespace) -> int:
     verdict = is_valid(_parse_digits(args.digits))
     print(verdict.value)
@@ -163,6 +180,7 @@ def _parse_variant(text: str) -> tuple[int, ...]:
     return tuple(int(bit) for bit in text[2:])
 
 
+@_wide_ints
 def _cmd_xi(args: argparse.Namespace) -> int:
     base = parse_gaussian_int(args.base)
     stages = args.stages
@@ -201,6 +219,7 @@ def _cmd_xi(args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
+@_wide_ints
 def _cmd_encode(args: argparse.Namespace) -> int:
     value = parse_gaussian_int(args.value)
     _check_component_bits([value], _MAX_ENCODE_BITS)
@@ -276,8 +295,6 @@ def main(argv: list[str] | None = None) -> int:
     # downstream parser strips whitespace.
     guarded = [f" {a}" if a.startswith("-") and not a.startswith("--") and a != "-h" else a for a in raw]
     args = _build_parser().parse_args(guarded)
-    if hasattr(sys, "set_int_max_str_digits") and 0 < sys.get_int_max_str_digits() < MAX_CERTIFY_DIGITS:
-        sys.set_int_max_str_digits(MAX_CERTIFY_DIGITS)
     try:
         return args.handler(args)
     except CertificateError as exc:

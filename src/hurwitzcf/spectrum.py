@@ -297,6 +297,12 @@ class XiNumber:
         return tuple(self.base ** (v[k] - v[k - 1]) for k in range(1, self.stage_count + 1))
 
     @cached_property
+    def _residues(self) -> tuple[GaussianInt, ...]:
+        """numerator_k - numerator_(k-1) * lift_k at index k - 1; build_xi stores its own, as for _lifts."""
+        d = [stage.numerator for stage in self.stages]
+        return tuple(d[k] - _mul3(d[k - 1], lift) for k, lift in enumerate(self._lifts, 1))
+
+    @cached_property
     def _sandwich_verdicts(self) -> tuple[bool, ...]:
         return _tail_sandwiches(self)
 
@@ -370,6 +376,11 @@ def _unit_multiples(w: int) -> tuple[int, int, int, int]:
     return w, wr, (m - w) % m, (m - wr) % m
 
 
+def _series_sign(n: int, seed_length: int) -> int:
+    """The sign of the series term stage n adds: -1, but +1 at stage 1 after a seed word of even length."""
+    return -1 if n > 1 or seed_length % 2 == 1 else 1
+
+
 def build_xi(seed: tuple[GaussianInt, ...], schedule: FoldingSchedule, base: GaussianInt,
              stages: int | None = None) -> XiNumber:
     """Fold the seed along the schedule, pinning stage m to denominator base**v_m.
@@ -383,8 +394,9 @@ def build_xi(seed: tuple[GaussianInt, ...], schedule: FoldingSchedule, base: Gau
     image as a modular power of the base's, so it ties the digits to the
     series values without a product of the power's size.  A correct stage
     always passes; a wrong digit or a wrong product passes only if it
-    leaves both residues of the pair unchanged.  The lifts stay on the
-    number for the tail sandwiches.
+    leaves both residues of the pair unchanged.  The lifts and the series
+    terms +-1 = numerator_n - numerator_(n-1) * lift stay on the number, so
+    its tail sandwiches make no big product.
     """
     base = GaussianInt.from_any(base)
     _check_base(base)
@@ -412,13 +424,13 @@ def build_xi(seed: tuple[GaussianInt, ...], schedule: FoldingSchedule, base: Gau
     numerator = unit.conj() * p
     _canonical_stage(seed, 0)
     stage_list = [XiStage(0, numerator, seed)]
-    lifts = []
+    lifts, residues = [], []
     digits = seed
     base_norm = base.norm
     base_image = _image(base)
     for n in range(1, stages + 1):
         length = len(digits)
-        series_sign = -1 if n > 1 or len(seed) % 2 == 1 else 1
+        series_sign = _series_sign(n, len(seed))
         step = schedule.u[n - 1]
         # base_norm >= 2, so base_norm**step < 8 only for 1 <= step <= 2.
         if step and base_norm ** min(step, 3) < 8:
@@ -429,7 +441,8 @@ def build_xi(seed: tuple[GaussianInt, ...], schedule: FoldingSchedule, base: Gau
             raise AssertionError(f"stage {n}: unexpected stream length")
         lift = base ** (v[n] - v[n - 1])
         lifts.append(lift)
-        numerator = _mul3(numerator, lift) + GaussianInt(series_sign, 0)
+        residues.append(GaussianInt(series_sign, 0))
+        numerator = _mul3(numerator, lift) + residues[-1]
         if divmod(numerator, base)[1] == ZERO:
             raise AssertionError(f"stage {n}: numerator shares a factor with the base")
         # The last convergent p/q is reduced and so is numerator / base**v_n,
@@ -443,16 +456,17 @@ def build_xi(seed: tuple[GaussianInt, ...], schedule: FoldingSchedule, base: Gau
         _canonical_stage(digits, n)
         stage_list.append(XiStage(n, numerator, digits))
     xi = XiNumber(base, schedule, tuple(stage_list))
-    xi.__dict__["_lifts"] = tuple(lifts)  # fills the cached_property
+    xi.__dict__.update(_lifts=tuple(lifts), _residues=tuple(residues))  # fills the cached_properties
     return xi
 
 
 def _tail_sandwiches(xi: XiNumber) -> tuple[bool, ...]:
     """check_tail_sandwich's verdicts for m = 0, ..., top - 3, from the per-stage residues.
 
-    The residues e_k = d_k - d_(k-1) b**(v_k - v_(k-1)) cost one big product
-    per stage; the lifts b**(v_k - v_(k-1)) are the number's own (XiNumber._lifts),
-    which build_xi made.  The gap g_m = d_top - d_m b**(v_top - v_m) is
+    The residues e_k = d_k - d_(k-1) b**(v_k - v_(k-1)) and the lifts
+    b**(v_k - v_(k-1)) are the number's own (XiNumber._residues and _lifts),
+    which build_xi made, so a built number's verdicts cost no big product
+    unless the bound below fails.  The gap g_m = d_top - d_m b**(v_top - v_m) is
     the sum of e_k b**(v_top - v_k) over k > m, and the sandwich asks
     1/2 <= |g_m / L_m| <= 3/2 for L_m = b**(v_top - v_(m+1)), whose squared
     modulus is the scale N**(v_top - v_(m+1)).  Now
@@ -467,14 +481,14 @@ def _tail_sandwiches(xi: XiNumber) -> tuple[bool, ...]:
 
     Where the bound fails for some m, the gaps are telescoped downwards,
     g_(k-1) = g_k + e_k b**(v_top - v_k), reusing the residues and the
-    lifts.  Each residue is recomputed from the stages' numerators, so a
-    tampered number gets the verdicts of the plain formula.
+    lifts.  A dataclasses.replace copy carries no residues and computes its
+    own from its numerators, so a tampered number gets the verdicts of the
+    plain formula.
     """
     top = xi.stage_count
     v = xi.schedule.v()
     lifts = xi._lifts
-    numerators = [stage.numerator for stage in xi.stages]
-    residues = [ZERO] + [numerators[k] - _mul3(numerators[k - 1], lifts[k - 1]) for k in range(1, top + 1)]
+    residues = (ZERO, *xi._residues)
     lam = xi.base.norm.bit_length() - 1
     beta = [max(abs(e.re), abs(e.im)).bit_length() + 1 for e in residues]
     if all(

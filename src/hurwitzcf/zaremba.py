@@ -428,7 +428,7 @@ def _emitted_transcript(cert: ZarembaCertificate) -> tuple[tuple[str, bool], ...
 
 
 @contextmanager
-def _certificate_digits() -> Iterator[None]:
+def wide_int_strings() -> Iterator[None]:
     """Python's limit on integer string conversion, raised to MAX_CERTIFY_DIGITS for the block if set lower."""
     limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
     raised = 0 < limit < MAX_CERTIFY_DIGITS
@@ -444,7 +444,7 @@ def _certificate_digits() -> Iterator[None]:
 def emit_certificates(certs: Iterable[ZarembaCertificate]) -> str:
     """Render certificates as '[certificate]' records with a stable field order."""
     blocks = []
-    with _certificate_digits():
+    with wide_int_strings():
         for cert in certs:
             lines = [
                 "[certificate]",
@@ -490,7 +490,7 @@ def parse_certificates(text: str) -> list[ZarembaCertificate]:
             )
         )
 
-    with _certificate_digits():
+    with wide_int_strings():
         for line in text.splitlines():
             line = line.strip()
             if line == "[certificate]":

@@ -365,11 +365,13 @@ def test_encode(capsys):
 
 def test_encode_over_the_work_budget_exits_at_once(capsys):
     top = 1 << cli._MAX_ENCODE_BITS
+    with zaremba.wide_int_strings():  # 4933 decimal digits, past the default limit
+        admitted, oversized = f"{top - 1}-{top - 2}i", (f"{top}", f"1-{top}i")
     # a component of exactly the budget's bits is admitted and round-trips
-    code, out, _ = run(capsys, "encode", f"{top - 1}-{top - 2}i", "--base", "-9-i")
+    code, out, _ = run(capsys, "encode", admitted, "--base", "-9-i")
     digits = [int(d) for d in reversed(out.strip().split(","))]
     assert code == 0 and decode_base_b(DigitExpansion(GaussianInt(-9, -1), tuple(digits))) == GaussianInt(top - 1, 2 - top)
-    for value in (f"{top}", f"1-{top}i"):
+    for value in oversized:
         start = time.perf_counter()
         code, out, err = run(capsys, "encode", value, "--base", "-2+i")
         assert time.perf_counter() - start < 0.5
@@ -416,6 +418,26 @@ def test_every_subcommand_ends_fast_on_oversized_input(capsys, argv, expected):
     code, _, _ = run(capsys, *argv)
     assert time.perf_counter() - start < 2.0
     assert code == expected
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no integer string limit")
+@pytest.mark.parametrize("row", ["cf-eval-long-word", "cf-fold-huge-middle", "validity-huge-digit",
+                                 "encode-huge-value", "hcf-expand-huge-fraction"])
+def test_commands_leave_the_int_digit_limit_as_they_found_it(capsys, row):
+    # only the commands whose input or output needs it raise the limit, and
+    # only while they run: the first three rows need it to end as the audit
+    # pins, and an error, raised inside a command or not, restores it too
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        assert main(["hcf", "expand", "10/27"]) == 0
+        assert sys.get_int_max_str_digits() == 4300
+        argv, expected = _BUDGET_AUDIT[row]
+        assert run(capsys, *argv)[0] == expected
+        assert sys.get_int_max_str_digits() == 4300
+    finally:
+        sys.set_int_max_str_digits(saved)
+    capsys.readouterr()
 
 
 def test_dash_operands_survive_option_scanning(capsys):

@@ -160,17 +160,27 @@ def test_cli_schedules_match_the_full_stream_convergents(base, tau, stages, patt
     _assert_pinned(xi)
 
 
+def _assert_residues(xi):
+    """build_xi's stored residues are d_k - d_(k-1) b**(v_k - v_(k-1)), by plain * and **."""
+    assert "_residues" in vars(xi)
+    v = xi.schedule.v()
+    d = [s.numerator for s in xi.stages]
+    assert xi._residues == tuple(d[k] - d[k - 1] * xi.base ** (v[k] - v[k - 1]) for k in range(1, xi.stage_count + 1))
+
+
 def _observed(build, *args, **kwargs):
     """(index, numerator, digits, partial) per stage as a builder returns them, or the error it raises.
 
     build_xi's partials come from XiNumber.partial, which powers the base
     afresh; the reference's from its exact product chain for base**v_n.
+    build_xi's residues are checked on the way.
     """
     try:
         xi = build(*args, **kwargs)
     except (ValueError, AssertionError) as exc:
         return type(exc), str(exc)
     if isinstance(xi, spectrum.XiNumber):
+        _assert_residues(xi)
         return [(s.index, s.numerator, s.digits, xi.partial(s.index)) for s in xi.stages]
     return xi
 
@@ -526,15 +536,44 @@ def _count_big_work(monkeypatch):
     return calls
 
 
-def test_honest_sandwich_makes_one_big_product_per_stage(monkeypatch):
-    # the sandwiches read the build's lifts: one residue product per stage, no power
+def test_honest_sandwich_makes_no_big_product(monkeypatch):
+    # the sandwiches read the build's residues and lifts: no product, no power
     xi = _built(B, "5/2", 6)
     exact = _exact_passes(monkeypatch)
     calls = _count_big_work(monkeypatch)
     assert all(spectrum._tail_sandwiches(xi))
-    assert calls == {"_mul3": xi.stage_count, "__pow__": 0}
+    assert calls == {"_mul3": 0, "__pow__": 0}
     assert xi.stage_count == 6
     assert exact == []
+
+
+def test_a_copy_makes_one_big_product_per_stage_in_its_sandwiches(monkeypatch):
+    # a copy carries no cache: one power per lift and one residue product per stage
+    xi = _built(B, "5/2", 6)
+    copy = dataclasses.replace(xi)
+    exact = _exact_passes(monkeypatch)
+    calls = _count_big_work(monkeypatch)
+    assert all(spectrum._tail_sandwiches(copy))
+    assert calls == {"_mul3": copy.stage_count, "__pow__": copy.stage_count}
+    assert exact == []
+    assert copy._residues == xi._residues and copy._lifts == xi._lifts
+
+
+@pytest.mark.parametrize("case", ["-2+i", "-3-i", "small", "tiny", "tau-2", "psi", "variant"])
+def test_build_xi_residues_match_plain_products(case):
+    # the series terms build_xi stores are the residues the numerators give
+    if case in ("-2+i", "-3-i", "small", "tiny"):
+        xi = _sandwich_case(case)
+    elif case == "tau-2":  # unit folds only
+        xi = _built(g(-3, 1), "2", 8)
+        assert all(len(xi.digits(n)) == 2 * len(xi.digits(n - 1)) for n in range(1, xi.stage_count + 1))
+    elif case == "psi":
+        schedule = schedule_from_psi(PsiFunction(2, 1), B, 4, 6)
+        xi = build_xi(unit_seed(B, 4), schedule, B)
+    else:
+        xi, _ = _variant(g(-2, -1), "5/2", 5, (1, 0, 0, 1, 1))
+    _assert_residues(xi)
+    assert set(xi._residues) <= {g(1), g(-1)}
 
 
 @pytest.mark.parametrize("base, tau, stages", [(B, "5/2", 6), (g(-3, -1), "2", 9)])
@@ -557,6 +596,7 @@ def test_a_copy_computes_its_own_lifts():
     top = xi.stage_count
     other = dataclasses.replace(xi, schedule=variant_schedule(xi.schedule, B, (0, 1)))
     assert "_lifts" in vars(xi) and "_lifts" not in vars(other)
+    assert "_residues" in vars(xi) and "_residues" not in vars(other)
     got = [check_tail_sandwich(other, m) for m in range(top - 2)]
     assert got == [old_sandwich(other, m) for m in range(top - 2)]
     assert not all(got)

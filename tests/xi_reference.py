@@ -6,8 +6,8 @@ here from the fold by x itself (y = (-1)^n x, q' = y q^2, p' = 1 + y q p;
 for x = +-1 the word is the unit fold and the pair y times its last
 convergent), computes the series side (base**v_n by an exact product
 chain, and the numerator) as well, and compares the two pairs in full.
-The seed, the argument checks and the canonical-stream check are
-spectrum's own; only the per-stage check and the powers differ from
+The seed, the series signs, the argument checks and the canonical-stream
+check are spectrum's own; only the per-stage check and the powers differ from
 build_xi's, which never forms base**v_n.
 """
 
@@ -22,6 +22,7 @@ from hurwitzcf.spectrum import (
     _check_base,
     _check_power_budget,
     _seed_checks,
+    _series_sign,
 )
 
 
@@ -77,7 +78,7 @@ def build_xi(seed: tuple[GaussianInt, ...], schedule: FoldingSchedule, base: Gau
     base_norm = base.norm
     for n in range(1, stages + 1):
         length = len(digits)
-        series_sign = -1 if n > 1 or len(seed) % 2 == 1 else 1
+        series_sign = _series_sign(n, len(seed))
         coefficient = GaussianInt(series_sign * (-1) ** length, 0) * unit * unit
         step = schedule.u[n - 1]
         if step and base_norm ** min(step, 3) < 8:
