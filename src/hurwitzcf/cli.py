@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import re
 import sys
 from fractions import Fraction
 
@@ -30,7 +31,15 @@ from .spectrum import (
     unit_seed,
     variant_schedule,
 )
-from .zaremba import CertificateError, brute_force_min_K, certify, emit_certificates, wide_int_strings
+from .zaremba import (
+    DESK_NORM_CAP,
+    CertificateError,
+    brute_force_min_K,
+    certify,
+    emit_certificates,
+    supported_bases,
+    wide_int_strings,
+)
 
 # Work budget of `hcf expand`: the largest component size, in bits, of the parsed
 # fraction.  It prints one convergent per digit, so its output grows about 4x per
@@ -42,6 +51,13 @@ _MAX_EXPAND_BITS = 8192
 # encode_base_b takes time quadratic in it: at 16384 bits base -1+i gives
 # 32 769 digits in 0.45 s on a 2-CPU machine, and 32768 bits take 1.7 s.
 _MAX_ENCODE_BITS = 16384
+
+
+# The oracle's denominators have norm at most DESK_NORM_CAP, so components of at most this many bits.
+_MAX_SEARCH_BITS = (DESK_NORM_CAP.bit_length() + 1) // 2
+
+# Every supported base has components of at most this many bits.
+_MAX_BASE_BITS = max(max(abs(b.re), abs(b.im)) for b in supported_bases()).bit_length()
 
 
 def _wide_ints(handler):
@@ -74,9 +90,25 @@ def _check_component_bits(values: list[GaussianInt], limit: int) -> None:
         raise BudgetError(f"a {bits}-bit component exceeds the work budget of {limit} bits")
 
 
+def _parse_operand(text: str, max_bits: int, refusal: str) -> GaussianInt:
+    """parse_gaussian_int, refused by BudgetError(refusal) before int() when a component has too many digits.
+
+    A component of D decimal digits is at least 10**(D - 1), so of more than
+    3.321 (D - 1) bits, and it is refused when that reaches max_bits (leading
+    zeros count as digits).  Below about 14 000 bits, int() thus never meets
+    a string past Python's default limit of 4300 digits.
+    """
+    digits = max(map(len, re.findall(r"\d+", text)), default=0)
+    if (digits - 1) * 3321 // 1000 >= max_bits:
+        raise BudgetError(refusal)
+    return parse_gaussian_int(text)
+
+
 def _parse_expand_fraction(text: str) -> GaussianRational:
     """parse_gaussian_rational, with the work budget checked before the fraction is reduced."""
-    _check_component_bits(list(map(parse_gaussian_int, text.split("/"))), _MAX_EXPAND_BITS)
+    refusal = f"a component exceeds the work budget of {_MAX_EXPAND_BITS} bits"
+    _check_component_bits([_parse_operand(part, _MAX_EXPAND_BITS, refusal) for part in text.split("/")],
+                          _MAX_EXPAND_BITS)
     return parse_gaussian_rational(text)
 
 
@@ -157,7 +189,8 @@ def _cmd_prototype_explore(args: argparse.Namespace) -> int:
 
 
 def _cmd_zaremba_certify(args: argparse.Namespace) -> int:
-    cert = certify(parse_gaussian_int(args.base), args.power)
+    base = _parse_operand(args.base, _MAX_BASE_BITS, f"unsupported base: {args.base.strip()}")
+    cert = certify(base, args.power)
     text = emit_certificates([cert])
     sys.stdout.write(text)
     if args.emit is not None:
@@ -167,7 +200,7 @@ def _cmd_zaremba_certify(args: argparse.Namespace) -> int:
 
 
 def _cmd_zaremba_search(args: argparse.Namespace) -> int:
-    result = brute_force_min_K(parse_gaussian_int(args.den))
+    result = brute_force_min_K(_parse_operand(args.den, _MAX_SEARCH_BITS, "oracle restricted to desk scale"))
     print(f"numerator = {format_gaussian_int(result.numerator)}")
     print(f"max_digit_norm = {result.k_sq}")
     print(f"digits = {_format_digits(result.digits)}")

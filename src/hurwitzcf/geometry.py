@@ -11,7 +11,8 @@ A vertical slice is sampled at every constraint's roots on it within the box
 and at a rational between each two consecutive ones, and it is nonempty
 exactly when one sample passes.  A region's fingerprint is its exact
 membership of a 9x9 grid of eighths in the closed box: equal regions share
-it, so states with different fingerprints differ.
+it, so states with different fingerprints differ.  The run-time automata
+are loaded from the tables recorded in _automata, not explored.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from itertools import starmap
 from math import gcd, isqrt
 from typing import NamedTuple
 
+from . import _automata
 from .cf import CfSequence, fold, fold_unit
 from .exactreal import sign_sqrt, sign_two_sqrt
 from .gaussian import ZERO, BudgetError, GaussianInt, format_gaussian_int
@@ -570,6 +572,12 @@ def frontier_digits(bound: int = 4) -> tuple[GaussianInt, ...]:
     return tuple(sorted(out, key=GaussianInt.key))
 
 
+def _parse_constraint(text: str) -> Constraint:
+    """A constraint written as a,bre,bim,c,sense,strict with strict as 0 or 1."""
+    a, bre, bim, c, sense, strict = map(int, text.split(","))
+    return Constraint(a, bre, bim, c, sense, strict == 1)
+
+
 _MISS = object()  # run_keys' marker for a transition not yet in the table
 
 
@@ -586,15 +594,42 @@ class AutomatonState:
 
 
 class Automaton:
-    """Successor automaton over canonical prototype sets, built lazily, for the open or half-open box."""
+    """Successor automaton over canonical prototype sets, for the open or half-open box.
 
-    def __init__(self, box: tuple[Constraint, ...] = _BOX_OPEN) -> None:
+    It starts from the full state alone, or from a recorded table, and builds
+    every transition it lacks lazily, by the exact step.
+    """
+
+    def __init__(self, box: tuple[Constraint, ...] = _BOX_OPEN, table: tuple[str, str] | None = None) -> None:
         self.box = box
         self.states: list[AutomatonState] = []
         self._key_index: dict[tuple[Constraint, ...], int] = {}
         self._fp_index: dict[int, list[int]] = {}
         self._transitions: dict[tuple[int, tuple[int, int]], int | None] = {}
-        self.full_index = self._identify(Region(box))
+        if table is None:
+            self.full_index = self._identify(Region(box))
+        else:
+            self._load(*table)
+            self.full_index = 0
+
+    def _load(self, states: str, transitions: str) -> None:
+        """Take the states and transitions of a table in _automata, whose format it describes.
+
+        Each region gets its recorded fingerprint, so _identify can match a
+        region first met past the frontier without computing a state's.
+        """
+        for line in states.splitlines():
+            label, fp, cons = line.split(" ")
+            region = Region(tuple(_parse_constraint(con) for con in cons.split(";")))
+            region._fingerprint = int(fp)
+            self._add_state(region, label)
+        keys = [d.key() for d in frontier_digits(_automata.BOUND)]
+        decode = {"-": None, **{str(index): index for index in range(len(self.states))}}
+        self._transitions = {
+            (index, key): decode[target]
+            for index, row in enumerate(transitions.splitlines())
+            for key, target in zip(keys, row.split(" "))
+        }
 
     @property
     def state_count(self) -> int:
@@ -613,10 +648,13 @@ class Automaton:
             if region_equal(region, self.states[idx].region):
                 self._key_index[key] = idx
                 return idx
+        return self._add_state(region, _state_label(len(self.states), region, self.box))
+
+    def _add_state(self, region: Region, label: str) -> int:
         idx = len(self.states)
-        self.states.append(AutomatonState(idx, _state_label(idx, region, self.box), region))
-        self._key_index[key] = idx
-        self._fp_index.setdefault(fp, []).append(idx)
+        self.states.append(AutomatonState(idx, label, region))
+        self._key_index[region.constraints] = idx
+        self._fp_index.setdefault(fingerprint(region), []).append(idx)
         return idx
 
     def transition(self, index: int, digit: GaussianInt) -> int | None:
@@ -702,7 +740,12 @@ def explore_automaton(bound: int = 4, max_states: int = 64) -> Automaton:
     (state, digit) order as a plain breadth-first search, and every mapped
     successor is already a state when it is met, so the states, their
     indices, labels and regions are the plain search's.
+
+    get_automaton loads this closure at the default bound from a recorded
+    table; the tests check that table against this build.
     """
+    if isinstance(bound, bool):
+        raise TypeError("bound must be int, not bool")
     auto = Automaton()
     digits = frontier_digits(bound)
     images: dict[tuple[int, _Symmetry], tuple[Constraint, ...]] = {}
@@ -743,7 +786,8 @@ def explore_automaton(bound: int = 4, max_states: int = 64) -> Automaton:
 
 @cache
 def get_automaton() -> Automaton:
-    return explore_automaton()
+    """The open-box automaton, loaded from its recorded table: explore_automaton() state for state."""
+    return Automaton(_BOX_OPEN, (_automata.OPEN_STATES, _automata.OPEN_TRANSITIONS))
 
 
 def export_state_table(auto: Automaton, bound: int = 4) -> str:
@@ -775,7 +819,8 @@ def _coerce_digits(digits) -> tuple[GaussianInt, ...]:
 
 @cache
 def _half_open_automaton() -> Automaton:
-    return Automaton(_BOX_HALF_OPEN)  # created on first use, so set-up never builds it
+    # loaded on first use, so set-up never builds it
+    return Automaton(_BOX_HALF_OPEN, (_automata.HALF_OPEN_STATES, _automata.HALF_OPEN_TRANSITIONS))
 
 
 def closed_cylinder_nonempty(digits) -> bool:
@@ -850,6 +895,8 @@ def verify_folding_program(seed, middle: GaussianInt | int = GaussianInt(-2, 1),
     number of words checked.  Raises BudgetError before any fold when the words
     would pass MAX_FOLDING_DIGITS digits in all.
     """
+    if isinstance(depth, bool):
+        raise TypeError("depth must be int, not bool")
     seed_cf = CfSequence(ZERO, _coerce_digits(seed))
     middle = GaussianInt.from_any(middle)
     total, words, length = 0, 1, len(seed_cf.tail)

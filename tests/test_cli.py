@@ -401,6 +401,7 @@ _BUDGET_AUDIT = {
     "hcf-expand-huge-fraction": (("hcf", "expand", f"{_HUGE}/3"), 2),
     "encode-huge-value": (("encode", _HUGE, "--base", "-2+i"), 2),
     "search-huge-den": (("zaremba", "search", "--den", _HUGE), 2),
+    "certify-huge-base": (("zaremba", "certify", "--base", _HUGE, "--power", "4"), 2),
     "certify-huge-power": (("zaremba", "certify", "--base", "-2+i", "--power", "1" + "0" * 31), 2),
     "xi-many-stages": (("xi", "--base", "-2+i", "--tau", "5/2", "--lambda", "1", "--stages", "100000"), 2),
     "cf-eval-long-word": (("cf", "eval", ",".join(["2"] * 30000)), 0),
@@ -438,6 +439,27 @@ def test_commands_leave_the_int_digit_limit_as_they_found_it(capsys, row):
     finally:
         sys.set_int_max_str_digits(saved)
     capsys.readouterr()
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no integer string limit")
+@pytest.mark.parametrize("row, message", [
+    ("hcf-expand-huge-fraction", "a component exceeds the work budget of 8192 bits"),
+    ("search-huge-den", "oracle restricted to desk scale"),
+    ("certify-huge-base", f"unsupported base: {_HUGE}"),
+], ids=["hcf-expand-huge-fraction", "search-huge-den", "certify-huge-base"])
+def test_huge_operands_get_the_commands_own_message(capsys, row, message):
+    # these commands leave the int string limit alone, so the operand's digits
+    # are counted before int() would refuse it with Python's own message
+    argv, expected = _BUDGET_AUDIT[row]
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 2.0
+    finally:
+        sys.set_int_max_str_digits(saved)
+    assert (code, out, err) == (expected, "", f"error: {message}\n")
 
 
 def test_dash_operands_survive_option_scanning(capsys):

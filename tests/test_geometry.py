@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hurwitzcf
-from hurwitzcf import geometry
+from hurwitzcf import _automata, geometry
 from hurwitzcf.gaussian import ZERO, BudgetError, GaussianInt, GaussianRational
 from hurwitzcf.geometry import (
     Constraint,
@@ -50,6 +50,7 @@ from hurwitzcf.hcf import allowed_successors, hcf_expand
 
 import fraction_reference as ref
 from fraction_reference import QuadSurd, rational_between
+from render_automata import COMMAND, MODULE, builds, plain_closure, render
 
 
 def g(re, im=0):
@@ -168,7 +169,7 @@ def test_half_open_automaton_matches_pullback():
 
 def test_half_open_automaton_closes_and_its_shortcuts_hold(recorded_builds):
     box = geometry._BOX_HALF_OPEN
-    auto = recorded_builds[1]  # _reference_explore(3, box) from a cold memo
+    auto = recorded_builds[1]  # plain_closure(3, box) from a cold memo
     assert auto.state_count == 63
     for state in auto.states:
         for d in frontier_digits(4):
@@ -196,26 +197,77 @@ def test_set_up_and_explore_build_no_half_open_state(tmp_path):
     subprocess.run([sys.executable, "-c", code, str(tmp_path / "table.csv")], env=env, check=True)
 
 
-# ------------------------------------------ the symmetric build and plain BFS
+# ------------------------------------------------------ the recorded automata
 
-def _reference_explore(bound=4, box=geometry._BOX_OPEN):
-    """The plain breadth-first closure: Automaton.transition for every (state, digit)."""
-    auto = geometry.Automaton(box)
-    digits = frontier_digits(bound)
-    pending, seen = [auto.full_index], {auto.full_index}
+_TABLES = (
+    (geometry._BOX_OPEN, (_automata.OPEN_STATES, _automata.OPEN_TRANSITIONS)),
+    (geometry._BOX_HALF_OPEN, (_automata.HALF_OPEN_STATES, _automata.HALF_OPEN_TRANSITIONS)),
+)
+
+
+def test_the_recorded_automata_are_the_renderers_output():
+    assert MODULE.read_text(encoding="utf-8") == render(), (
+        f"src/hurwitzcf/_automata.py is stale; regenerate it with: {COMMAND}"
+    )
+
+
+@pytest.mark.parametrize("which", [0, 1], ids=["open", "half-open"])
+def test_loaded_automata_are_their_exact_builds(which):
+    # the open one is explore_automaton(), the half-open one the plain BFS closure
+    box, table = _TABLES[which]
+    loaded, built = geometry.Automaton(box, table), builds()[which]
+    assert loaded.state_count == (13, 63)[which]
+    assert loaded.full_index == built.full_index == 0
+    assert [s.label for s in loaded.states] == [s.label for s in built.states]
+    assert [s.region.constraints for s in loaded.states] == [s.region.constraints for s in built.states]
+    assert all(type(con.strict) is bool for s in loaded.states for con in s.region.constraints)
+    assert loaded._transitions == built._transitions
+    assert [s.region._fingerprint for s in loaded.states] == [
+        fingerprint(Region(s.region.constraints)) for s in loaded.states
+    ]
+    got = geometry.get_automaton() if which == 0 else geometry._half_open_automaton()
+    assert [s.region.constraints for s in got.states] == [s.region.constraints for s in loaded.states]
+
+
+@pytest.mark.parametrize("which", [0, 1], ids=["open", "half-open"])
+def test_transitions_past_the_frontier_match_a_fresh_build(which):
+    # digits with a component of +-5 lie outside the table: the loaded
+    # automaton steps them exactly and meets no region it does not hold
+    box, table = _TABLES[which]
+    loaded, fresh = geometry.Automaton(box, table), geometry.Automaton(box)
+    words, pending = {loaded.full_index: ()}, [loaded.full_index]  # a shortest word to each state
     while pending:
         index = pending.pop(0)
-        for d in digits:
-            target = auto.transition(index, d)
-            if target is not None and target not in seen:
-                seen.add(target)
+        for d in frontier_digits():
+            target = loaded._transitions[index, d.key()]
+            if target is not None and target not in words:
+                words[target] = words[index] + (d,)
                 pending.append(target)
-    return auto
+    assert len(words) == loaded.state_count
+    outside = [d for d in frontier_digits(5) if 5 in (abs(d.re), abs(d.im))]
+    assert len(outside) == 40
+    for index, word in words.items():
+        for d in outside:
+            target, reached = loaded.transition(index, d), fresh.run(word + (d,))
+            assert (target is None) is (reached is None)
+            if target is not None:
+                assert region_equal(loaded.states[target].region, fresh.states[reached].region), (index, d)
+    assert loaded.state_count == fresh.state_count == (13, 63)[which]
+    # a region equal to a state but written otherwise is matched by its
+    # recorded fingerprint, and does not become a duplicate state
+    implied = constraint(0, 1, 0, 2, 1, True)  # x > -1
+    for state in list(loaded.states):
+        again = Region(state.region.constraints + (implied,))
+        assert again.constraints != state.region.constraints
+        assert loaded._identify(again) == state.index
+    assert loaded.state_count == (13, 63)[which]
 
+
+# ------------------------------------------ the symmetric build and plain BFS
 
 @pytest.mark.parametrize("bound", [3, 4])
 def test_symmetric_build_matches_plain_bfs(bound):
-    built, plain = explore_automaton(bound), _reference_explore(bound)
+    built, plain = explore_automaton(bound), plain_closure(bound)
     assert [s.label for s in built.states] == [s.label for s in plain.states]
     assert [s.region.constraints for s in built.states] == [s.region.constraints for s in plain.states]
     assert built._transitions == plain._transitions
@@ -266,7 +318,7 @@ def test_symmetric_build_takes_exact_transitions_for_four_orbits_only(monkeypatc
 def test_symmetric_build_steps_one_state_per_orbit():
     # a fall back to stepping every state fails here, not only in a timing
     steps, empties = _build_work(explore_automaton)
-    plain_steps, plain_empties = _build_work(_reference_explore)
+    plain_steps, plain_empties = _build_work(plain_closure)
     assert plain_steps == 568
     assert steps <= 160 and 2 * empties < plain_empties
 
@@ -438,10 +490,10 @@ def recorded_builds():
                 _regions.append(region)
                 return _stage(region)
             mp.setattr(geometry, name, wrapped)
-        opened = _reference_explore()
+        opened = plain_closure()
         exact = seen["_is_empty_exact"]
         open_exact = list(exact)
-        half_open = _reference_explore(3, geometry._BOX_HALF_OPEN)
+        half_open = plain_closure(3, geometry._BOX_HALF_OPEN)
     return opened, half_open, seen["_is_empty_uncached"], open_exact, exact[len(open_exact):]
 
 
@@ -801,6 +853,17 @@ def test_folding_program_refuses_an_over_budget_depth():
             verify_folding_program(seed, middle=g(-2, 1), depth=depth)
         assert time.perf_counter() - start < 1.0
     assert verify_folding_program(seed, middle=g(-2, 1), depth=4) == 31
+
+
+def test_geometry_refuses_bool_counts():
+    # True == 1: these built a 5-state automaton and ran a depth-1 program
+    seed = (g(2, -3), g(-1, -2), g(-3, 1))
+    with pytest.raises(TypeError, match="bound must be int, not bool"):
+        explore_automaton(bound=True)
+    with pytest.raises(TypeError, match="depth must be int, not bool"):
+        verify_folding_program(seed, middle=g(-2, 1), depth=True)
+    assert explore_automaton(bound=1).state_count == 5
+    assert verify_folding_program(seed, middle=g(-2, 1), depth=1) == 3
 
 
 def test_folding_program_runs_the_automaton_once_per_word(monkeypatch):

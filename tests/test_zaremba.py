@@ -487,8 +487,8 @@ def test_certifying_makes_one_pass_and_no_evaluation_per_certificate(monkeypatch
 
 
 def test_certifying_reads_norms_and_the_open_run_off_the_digit_keys(monkeypatch):
-    # The automaton's set-up tests the alphabet for each transition it builds,
-    # so build it first: every digit of these certificates is in its frontier.
+    # Load the automaton first: every digit of these certificates is in its
+    # recorded frontier, so no transition is built and no alphabet test made.
     get_automaton()
     monkeypatch.setattr(zaremba, "_CACHE", {})
     calls = _count_calls(
