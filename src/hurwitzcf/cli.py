@@ -90,6 +90,11 @@ def _check_component_bits(values: list[GaussianInt], limit: int) -> None:
         raise BudgetError(f"a {bits}-bit component exceeds the work budget of {limit} bits")
 
 
+def _component_digits(text: str) -> int:
+    """The decimal digits of the longest run of digits in text (0 when there is none)."""
+    return max(map(len, re.findall(r"\d+", text)), default=0)
+
+
 def _parse_operand(text: str, max_bits: int, refusal: str) -> GaussianInt:
     """parse_gaussian_int, refused by BudgetError(refusal) before int() when a component has too many digits.
 
@@ -98,8 +103,7 @@ def _parse_operand(text: str, max_bits: int, refusal: str) -> GaussianInt:
     zeros count as digits).  Below about 14 000 bits, int() thus never meets
     a string past Python's default limit of 4300 digits.
     """
-    digits = max(map(len, re.findall(r"\d+", text)), default=0)
-    if (digits - 1) * 3321 // 1000 >= max_bits:
+    if (_component_digits(text) - 1) * 3321 // 1000 >= max_bits:
         raise BudgetError(refusal)
     return parse_gaussian_int(text)
 
@@ -189,7 +193,10 @@ def _cmd_prototype_explore(args: argparse.Namespace) -> int:
 
 
 def _cmd_zaremba_certify(args: argparse.Namespace) -> int:
-    base = _parse_operand(args.base, _MAX_BASE_BITS, f"unsupported base: {args.base.strip()}")
+    operand = args.base.strip()
+    digits = _component_digits(operand)
+    name = operand if digits <= 20 else f"a {digits}-digit component"  # as certify names a long base
+    base = _parse_operand(operand, _MAX_BASE_BITS, f"unsupported base: {name}")
     cert = certify(base, args.power)
     text = emit_certificates([cert])
     sys.stdout.write(text)
@@ -290,7 +297,7 @@ def _build_parser() -> argparse.ArgumentParser:
     check.set_defaults(handler=_cmd_validity_check)
 
     proto_cmd = sub.add_parser("prototype", help="prototype-set automaton").add_subparsers(required=True)
-    explore = proto_cmd.add_parser("explore", help="close the successor automaton")
+    explore = proto_cmd.add_parser("explore", help="list the recorded open-box automaton's states")
     explore.add_argument("--export", metavar="PATH", help="write the state table as CSV")
     explore.set_defaults(handler=_cmd_prototype_explore)
 

@@ -151,11 +151,13 @@ def half_open_box_region() -> Region:
 
 
 def region_conjugate(region: Region) -> Region:
-    return canonicalize(Region(_act_constraints((0, True), region.constraints)))
+    """The image of region under z -> conj z, which sends (bre, bim) to (bre, -bim)."""
+    return canonicalize(Region(tuple(constraint(con.a, con.bre, -con.bim, *con[3:]) for con in region.constraints)))
 
 
 def region_rotate(region: Region) -> Region:
-    return canonicalize(Region(_act_constraints((1, False), region.constraints)))
+    """The image of region under z -> iz, which sends (bre, bim) to (-bim, bre)."""
+    return canonicalize(Region(tuple(constraint(con.a, -con.bim, con.bre, *con[3:]) for con in region.constraints)))
 
 
 # ------------------------------------------------------------ interval filter
@@ -504,61 +506,19 @@ def prototype_step(region: Region, digit: GaussianInt, box: tuple[Constraint, ..
     return canonicalize(Region(tuple(cons)))
 
 
-def _disk_centers(region: Region) -> list[GaussianInt] | None:
-    """Centers of removed unit disks, or None if some constraint has another shape."""
-    centers = []
-    for con in region.constraints:
-        if _is_box_curve(con):
-            continue
-        if (
-            con.a == 1
-            and con.sense == 1
-            and con.strict
-            and con.bre * con.bre + con.bim * con.bim - con.c == 1
-        ):
-            centers.append(GaussianInt(-con.bre, -con.bim))
-        else:
-            return None
-    return centers
-
-
 def _state_label(index: int, region: Region, box: tuple[Constraint, ...]) -> str:
-    centers = _disk_centers(region)
+    """full for the box, del[...] for the box less open unit disks about the listed centers, else state<index>."""
     edges = tuple(con for con in region.constraints if _is_box_curve(con))
-    if centers is None or edges != Region(box).constraints:
+    disks = [con for con in region.constraints if not _is_box_curve(con)]
+    if edges != Region(box).constraints or not all(
+        con.a == 1 and con.sense == 1 and con.strict and con.bre * con.bre + con.bim * con.bim - con.c == 1
+        for con in disks
+    ):
         return f"state{index}"
-    if not centers:
+    if not disks:
         return "full"
-    inner = ",".join(format_gaussian_int(c) for c in sorted(centers, key=GaussianInt.key))
-    return f"del[{inner}]"
-
-
-def _edge_impossible(region: Region, digit: GaussianInt) -> bool:
-    """Cheap sufficient test that the digit's cylinder misses the region entirely.
-
-    The cylinder of d lies inside a removed disk B(center, 1) when:
-    - |center| = 1 and Re(center * d) >= 1, or
-    - |center|^2 = 2 and d + closed box lies within B(conj(center), 1).
-    """
-    centers = _disk_centers(region)
-    if not centers:
-        return False
-    for g in centers:
-        n = g.norm
-        if n == 1:
-            if g.re * digit.re - g.im * digit.im >= 1:
-                return True
-        elif n == 2:
-            ok = True
-            for s1 in (-1, 1):
-                for s2 in (-1, 1):
-                    dre = 2 * digit.re + s1 - 2 * g.re
-                    dim = 2 * digit.im + s2 + 2 * g.im
-                    if dre * dre + dim * dim > 4:
-                        ok = False
-            if ok:
-                return True
-    return False
+    centers = sorted((GaussianInt(-con.bre, -con.bim) for con in disks), key=GaussianInt.key)
+    return f"del[{','.join(map(format_gaussian_int, centers))}]"
 
 
 def frontier_digits(bound: int = 4) -> tuple[GaussianInt, ...]:
@@ -664,15 +624,12 @@ class Automaton:
         key = (index, digit.key())
         if key in self._transitions:
             return self._transitions[key]
-        region = self.states[index].region
         if index == self.full_index and _norm_at_least_8(*key[1]):
             # 1/(v + d) stays inside the open box for every v there, so the
             # step is the full box again; verified against the exact step in tests.
             result: int | None = self.full_index
-        elif _edge_impossible(region, digit):
-            result = None
         else:
-            step = prototype_step(region, digit, self.box)
+            step = prototype_step(self.states[index].region, digit, self.box)
             result = None if is_empty(step) else self._identify(step)
         self._transitions[key] = result
         return result
@@ -700,88 +657,42 @@ class Automaton:
         return index
 
 
-# The box's symmetries: (k, flipped) maps z to i**k * z, or to i**k * conj(z) when flipped.
-_Symmetry = tuple[int, bool]
-_IDENTITY: _Symmetry = (0, False)
-_D4: tuple[_Symmetry, ...] = tuple((k, flipped) for flipped in (False, True) for k in range(4))
-
-
-def _act_key(sym: _Symmetry, re: int, im: int) -> tuple[int, int]:
-    k, flipped = sym
-    if flipped:
-        im = -im
-    for _ in range(k):
-        re, im = -im, re
-    return re, im
-
-
-def _act_constraints(sym: _Symmetry, cons: tuple[Constraint, ...]) -> tuple[Constraint, ...]:
-    """The sorted constraints of the region's image under sym.
-
-    z lies in g(R) when g^-1(z) lies in R, and a rotation or a reflection keeps
-    |z|^2, so sym acts on each constraint's linear part (bre, bim) as on a point.
-    """
-    return Region(tuple(
-        constraint(con.a, *_act_key(sym, con.bre, con.bim), con.c, con.sense, con.strict) for con in cons
-    )).constraints
-
-
-def explore_automaton(bound: int = 4, max_states: int = 64) -> Automaton:
-    """Breadth-first closure of the open-box automaton over the digit frontier.
-
-    Write T_d(R) for prototype_step(R, d), the image of R under z -> 1/z - d
-    clipped to the open box.  The box, the frontier and the digit norm (which
-    the full-state shortcut reads) are invariant under z -> iz and z -> conj z,
-    so T_d(iR) = -i * T_{id}(R) and T_d(conj R) = conj(T_{conj d}(R)).  Over
-    the group D4 these two generate, with g*(z) = 1/g(1/z), this gives
-    T_d(g R) = g*(T_e(R)) for e = g*^-1(d).  So only the first state of each
-    orbit met takes prototype steps; the transitions of any later state g(R)
-    are those of R, mapped by g*.  Transitions are filled in the same
-    (state, digit) order as a plain breadth-first search, and every mapped
-    successor is already a state when it is met, so the states, their
-    indices, labels and regions are the plain search's.
-
-    get_automaton loads this closure at the default bound from a recorded
-    table; the tests check that table against this build.
-    """
-    if isinstance(bound, bool):
-        raise TypeError("bound must be int, not bool")
-    auto = Automaton()
+def _close(box: tuple[Constraint, ...], bound: int, max_states: int) -> Automaton:
+    """Breadth-first closure of the box's automaton: Automaton.transition for every (state, frontier digit)."""
+    auto = Automaton(box)
     digits = frontier_digits(bound)
-    images: dict[tuple[int, _Symmetry], tuple[Constraint, ...]] = {}
-    orbit: dict[tuple[Constraint, ...], tuple[int, _Symmetry]] = {}  # key of g(R) -> (R, g), R first met
-
-    def image(index: int, sym: _Symmetry) -> tuple[Constraint, ...]:
-        key = images.get((index, sym))
-        if key is None:
-            key = images[index, sym] = _act_constraints(sym, auto.states[index].region.constraints)
-        return key
-
-    pending = [auto.full_index]
-    seen = {auto.full_index}
+    pending, seen = [auto.full_index], {auto.full_index}
     while pending:
         index = pending.pop(0)
-        rep, sym = orbit.get(auto.states[index].region.constraints, (index, _IDENTITY))
-        if rep == index:
-            for g in _D4:
-                orbit.setdefault(image(index, g), (index, g))
-        star = (-sym[0] % 4, sym[1])
-        pull = star if sym[1] else sym  # the inverse of star
         for d in digits:
-            if rep == index:
-                target = auto.transition(index, d)
-            else:
-                step = auto._transitions[rep, _act_key(pull, d.re, d.im)]
-                target = None if step is None else auto._key_index.get(image(step, star))
-                if step is not None and target is None:
-                    raise AssertionError(f"the image of state {step} under {star} is not a state yet")
-                auto._transitions[index, d.key()] = target
+            target = auto.transition(index, d)
             if auto.state_count > max_states:
                 raise RuntimeError("automaton failed to close: state budget exceeded")
             if target is not None and target not in seen:
                 seen.add(target)
                 pending.append(target)
     return auto
+
+
+# The open closure takes 100-150 us per transition on a 2-CPU host (1.7-2.1 s for
+# the 14 092 of bound 16, 6.2-6.5 s at bound 32), so the budget is about 2 s.
+_MAX_CLOSURE_TRANSITIONS = 16_000
+
+
+def explore_automaton(bound: int = 4, max_states: int = 64) -> Automaton:
+    """Breadth-first closure of the open-box automaton over frontier_digits(bound).
+
+    get_automaton loads it at the default bound from a recorded table, which
+    the tests check against it.  Raises BudgetError before any step when its
+    13 states' transitions would pass _MAX_CLOSURE_TRANSITIONS, and
+    RuntimeError once it holds more than max_states states.
+    """
+    if isinstance(bound, bool):
+        raise TypeError("bound must be int, not bool")
+    side = 2 * max(bound, 0) + 1
+    if 13 * (side * side - 5) > _MAX_CLOSURE_TRANSITIONS:  # side**2 - 5 frontier digits from bound 1 on
+        raise BudgetError(f"bound {bound} exceeds the work budget of {_MAX_CLOSURE_TRANSITIONS} automaton transitions")
+    return _close(_BOX_OPEN, bound, max_states)
 
 
 @cache

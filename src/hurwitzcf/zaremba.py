@@ -393,7 +393,10 @@ def certify(base: GaussianInt | int, power: int) -> ZarembaCertificate:
     base = GaussianInt.from_any(base)
     key = base.key()
     if key not in ETA_SQ:
-        raise ValueError(f"unsupported base: {format_gaussian_int(base)}")
+        bits = max(abs(base.re), abs(base.im)).bit_length()
+        # a long base is named by its size, as its digits could pass Python's int string limit
+        name = format_gaussian_int(base) if bits <= 64 else f"a {bits}-bit component"
+        raise ValueError(f"unsupported base: {name}")
     if power < 1:
         raise ValueError("power must be a positive integer")
     _check_power_budget(base, power, MAX_CERTIFY_BITS, "power")

@@ -4,10 +4,9 @@ Run from the root of a checkout:
 
     PYTHONPATH=src python tests/render_automata.py
 
-It rewrites the module from explore_automaton() and from a plain
-breadth-first closure of the half-open automaton, both over
-frontier_digits(BOUND).  test_geometry checks that the committed module is
-this script's output.
+It rewrites the module from the breadth-first closures of the open and the
+half-open box over frontier_digits(BOUND), both built by geometry._close.
+test_geometry checks that the committed module is this script's output.
 """
 
 from __future__ import annotations
@@ -28,8 +27,8 @@ Written by tests/render_automata.py; do not edit.  Regenerate it with
 
     {COMMAND}
 
-OPEN_* is explore_automaton(); HALF_OPEN_* is the plain breadth-first closure
-of the half-open box.  Each *_STATES line is one state, in index order: its
+OPEN_* and HALF_OPEN_* are geometry._close of the open box (explore_automaton())
+and of the half-open box.  Each *_STATES line is one state, in index order: its
 label, its fingerprint, and its sorted constraints joined by ';', each written
 a,bre,bim,c,sense,strict with strict 0 or 1.  Each *_TRANSITIONS line is one
 state's successors over frontier_digits(BOUND), in that order, with '-' where
@@ -40,25 +39,10 @@ BOUND = {BOUND}
 '''
 
 
-def plain_closure(bound: int = BOUND, box=geometry._BOX_OPEN) -> Automaton:
-    """The plain breadth-first closure: Automaton.transition for every (state, digit)."""
-    auto = Automaton(box)
-    digits = frontier_digits(bound)
-    pending, seen = [auto.full_index], {auto.full_index}
-    while pending:
-        index = pending.pop(0)
-        for d in digits:
-            target = auto.transition(index, d)
-            if target is not None and target not in seen:
-                seen.add(target)
-                pending.append(target)
-    return auto
-
-
 @functools.cache
 def builds() -> tuple[Automaton, Automaton]:
     """The open and the half-open automaton the module records, built by exact geometry."""
-    return explore_automaton(BOUND), plain_closure(BOUND, geometry._BOX_HALF_OPEN)
+    return explore_automaton(BOUND), geometry._close(geometry._BOX_HALF_OPEN, BOUND, 64)
 
 
 def _table(name: str, auto: Automaton) -> str:

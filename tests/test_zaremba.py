@@ -71,6 +71,19 @@ def test_certify_rejects_bad_requests():
         certify(g(2), 0)
 
 
+def test_certify_names_a_long_unsupported_base_by_its_size():
+    # under Python's default int string limit, where printing this base would raise
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        with pytest.raises(ValueError, match=r"^unsupported base: a 16610-bit component$"):
+            certify(GaussianInt(10**5000, 1), 1)
+        with pytest.raises(ValueError, match=r"^unsupported base: 18446744073709551615\+i$"):
+            certify(GaussianInt(2**64 - 1, 1), 1)
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
 def test_certify_refuses_a_power_that_is_not_an_int(monkeypatch):
     # True == 1 and hash(True) == hash(1): a bool power would share 1's cache entry
     monkeypatch.setattr(zaremba, "_CACHE", {})
