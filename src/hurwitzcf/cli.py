@@ -90,19 +90,25 @@ def _check_component_bits(values: list[GaussianInt], limit: int) -> None:
         raise BudgetError(f"a {bits}-bit component exceeds the work budget of {limit} bits")
 
 
+def _strip_zeros(text: str) -> str:
+    """text with the leading zeros of each run of digits dropped, which int() would count against its limit."""
+    return re.sub(r"\d+", lambda run: run[0].lstrip("0") or "0", text)
+
+
 def _component_digits(text: str) -> int:
-    """The decimal digits of the longest run of digits in text (0 when there is none)."""
-    return max(map(len, re.findall(r"\d+", text)), default=0)
+    """The decimal digits of the longest run of digits in text, leading zeros not counted (0 when there is none)."""
+    return max((len(run.lstrip("0")) for run in re.findall(r"\d+", text)), default=0)
 
 
 def _parse_operand(text: str, max_bits: int, refusal: str) -> GaussianInt:
     """parse_gaussian_int, refused by BudgetError(refusal) before int() when a component has too many digits.
 
-    A component of D decimal digits is at least 10**(D - 1), so of more than
-    3.321 (D - 1) bits, and it is refused when that reaches max_bits (leading
-    zeros count as digits).  Below about 14 000 bits, int() thus never meets
+    A component of D decimal digits, leading zeros dropped, is at least
+    10**(D - 1), so of more than 3.321 (D - 1) bits, and it is refused when
+    that reaches max_bits.  Below about 14 000 bits, int() thus never meets
     a string past Python's default limit of 4300 digits.
     """
+    text = _strip_zeros(text)
     if (_component_digits(text) - 1) * 3321 // 1000 >= max_bits:
         raise BudgetError(refusal)
     return parse_gaussian_int(text)
@@ -110,6 +116,7 @@ def _parse_operand(text: str, max_bits: int, refusal: str) -> GaussianInt:
 
 def _parse_expand_fraction(text: str) -> GaussianRational:
     """parse_gaussian_rational, with the work budget checked before the fraction is reduced."""
+    text = _strip_zeros(text)
     refusal = f"a component exceeds the work budget of {_MAX_EXPAND_BITS} bits"
     _check_component_bits([_parse_operand(part, _MAX_EXPAND_BITS, refusal) for part in text.split("/")],
                           _MAX_EXPAND_BITS)

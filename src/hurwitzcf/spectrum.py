@@ -252,13 +252,58 @@ def schedule_from_psi(psi: PsiFunction, base: GaussianInt, v0: int, stages: int)
     return FoldingSchedule(v0, tuple(u))
 
 
+class _Numerators:
+    """The exact numerators d_0, ..., d_top of a built number, formed in stage order on first read.
+
+    d_n = d_(n-1) * base**(v_n - v_(n-1)) + e_n, one power and one _mul3 per
+    stage.  build_xi checked every stage against the image of d_n under the
+    stage check's ring map, carried without forming d_n; each product is
+    checked against that image and for a factor of the base, so a wrong
+    product raises, naming its stage.  It holds no reference to its number.
+    """
+
+    def __init__(self, base: GaussianInt, v: tuple[int, ...], residues: list[GaussianInt],
+                 images: list[int], seed_numerator: GaussianInt) -> None:
+        self._base, self._v, self._residues, self._images = base, v, residues, images
+        self._known = [seed_numerator]
+
+    def __getitem__(self, n: int) -> GaussianInt:
+        known, base, v = self._known, self._base, self._v
+        while len(known) <= n:
+            k = len(known)
+            numerator = _mul3(known[-1], base ** (v[k] - v[k - 1])) + self._residues[k - 1]
+            if _image(numerator) != self._images[k]:
+                raise AssertionError(f"stage {k}: numerator disagrees with the checked series image")
+            if divmod(numerator, base)[1] == ZERO:
+                raise AssertionError(f"stage {k}: numerator shares a factor with the base")
+            known.append(numerator)
+        return known[n]
+
+
 @dataclass(frozen=True)
 class XiStage:
-    """One stage of the folded series: the numerator over base**v_index and its digit stream."""
+    """One stage of the folded series: the numerator over base**v_index and its digit stream.
+
+    A stage build_xi returns past stage 0 forms its numerator on first read,
+    from the number's _Numerators.
+    """
 
     index: int
     numerator: GaussianInt
     digits: tuple[GaussianInt, ...]
+
+    @classmethod
+    def _pending(cls, index: int, digits: tuple[GaussianInt, ...], numerators: _Numerators) -> XiStage:
+        stage = object.__new__(cls)
+        stage.__dict__.update(index=index, digits=digits, _numerators=numerators)
+        return stage
+
+    def __getattr__(self, name: str) -> GaussianInt:
+        # Reached only for an attribute the stage does not hold: a pending numerator.
+        numerators = self.__dict__.get("_numerators")
+        if name != "numerator" or numerators is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        return numerators[self.index]
 
 
 @dataclass(frozen=True)
@@ -276,8 +321,10 @@ class XiNumber:
     def partial(self, m: int) -> GaussianRational:
         """Stage m's partial sum numerator_m / base**v_m, computed on demand.
 
-        build_xi checks each numerator coprime to the base, so the fraction
-        is already reduced.
+        Reading it forms a built number's numerators up to stage m, unless
+        a read already has, each checked against the image build_xi carried.
+        Those numerators are +-1 past a multiple of the base, and the read
+        checks them coprime to it, so the fraction is already reduced.
         """
         stage = self.stages[m]
         return GaussianRational._raw(stage.numerator, self.base ** self.schedule.v()[stage.index])
@@ -289,16 +336,17 @@ class XiNumber:
     def _lifts(self) -> tuple[GaussianInt, ...]:
         """base**(v_k - v_(k-1)) for k = 1, ..., stage_count, at index k - 1.
 
-        build_xi stores the lifts it made; like every cached_property, the
-        cache is not carried into a dataclasses.replace copy, which computes
-        its own from its base and schedule.
+        Read only by a copy's residues and the sandwiches' telescoping
+        fallback; like every cached_property, the cache is not carried into
+        a dataclasses.replace copy, which computes its own from its base and
+        schedule.
         """
         v = self.schedule.v()
         return tuple(self.base ** (v[k] - v[k - 1]) for k in range(1, self.stage_count + 1))
 
     @cached_property
     def _residues(self) -> tuple[GaussianInt, ...]:
-        """numerator_k - numerator_(k-1) * lift_k at index k - 1; build_xi stores its own, as for _lifts."""
+        """numerator_k - numerator_(k-1) * lift_k at index k - 1; build_xi stores its own series terms."""
         d = [stage.numerator for stage in self.stages]
         return tuple(d[k] - _mul3(d[k - 1], lift) for k, lift in enumerate(self._lifts, 1))
 
@@ -385,18 +433,20 @@ def build_xi(seed: tuple[GaussianInt, ...], schedule: FoldingSchedule, base: Gau
              stages: int | None = None) -> XiNumber:
     """Fold the seed along the schedule, pinning stage m to denominator base**v_m.
 
-    Each stage costs one power, lift = base**(v_n - v_(n-1)), and one big
-    product, numerator_n = numerator_(n-1) * lift +- 1; base**v_n itself is
-    never formed.  Only the folded digits and the numerators are computed
-    exactly; the check that the stream's last convergent is
+    Each stage folds the digits exactly and forms no big product: the series
+    side is carried only as the image of numerator_n in Z/P under the stage
+    check's ring map, image(numerator_(n-1)) * image(base)**(v_n - v_(n-1))
+    +- 1 by modular powers.  The check that the stream's last convergent is
     unit * numerator_n / base**v_n runs the convergent recurrence over the
-    folded digits modulo a prime (_last_pair_mod) and takes base**v_n's
-    image as a modular power of the base's, so it ties the digits to the
+    folded digits modulo P (_last_pair_mod) and compares that pair with
+    image(base)**v_n and the carried image, so it ties the digits to the
     series values without a product of the power's size.  A correct stage
-    always passes; a wrong digit or a wrong product passes only if it
-    leaves both residues of the pair unchanged.  The lifts and the series
-    terms +-1 = numerator_n - numerator_(n-1) * lift stay on the number, so
-    its tail sandwiches make no big product.
+    always passes; a wrong digit passes only if it leaves both residues of
+    the pair unchanged.  The exact numerators numerator_n =
+    numerator_(n-1) * base**(v_n - v_(n-1)) +- 1 are formed on first read
+    (stage.numerator, XiNumber.partial, a copy's residues), one stage at a
+    time, each checked against its carried image (_Numerators).  The series
+    terms +-1 stay on the number, so its tail sandwiches make no big product.
     """
     base = GaussianInt.from_any(base)
     _check_base(base)
@@ -421,10 +471,11 @@ def build_xi(seed: tuple[GaussianInt, ...], schedule: FoldingSchedule, base: Gau
         if power % q == ZERO:
             raise ValueError("seed numerator must be coprime to the base")
         raise ValueError("seed value must have denominator base**v0")
-    numerator = unit.conj() * p
+    seed_numerator = unit.conj() * p
     _canonical_stage(seed, 0)
-    stage_list = [XiStage(0, numerator, seed)]
-    lifts, residues = [], []
+    residues, images = [], [_image(seed_numerator)]
+    numerators = _Numerators(base, v, residues, images, seed_numerator)
+    stage_list = [XiStage(0, seed_numerator, seed)]
     digits = seed
     base_norm = base.norm
     base_image = _image(base)
@@ -439,34 +490,31 @@ def build_xi(seed: tuple[GaussianInt, ...], schedule: FoldingSchedule, base: Gau
         digits = _fold_series(digits, unit, middle, series_sign)
         if len(digits) != 2 * length + (0 if step == 0 else 1):
             raise AssertionError(f"stage {n}: unexpected stream length")
-        lift = base ** (v[n] - v[n - 1])
-        lifts.append(lift)
         residues.append(GaussianInt(series_sign, 0))
-        numerator = _mul3(numerator, lift) + residues[-1]
-        if divmod(numerator, base)[1] == ZERO:
-            raise AssertionError(f"stage {n}: numerator shares a factor with the base")
-        # The last convergent p/q is reduced and so is numerator / base**v_n,
-        # so they are equal exactly when q = u base**v_n and p = u numerator;
-        # compared under the check's ring map, where the four multiples differ.
+        images.append((images[-1] * pow(base_image, v[n] - v[n - 1], _CHECK_PRIME) + series_sign) % _CHECK_PRIME)
+        # The last convergent p/q is reduced and so is numerator_n / base**v_n
+        # (numerator_n is +-1 past a multiple of the base), so they are equal
+        # exactly when q = u base**v_n and p = u numerator_n; compared under
+        # the check's ring map, where the four multiples differ.
         q, p = _last_pair_mod(digits)
         multiples = _unit_multiples(pow(base_image, v[n], _CHECK_PRIME))
-        if q not in multiples or p != _unit_multiples(_image(numerator))[multiples.index(q)]:
+        if q not in multiples or p != _unit_multiples(images[-1])[multiples.index(q)]:
             raise AssertionError(f"stage {n}: folded stream disagrees with the series")
         unit = UNITS[multiples.index(q)]
         _canonical_stage(digits, n)
-        stage_list.append(XiStage(n, numerator, digits))
+        stage_list.append(XiStage._pending(n, digits, numerators))
     xi = XiNumber(base, schedule, tuple(stage_list))
-    xi.__dict__.update(_lifts=tuple(lifts), _residues=tuple(residues))  # fills the cached_properties
+    xi.__dict__["_residues"] = tuple(residues)  # fills the cached_property
     return xi
 
 
 def _tail_sandwiches(xi: XiNumber) -> tuple[bool, ...]:
     """check_tail_sandwich's verdicts for m = 0, ..., top - 3, from the per-stage residues.
 
-    The residues e_k = d_k - d_(k-1) b**(v_k - v_(k-1)) and the lifts
-    b**(v_k - v_(k-1)) are the number's own (XiNumber._residues and _lifts),
-    which build_xi made, so a built number's verdicts cost no big product
-    unless the bound below fails.  The gap g_m = d_top - d_m b**(v_top - v_m) is
+    The residues e_k = d_k - d_(k-1) b**(v_k - v_(k-1)) are the number's own
+    (XiNumber._residues), which build_xi stored, so a built number's
+    verdicts cost no big product unless the bound below fails.  The gap
+    g_m = d_top - d_m b**(v_top - v_m) is
     the sum of e_k b**(v_top - v_k) over k > m, and the sandwich asks
     1/2 <= |g_m / L_m| <= 3/2 for L_m = b**(v_top - v_(m+1)), whose squared
     modulus is the scale N**(v_top - v_(m+1)).  Now
@@ -481,13 +529,13 @@ def _tail_sandwiches(xi: XiNumber) -> tuple[bool, ...]:
 
     Where the bound fails for some m, the gaps are telescoped downwards,
     g_(k-1) = g_k + e_k b**(v_top - v_k), reusing the residues and the
-    lifts.  A dataclasses.replace copy carries no residues and computes its
-    own from its numerators, so a tampered number gets the verdicts of the
-    plain formula.
+    lifts b**(v_k - v_(k-1)) (XiNumber._lifts), read only here.  A
+    dataclasses.replace copy carries no residues and computes its own from
+    its numerators, so a tampered number gets the verdicts of the plain
+    formula.
     """
     top = xi.stage_count
     v = xi.schedule.v()
-    lifts = xi._lifts
     residues = (ZERO, *xi._residues)
     lam = xi.base.norm.bit_length() - 1
     beta = [max(abs(e.re), abs(e.im)).bit_length() + 1 for e in residues]
@@ -498,6 +546,7 @@ def _tail_sandwiches(xi: XiNumber) -> tuple[bool, ...]:
     ):
         return tuple(residues[m + 1].norm in (1, 2) for m in range(top - 2))
     verdicts = [False] * (top - 2)
+    lifts = xi._lifts
     gap, lift = ZERO, ONE
     for k in range(top, 0, -1):
         gap = gap + _mul3(residues[k], lift)

@@ -193,12 +193,34 @@ def test_zaremba_certify_bad_requests(capsys):
     assert code == 2 and "power must be a positive integer" in err
 
 
+@pytest.mark.parametrize("padded, plain", [("05", "5"), ("-03-i", "-3-i"), ("-2+0001i", "-2+i")])
+def test_zaremba_certify_reads_zero_padded_bases(capsys, padded, plain):
+    # leading zeros count neither against the base's digit budget nor in int()
+    expected = run(capsys, "zaremba", "certify", "--base", plain, "--power", "1")
+    assert expected[0] == 0
+    assert run(capsys, "zaremba", "certify", "--base", padded, "--power", "1") == expected
+
+
 def test_zaremba_search(capsys):
     code, out, _ = run(capsys, "zaremba", "search", "--den", "1+i")
     assert code == 0
     assert out == "numerator = -i\nmax_digit_norm = 2\ndigits = -1+i\n"
     code, _, err = run(capsys, "zaremba", "search", "--den", "8192")
     assert code == 2 and "desk scale" in err
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no integer string limit")
+def test_zaremba_search_reads_zero_padded_denominators(capsys):
+    # 5000 leading zeros pass Python's 4300-digit int() limit, which counts them
+    expected = run(capsys, "zaremba", "search", "--den", "7+12i")
+    assert expected[0] == 0
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        for padded in ("007+012i", "0" * 5000 + "7+" + "0" * 5000 + "12i"):
+            assert run(capsys, "zaremba", "search", "--den", padded) == expected
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 def test_xi_csv_schema_and_determinism(capsys):
@@ -226,8 +248,10 @@ def test_xi_csv_schema_and_determinism(capsys):
          "591465d763817a64ef5968768c59fa4458494c3701164352c110ced450a2b810"),
         (("--base", "-3-i", "--tau", "2", "--lambda", "1", "--stages", "10", "--format", "records"),
          "98b79825a6dc536930cf4fd2a424c9c0b43cb2605527de2a4849b59ce291cb90"),
+        (("--base", "-2+i", "--tau", "5/2", "--lambda", "1", "--stages", "10"),
+         "5d5e80deb2e2e7bc94b28fb3f2af7627f888930faea5eeddc8b70617477baaac"),
     ],
-    ids=["tau-5/2-csv", "tau-2-records"],
+    ids=["tau-5/2-csv", "tau-2-records", "tau-5/2-csv-10"],
 )
 def test_xi_output_is_pinned(capsys, argv, digest):
     # sha256 of the whole stdout, exponent brackets included, as the Fraction

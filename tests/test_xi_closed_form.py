@@ -6,10 +6,12 @@ formula, and the up-front work budget."""
 
 import dataclasses
 import functools
+import gc
 import hashlib
 import itertools
 import random
 import time
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -18,7 +20,7 @@ import xi_reference as ref
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hurwitzcf import gaussian, geometry, spectrum
+from hurwitzcf import cli, gaussian, geometry, spectrum
 from hurwitzcf.cf import CfSequence, _fold_series, convergents, fold, fold_unit, fold_unit_neg
 from hurwitzcf.gaussian import ONE, UNITS, ZERO, GaussianInt
 from hurwitzcf.spectrum import (
@@ -268,37 +270,75 @@ _CHECK_SEEDS = ((certify(B, 4).digits, (3,)), (unit_seed(B, 4), (0,)))
 
 
 @pytest.mark.parametrize("corrupt", [
-    lambda name, x: 2 * x % spectrum._CHECK_PRIME if name == "power" else x,  # q is no unit times it
-    lambda name, x: -x if name == "numerator" else x,  # q passes, p does not
+    lambda name, w: 2 * w % spectrum._CHECK_PRIME if name == "power" else w,  # q is no unit times it
+    lambda name, w: -w % spectrum._CHECK_PRIME if name == "numerator" else w,  # q passes, p does not
 ])
 def test_stage_check_rejects_a_wrong_matrix(monkeypatch, corrupt):
-    # Stage 1 makes one big product, numerator_1 = numerator_0 * lift + s, and
-    # reads base**v_1 only as its image, a modular power, which the check
-    # passes to _unit_multiples first.  A doubled power image or a negated
-    # numerator stands for a series value that is not the stream's.  Each
-    # half of the check must fire on the general fold of the certificate seed
-    # (middle B**3) and on the unit fold of unit_seed(B, 4) (middle 1): the
-    # power half computes only the power's multiples, the numerator half both.
+    # Stage 1 reads base**v_1 only as its image, a modular power, and
+    # numerator_1 only as the image build_xi carries; the check passes the
+    # power's image to _unit_multiples first, the numerator's second.  A
+    # doubled power image or a negated numerator image stands for a series
+    # value that is not the stream's.  Each half of the check must fire on
+    # the general fold of the certificate seed (middle B**3) and on the unit
+    # fold of unit_seed(B, 4) (middle 1): the power half computes only the
+    # power's multiples, the numerator half both.  The build forms no product.
     original, multiples = spectrum._unit_multiples, []
 
     def unit_multiples(w):
         multiples.append(w)
-        return original(corrupt("power", w) if len(multiples) == 1 else w)
+        return original(corrupt("power" if len(multiples) == 1 else "numerator", w))
 
     monkeypatch.setattr(spectrum, "_unit_multiples", unit_multiples)
+    calls = _count_big_work(monkeypatch)
     for seed, u in _CHECK_SEEDS:
-        products = []
-
-        def product(z, w):
-            products.append(corrupt("numerator", gaussian._mul3(z, w)))
-            return products[-1]
-
-        monkeypatch.setattr(spectrum, "_mul3", product)
         multiples.clear()
         with pytest.raises(AssertionError, match="stage 1: folded stream disagrees with the series"):
             build_xi(seed, FoldingSchedule(4, u), B)
-        assert len(products) == 1
         assert len(multiples) == (1 if corrupt("power", 1) != 1 else 2)
+    assert calls["_mul3"] == 0
+
+
+@pytest.mark.parametrize("at", [1, 3, 6])
+def test_a_wrong_product_fails_the_read_that_forms_it(monkeypatch, at):
+    # numerator_n is formed on first read and checked against the image the
+    # build carried: a negated product at stage `at` raises there, naming it
+    xi = _built(B, "5/2", 6)
+    products = []
+
+    def product(z, w):
+        products.append(1)
+        return -gaussian._mul3(z, w) if len(products) == at else gaussian._mul3(z, w)
+
+    monkeypatch.setattr(spectrum, "_mul3", product)
+    assert [xi.stages[n].numerator for n in range(at)]
+    with pytest.raises(AssertionError, match=f"stage {at}: numerator disagrees with the checked series image"):
+        xi.partial(6)
+    assert len(products) == at
+
+
+def test_numerators_read_out_of_order_match_the_reference():
+    schedule = _tau_schedule(B, "5/2", 6)
+    seed = unit_seed(B, schedule.v0)
+    reference = ref.build_xi(seed, schedule, B, stages=6)
+    in_order = [s.numerator for s in build_xi(seed, schedule, B, stages=6).stages]
+    xi = build_xi(seed, schedule, B, stages=6)
+    assert xi.stages[5].numerator == reference[5][1]
+    assert xi.partial(2) == reference[2][3]
+    assert [s.numerator for s in xi.stages] == in_order == [numerator for _, numerator, _, _ in reference]
+    assert [dataclasses.replace(s) for s in xi.stages] == list(xi.stages)
+
+
+def test_a_dropped_number_frees_its_numerators_at_once():
+    # a stage holds the numerators, not its number, so no cycle waits for the collector
+    gc.disable()
+    try:
+        xi = _built(B, "5/2", 6)
+        xi.partial(6)
+        numerators = weakref.ref(xi.stages[1]._numerators)
+        del xi
+        assert numerators() is None
+    finally:
+        gc.enable()
 
 
 def test_stage_check_rejects_a_wrong_digit(monkeypatch):
@@ -548,13 +588,14 @@ def test_honest_sandwich_makes_no_big_product(monkeypatch):
 
 
 def test_a_copy_makes_one_big_product_per_stage_in_its_sandwiches(monkeypatch):
-    # a copy carries no cache: one power per lift and one residue product per stage
+    # a copy carries no cache: one power per lift and one residue product per
+    # stage, besides forming the numerators it shares with xi (as many again)
     xi = _built(B, "5/2", 6)
     copy = dataclasses.replace(xi)
     exact = _exact_passes(monkeypatch)
     calls = _count_big_work(monkeypatch)
     assert all(spectrum._tail_sandwiches(copy))
-    assert calls == {"_mul3": copy.stage_count, "__pow__": copy.stage_count}
+    assert calls == {"_mul3": 2 * copy.stage_count, "__pow__": 2 * copy.stage_count}
     assert exact == []
     assert copy._residues == xi._residues and copy._lifts == xi._lifts
 
@@ -582,20 +623,33 @@ def test_build_xi_makes_one_big_product_per_stage(monkeypatch, base, tau, stages
     seed = unit_seed(base, schedule.v0)
     calls = _count_big_work(monkeypatch)
     xi = build_xi(seed, schedule, base, stages=stages)
-    assert calls["_mul3"] == stages
-    # per stage the middle digit base**u_n and the lift; base**v0 once
-    assert calls["__pow__"] == 2 * stages + 1
+    # per stage the middle digit base**u_n; base**v0 once; no product
+    assert calls == {"_mul3": 0, "__pow__": stages + 1}
+    numerators = [s.numerator for s in xi.stages]
+    # forming the numerators: per stage the lift and one product
+    assert calls == {"_mul3": stages, "__pow__": 2 * stages + 1}
+    assert numerators == [s.numerator for s in xi.stages]
     assert xi._lifts == tuple(base ** (v - w) for v, w in zip(schedule.v()[1:], schedule.v()[:stages]))
 
 
+def test_the_cli_xi_command_forms_no_big_product(monkeypatch, capsys):
+    # `hurwitzcf xi` prints stream lengths, sandwiches and exponent brackets,
+    # none of which reads a numerator or a lift
+    calls = _count_big_work(monkeypatch)
+    assert cli.main(["xi", "--base", "-2+i", "--tau", "5/2", "--lambda", "1", "--stages", "8"]) == 0
+    assert capsys.readouterr().out.count("\n") == 10
+    # the middle digits base**u_n, and base**v0 in unit_seed and in build_xi
+    assert calls == {"_mul3": 0, "__pow__": 8 + 2}
+
+
 def test_a_copy_computes_its_own_lifts():
-    # dataclasses.replace does not carry build_xi's lifts into the copy: a
+    # dataclasses.replace does not carry build_xi's residues into the copy: a
     # copy with another schedule, or with a tampered numerator, gets the per-m
     # formula's verdicts on its own schedule
     xi = _built(B, "5/2", 6)
     top = xi.stage_count
     other = dataclasses.replace(xi, schedule=variant_schedule(xi.schedule, B, (0, 1)))
-    assert "_lifts" in vars(xi) and "_lifts" not in vars(other)
+    assert "_lifts" not in vars(xi) and "_lifts" not in vars(other)
     assert "_residues" in vars(xi) and "_residues" not in vars(other)
     got = [check_tail_sandwich(other, m) for m in range(top - 2)]
     assert got == [old_sandwich(other, m) for m in range(top - 2)]
