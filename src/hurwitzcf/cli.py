@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import functools
 import re
 import sys
 from fractions import Fraction
@@ -17,7 +16,6 @@ from .gaussian import (
     format_gaussian_int,
     format_gaussian_rational,
     parse_gaussian_int,
-    parse_gaussian_rational,
 )
 from .geometry import Validity, export_state_table, get_automaton, is_valid
 from .hcf import hcf_expand
@@ -60,21 +58,56 @@ _MAX_SEARCH_BITS = (DESK_NORM_CAP.bit_length() + 1) // 2
 _MAX_BASE_BITS = max(max(abs(b.re), abs(b.im)) for b in supported_bases()).bit_length()
 
 
-def _wide_ints(handler):
-    """The handler run with Python's integer string limit raised to zaremba.MAX_CERTIFY_DIGITS, then restored.
+def _component_digits(text: str) -> int:
+    """The digits of the longest number written in text, underscores not counted (0 when there is none)."""
+    return max((len(run.replace("_", "")) for run in re.findall(r"\d[\d_]*", text)), default=0)
 
-    For the commands whose admitted input or output has integers past the
-    default limit of 4300 decimal digits.
+
+def _gate(text: str, max_bits: int = 0, refusal: str = "") -> str:
+    """The operand gate: text, leading zeros dropped, once the numbers it writes pass both limits.
+
+    A number of D decimal digits, leading zeros dropped, is at least
+    10**(D - 1), so of more than 3.321 (D - 1) bits; when that reaches
+    max_bits (0: no budget), text is refused by BudgetError(refusal), or by
+    the work-budget message when no refusal is given.  Past Python's integer
+    string limit in force (0: no cap), it is refused by a BudgetError naming
+    the digit count, before int() would refuse it with a message of its own.
+    Leading zeros after '.' or '_' stay: they are places of the same number.
     """
-    @functools.wraps(handler)
-    def run(args: argparse.Namespace) -> int:
-        with wide_int_strings():
-            return handler(args)
-    return run
+    text = re.sub(r"(?<![.\d_])0+(?=\d)", "", text)
+    digits = _component_digits(text)
+    if max_bits and (digits - 1) * 3321 // 1000 >= max_bits:
+        raise BudgetError(refusal or f"a component exceeds the work budget of {max_bits} bits")
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if 0 < limit < digits:
+        raise BudgetError(f"a {digits}-digit operand exceeds the integer string limit of {limit} digits")
+    return text
+
+
+def _parse_operand(text: str, max_bits: int = 0, refusal: str = "") -> GaussianInt:
+    """parse_gaussian_int behind the operand gate; a work budget is then checked on the exact bit count.
+
+    A refusal given names a limit that the library checks on the value itself,
+    with the same message, so only the CLI's own work budgets are checked here.
+    """
+    value = parse_gaussian_int(_gate(text, max_bits, refusal))
+    bits = max(abs(value.re), abs(value.im)).bit_length()
+    if max_bits and not refusal and bits > max_bits:
+        raise BudgetError(f"a {bits}-bit component exceeds the work budget of {max_bits} bits")
+    return value
+
+
+def _parse_integer(text: str, option: str) -> int:
+    """int(text) behind the operand gate, refused without the text echoed when it is not an integer."""
+    text = _gate(text)
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{option} must be an integer") from None
 
 
 def _parse_digits(text: str) -> tuple[GaussianInt, ...]:
-    parts = [chunk.strip() for chunk in text.split(",") if chunk.strip()]
+    parts = [chunk.strip() for chunk in _gate(text).split(",") if chunk.strip()]
     if not parts:
         raise ValueError("empty digit list")
     return tuple(parse_gaussian_int(chunk) for chunk in parts)
@@ -84,47 +117,16 @@ def _format_digits(digits: tuple[GaussianInt, ...]) -> str:
     return ",".join(format_gaussian_int(d) for d in digits)
 
 
-def _check_component_bits(values: list[GaussianInt], limit: int) -> None:
-    bits = max(max(abs(z.re), abs(z.im)).bit_length() for z in values)
-    if bits > limit:
-        raise BudgetError(f"a {bits}-bit component exceeds the work budget of {limit} bits")
-
-
-def _strip_zeros(text: str) -> str:
-    """text with the leading zeros of each run of digits dropped, which int() would count against its limit."""
-    return re.sub(r"\d+", lambda run: run[0].lstrip("0") or "0", text)
-
-
-def _component_digits(text: str) -> int:
-    """The decimal digits of the longest run of digits in text, leading zeros not counted (0 when there is none)."""
-    return max((len(run.lstrip("0")) for run in re.findall(r"\d+", text)), default=0)
-
-
-def _parse_operand(text: str, max_bits: int, refusal: str) -> GaussianInt:
-    """parse_gaussian_int, refused by BudgetError(refusal) before int() when a component has too many digits.
-
-    A component of D decimal digits, leading zeros dropped, is at least
-    10**(D - 1), so of more than 3.321 (D - 1) bits, and it is refused when
-    that reaches max_bits.  Below about 14 000 bits, int() thus never meets
-    a string past Python's default limit of 4300 digits.
-    """
-    text = _strip_zeros(text)
-    if (_component_digits(text) - 1) * 3321 // 1000 >= max_bits:
-        raise BudgetError(refusal)
-    return parse_gaussian_int(text)
-
-
 def _parse_expand_fraction(text: str) -> GaussianRational:
-    """parse_gaussian_rational, with the work budget checked before the fraction is reduced."""
-    text = _strip_zeros(text)
-    refusal = f"a component exceeds the work budget of {_MAX_EXPAND_BITS} bits"
-    _check_component_bits([_parse_operand(part, _MAX_EXPAND_BITS, refusal) for part in text.split("/")],
-                          _MAX_EXPAND_BITS)
-    return parse_gaussian_rational(text)
+    """The fraction, each part through the operand gate and the work budget before it is reduced."""
+    parts = [_parse_operand(part, _MAX_EXPAND_BITS) for part in text.split("/")]
+    if len(parts) > 2:
+        raise ValueError("cannot parse Gaussian rational: more than one '/'")
+    return GaussianRational(*parts)
 
 
 def _parse_xi_fraction(text: str, option: str, max_bits: int) -> Fraction:
-    """Fraction(text), refused before Fraction builds 10**e when its parts could pass max_bits.
+    """Fraction(text) behind the operand gate, refused before Fraction builds 10**e when its parts could pass max_bits.
 
     A mantissa of D digits and an exponent e give a numerator and a denominator
     of at most D + |e| decimal digits, so of fewer than 3.322 (D + |e|) + 1 bits.
@@ -136,7 +138,7 @@ def _parse_xi_fraction(text: str, option: str, max_bits: int) -> Fraction:
         digits += int(magnitude) if len(magnitude) <= 12 else 10**12
     if digits * 3322 // 1000 + 1 > max_bits:
         raise BudgetError(f"{option} has a numerator or denominator over the work budget of {max_bits} bits")
-    return Fraction(text)
+    return Fraction(_gate(text))
 
 
 def _cmd_hcf_expand(args: argparse.Namespace) -> int:
@@ -158,7 +160,6 @@ def _cmd_hcf_expand(args: argparse.Namespace) -> int:
     return 0
 
 
-@_wide_ints
 def _cmd_cf_eval(args: argparse.Namespace) -> int:
     digits = _parse_digits(args.digits)
     value = evaluate(CfSequence(ZERO, digits))
@@ -166,7 +167,6 @@ def _cmd_cf_eval(args: argparse.Namespace) -> int:
     return 0
 
 
-@_wide_ints
 def _cmd_cf_fold(args: argparse.Namespace) -> int:
     word = CfSequence(ZERO, _parse_digits(args.digits))
     if args.unit:
@@ -174,12 +174,11 @@ def _cmd_cf_fold(args: argparse.Namespace) -> int:
     elif args.unit_neg:
         folded = fold_unit_neg(word)
     else:
-        folded = fold(word, parse_gaussian_int(args.middle))
+        folded = fold(word, _parse_operand(args.middle))
     print(_format_digits(folded.tail))
     return 0
 
 
-@_wide_ints
 def _cmd_validity_check(args: argparse.Namespace) -> int:
     verdict = is_valid(_parse_digits(args.digits))
     print(verdict.value)
@@ -204,7 +203,7 @@ def _cmd_zaremba_certify(args: argparse.Namespace) -> int:
     digits = _component_digits(operand)
     name = operand if digits <= 20 else f"a {digits}-digit component"  # as certify names a long base
     base = _parse_operand(operand, _MAX_BASE_BITS, f"unsupported base: {name}")
-    cert = certify(base, args.power)
+    cert = certify(base, _parse_integer(args.power, "--power"))
     text = emit_certificates([cert])
     sys.stdout.write(text)
     if args.emit is not None:
@@ -227,10 +226,9 @@ def _parse_variant(text: str) -> tuple[int, ...]:
     return tuple(int(bit) for bit in text[2:])
 
 
-@_wide_ints
 def _cmd_xi(args: argparse.Namespace) -> int:
-    base = parse_gaussian_int(args.base)
-    stages = args.stages
+    base = _parse_operand(args.base)
+    stages = _parse_integer(args.stages, "--stages")
     if stages < 1:
         raise ValueError("need at least one stage")
     # schedule_from_tau(..., stages + 1) raises tau to a power of at least
@@ -266,11 +264,8 @@ def _cmd_xi(args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
-@_wide_ints
 def _cmd_encode(args: argparse.Namespace) -> int:
-    value = parse_gaussian_int(args.value)
-    _check_component_bits([value], _MAX_ENCODE_BITS)
-    expansion = encode_base_b(value, parse_gaussian_int(args.base))
+    expansion = encode_base_b(_parse_operand(args.value, _MAX_ENCODE_BITS), _parse_operand(args.base))
     joiner = "" if expansion.base.norm <= 10 else ","
     print(joiner.join(str(d) for d in reversed(expansion.digits)))
     return 0
@@ -311,7 +306,7 @@ def _build_parser() -> argparse.ArgumentParser:
     zar_cmd = sub.add_parser("zaremba", help="bounded-digit certificates").add_subparsers(required=True)
     cert = zar_cmd.add_parser("certify", help="build and verify a certificate")
     cert.add_argument("--base", required=True)
-    cert.add_argument("--power", required=True, type=int)
+    cert.add_argument("--power", required=True)
     cert.add_argument("--emit", metavar="PATH", help="also write the certificate to a file")
     cert.set_defaults(handler=_cmd_zaremba_certify)
     search = zar_cmd.add_parser("search", help="exhaustive minimal-K oracle")
@@ -322,7 +317,7 @@ def _build_parser() -> argparse.ArgumentParser:
     xi_cmd.add_argument("--base", required=True)
     xi_cmd.add_argument("--tau", required=True, help="growth ratio as p/q, at least 2")
     xi_cmd.add_argument("--lambda", required=True, dest="lam", help="scale as p/q, positive")
-    xi_cmd.add_argument("--stages", required=True, type=int)
+    xi_cmd.add_argument("--stages", required=True)
     xi_cmd.add_argument("--variant", help="w:<bits>, one bit per stage; bit n raises the schedule's "
                         "n-th increment by the least s with N(base)**s >= 8, e.g. w:01")
     xi_cmd.add_argument("--format", choices=("csv", "records"), default="csv")
@@ -343,7 +338,10 @@ def main(argv: list[str] | None = None) -> int:
     guarded = [f" {a}" if a.startswith("-") and not a.startswith("--") and a != "-h" else a for a in raw]
     args = _build_parser().parse_args(guarded)
     try:
-        return args.handler(args)
+        # Admitted inputs and outputs may pass Python's default limit of 4300
+        # digits; every operand's digits are counted at the gate before int().
+        with wide_int_strings():
+            return args.handler(args)
     except CertificateError as exc:
         print(str(exc), file=sys.stderr)
         for name, passed in exc.transcript:

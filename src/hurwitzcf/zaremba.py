@@ -17,6 +17,7 @@ from .gaussian import (
     BudgetError,
     GaussianInt,
     GaussianRational,
+    _associate_unit,
     _check_power_budget,
     _gauss_map,
     format_gaussian_int,
@@ -254,9 +255,6 @@ def digit_window_ok(cert: ZarembaCertificate) -> bool:
 _Entry = tuple[ZarembaCertificate, tuple[tuple[str, bool], ...], GaussianInt]
 _CACHE: dict[tuple[tuple[int, int], int], _Entry] = {}
 
-_UNITS = (ONE, -ONE, GaussianInt(0, 1), GaussianInt(0, -1))
-
-
 @dataclass(frozen=True)
 class _FoldProof:
     """Evidence that a folded word's last convergent is (unit den, unit numerator).
@@ -313,10 +311,10 @@ def _fold_proof(
         folded = (q * q, q * p + s * sign)
     else:
         return None
-    for unit in _UNITS:
-        if folded == (unit * den, unit * numerator):
-            return _FoldProof(unit)
-    return None
+    unit = _associate_unit(folded[0], den)
+    if unit is None or folded[1] != unit * numerator:
+        return None
+    return _FoldProof(unit)
 
 
 def _fold_plan(base: GaussianInt, power: int) -> tuple[int, GaussianInt]:

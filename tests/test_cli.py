@@ -446,12 +446,11 @@ def test_every_subcommand_ends_fast_on_oversized_input(capsys, argv, expected):
 
 
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no integer string limit")
-@pytest.mark.parametrize("row", ["cf-eval-long-word", "cf-fold-huge-middle", "validity-huge-digit",
-                                 "encode-huge-value", "hcf-expand-huge-fraction"])
+@pytest.mark.parametrize("row", _BUDGET_AUDIT.keys())
 def test_commands_leave_the_int_digit_limit_as_they_found_it(capsys, row):
-    # only the commands whose input or output needs it raise the limit, and
-    # only while they run: the first three rows need it to end as the audit
-    # pins, and an error, raised inside a command or not, restores it too
+    # main runs every command with the limit raised, and only while it runs:
+    # the cf and validity rows need it to end as the audit pins, and an
+    # error, raised inside a command or not, restores it too
     saved = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(4300)
     try:
@@ -472,8 +471,8 @@ def test_commands_leave_the_int_digit_limit_as_they_found_it(capsys, row):
     ("certify-huge-base", "unsupported base: a 20001-digit component"),
 ], ids=["hcf-expand-huge-fraction", "search-huge-den", "certify-huge-base"])
 def test_huge_operands_get_the_commands_own_message(capsys, row, message):
-    # these commands leave the int string limit alone, so the operand's digits
-    # are counted before int() would refuse it with Python's own message
+    # the operand gate counts the digits against the command's own bit limit
+    # first, so its message comes before the int string limit's or int()'s
     argv, expected = _BUDGET_AUDIT[row]
     saved = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(4300)
@@ -484,6 +483,47 @@ def test_huge_operands_get_the_commands_own_message(capsys, row, message):
     finally:
         sys.set_int_max_str_digits(saved)
     assert (code, out, err) == (expected, "", f"error: {message}\n")
+
+
+_BIG = "7" * 40001
+
+# Each integer operand of the command line, 40 001 digits long.
+_BIG_OPERANDS = {
+    "hcf-expand-numerator": ("hcf", "expand", f"{_BIG}/3"),
+    "hcf-expand-denominator": ("hcf", "expand", f"3/{_BIG}"),
+    "cf-eval-digit": ("cf", "eval", f"2,{_BIG}"),
+    "cf-fold-digit": ("cf", "fold", f"2,{_BIG}", "--unit"),
+    "cf-fold-middle": ("cf", "fold", "2,3", "--middle", _BIG),
+    "validity-digit": ("validity", "check", f"1+i,{_BIG}i"),
+    "search-den": ("zaremba", "search", "--den", _BIG),
+    "certify-base": ("zaremba", "certify", "--base", _BIG, "--power", "4"),
+    "certify-power": ("zaremba", "certify", "--base", "-2+i", "--power", _BIG),
+    "xi-base": ("xi", "--base", _BIG, "--tau", "5/2", "--lambda", "1", "--stages", "3"),
+    "xi-tau": ("xi", "--base", "-2+i", "--tau", f"{_BIG}/2", "--lambda", "1", "--stages", "3"),
+    "xi-lambda": ("xi", "--base", "-2+i", "--tau", "5/2", "--lambda", f"1.{_BIG}", "--stages", "3"),
+    "xi-stages": ("xi", "--base", "-2+i", "--tau", "5/2", "--lambda", "1", "--stages", _BIG),
+    "encode-value": ("encode", _BIG, "--base", "-2+i"),
+    "encode-base": ("encode", "5", "--base", f"-{_BIG}+i"),
+}
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no integer string limit")
+@pytest.mark.parametrize("argv", _BIG_OPERANDS.values(), ids=_BIG_OPERANDS.keys())
+def test_every_integer_operand_is_refused_in_one_short_line(capsys, argv):
+    # past the command's budget or the int string limit, whichever comes
+    # first; never Python's conversion error and never the operand echoed
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 2.0
+        assert sys.get_int_max_str_digits() == 4300
+    finally:
+        sys.set_int_max_str_digits(saved)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and len(err.encode()) < 200
+    assert "set_int_max_str_digits" not in err and "7" * 100 not in err
 
 
 def test_dash_operands_survive_option_scanning(capsys):

@@ -70,6 +70,27 @@ def test_the_cli_imports_only_public_library_names():
     assert private == []
 
 
+# The functions of cli.py that turn operand text into numbers; each passes the text through _gate first.
+_CLI_GATE_HELPERS = {"_parse_operand", "_parse_integer", "_parse_digits", "_parse_xi_fraction"}
+
+
+def test_the_cli_reads_every_operand_through_one_gate():
+    # one int-limit scope around every command, and every number the command
+    # line reads is counted against its budget and that limit before int()
+    tree = ast.parse((SRC / "cli.py").read_text())
+    calls = [(getattr(function, "name", None), node.func.id, node) for function in tree.body
+             for node in ast.walk(function) if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)]
+    scopes = [(function, node) for function, name, node in calls if name == "wide_int_strings"]
+    assert [function for function, _ in scopes] == ["main"]
+    assert any(isinstance(node, ast.With) and node.items[0].context_expr is scopes[0][1] for node in ast.walk(tree))
+    assert [node for node in ast.walk(tree) if isinstance(node, ast.keyword) and node.arg == "type"] == []
+    converters = {"int", "Fraction", "GaussianInt", "parse_gaussian_int", "parse_gaussian_rational"}
+    converting = {function for function, name, node in calls if name in converters
+                  and not (function == "_parse_variant" and ast.unparse(node) == "int(bit)")}  # one character: 0 or 1
+    assert converting == _CLI_GATE_HELPERS
+    assert {function for function, name, _ in calls if name == "_gate"} >= _CLI_GATE_HELPERS
+
+
 PERFBENCH = SRC.parent.parent / "perfbench"
 
 
