@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TypeVar
 
-from .gaussian import ONE, ZERO, GaussianInt, GaussianRational, _box, _rational, parse_gaussian_int
+from .gaussian import ONE, ZERO, GaussianInt, GaussianRational, _box, _quoted, _rational, parse_gaussian_int
+
+_Ring = TypeVar("_Ring", GaussianInt, int)
 
 
 class CfUndefinedError(ArithmeticError):
@@ -142,6 +145,11 @@ def fold_unit_neg(cf: CfSequence) -> CfSequence:
     return CfSequence._raw(cf.head, body + (last - 1, last + 1) + mirror(body))
 
 
+def _signed_middle(n: int, unit: GaussianInt, middle: GaussianInt, sign: int) -> GaussianInt:
+    """The digit x = sign (-1)^n u^2 middle that a fold of a length-n word places, u^2 = +-1."""
+    return -middle if sign * fold_sign(n) * (unit * unit).re < 0 else middle
+
+
 def _fold_series(
     word: tuple[GaussianInt, ...], unit: GaussianInt, middle: GaussianInt, sign: int
 ) -> tuple[GaussianInt, ...]:
@@ -154,13 +162,84 @@ def _fold_series(
     series side is the numerator c middle B + sign over middle B^2.
     """
     cf = CfSequence._raw(ZERO, word)
-    if sign * fold_sign(len(word)) * (unit * unit).re < 0:
-        middle = -middle
+    middle = _signed_middle(len(word), unit, middle, sign)
     if middle == ONE:
         return fold_unit(cf).tail
     if middle == -ONE:
         return fold_unit_neg(cf).tail
     return fold(cf, middle).tail
+
+
+def _fold_series_negated(
+    word: tuple[GaussianInt, ...], negated: tuple[GaussianInt, ...], unit: GaussianInt,
+    middle: GaussianInt, sign: int,
+) -> tuple[tuple[GaussianInt, ...], tuple[GaussianInt, ...]]:
+    """_fold_series(word, unit, middle, sign) and its digit-wise negation, given word's.
+
+    negated is word with every digit negated.  A reversed tuple shares its
+    digit objects, so both results are slices of word and negated around two
+    new digits: for a fold by x, word + (x,) + reversed negated and
+    negated + (-x,) + reversed word; for a unit fold by s = +-1 of
+    word = body + (a,), body + (a + s, a - s) + reversed body and the same
+    shape over negated.
+    """
+    x = _signed_middle(len(word), unit, middle, sign)
+    if x == ONE or x == -ONE:
+        body, negated_body, a, negated_a = word[:-1], negated[:-1], word[-1], negated[-1]
+        return (
+            body + (a + x, a - x) + body[::-1],
+            negated_body + (negated_a - x, negated_a + x) + negated_body[::-1],
+        )
+    return word + (x,) + negated[::-1], negated + (-x,) + word[::-1]
+
+
+def _fold_pivot(
+    word: tuple[GaussianInt, ...], negated: tuple[GaussianInt, ...],
+    folded: tuple[GaussianInt, ...], negation: tuple[GaussianInt, ...],
+) -> tuple[GaussianInt, bool] | None:
+    """(pivot, unit_fold) when folded is a fold of word and negation is folded's digit-wise negation.
+
+    negated must be word's digit-wise negation.  folded must be
+    word + (x,) + reversed negated (pivot x), or body + (a + s, a - s) +
+    reversed body for word = body + (a,) and s = +-1 (a unit fold, pivot s),
+    digit by digit; else None.  Tuple comparisons only, at C speed: == takes
+    a digit that both sides hold as equal without comparing it.
+    """
+    n = len(word)
+    if len(folded) == 2 * n + 1:
+        x = folded[n]
+        if (folded[:n] == word and folded[n + 1:] == negated[::-1]
+                and negation[:n] == negated and negation[n] == -x and negation[n + 1:] == word[::-1]):
+            return x, False
+    elif len(folded) == 2 * n:
+        body, negated_body = word[:-1], negated[:-1]
+        up, down = folded[n - 1], folded[n]
+        s = up - word[-1]
+        if ((s == ONE or s == -ONE) and down == word[-1] - s
+                and folded[:n - 1] == body and folded[n + 1:] == body[::-1]
+                and negation[:n - 1] == negated_body and negation[n + 1:] == negated_body[::-1]
+                and negation[n - 1] == -up and negation[n] == -down):
+            return s, True
+    return None
+
+
+def _folded_pair(q: _Ring, p: _Ring, n: int, pivot: _Ring, unit_fold: bool) -> tuple[_Ring, _Ring]:
+    """The last convergent pair (q', p') of a fold of a length-n word whose last pair is (q, p).
+
+    With A_a = [[a, 1], [1, 0]], a word's convergent matrix is
+    [[0, 1], [1, 0]] A_(a_1) ... A_(a_n) = [[p_n, p_(n-1)], [q_n, q_(n-1)]].
+    From A_(-a) = -D A_a D with D = diag(1, -1) and
+    p_(n-1) q_n - p_n q_(n-1) = (-1)^n, a fold by x (pivot x) has
+    (q', p') = (-1)^n (x q^2, x q p) + (0, 1); from
+    A_a A_s A_(-a) = A_(a+s) A_(a-s) diag(-s, s), a unit fold by s = +-1
+    (pivot s) has (q', p') = (q^2, q p + s (-1)^n).  Ring operations only:
+    q, p and the pivot are GaussianInts, or ints standing for their images
+    in a quotient ring, which the caller reduces.
+    """
+    if unit_fold:
+        return q * q, q * p + pivot * fold_sign(n)
+    y = pivot * fold_sign(n)
+    return y * (q * q), y * (q * p) + 1
 
 
 def fold_sign(n: int) -> int:
@@ -180,7 +259,7 @@ def parse_cf(text: str) -> CfSequence:
     """Parse '[a0; a1, a2, ...]' (spaces optional; '[a0]' and '[a0;]' allowed)."""
     s = text.strip()
     if not (s.startswith("[") and s.endswith("]")):
-        raise ValueError(f"cannot parse continued fraction: {text!r}")
+        raise ValueError(f"cannot parse continued fraction: {_quoted(text)}")
     s = s[1:-1]
     head_text, _, tail_text = s.partition(";")
     head = parse_gaussian_int(head_text)

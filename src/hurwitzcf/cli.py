@@ -233,7 +233,11 @@ def _cmd_xi(args: argparse.Namespace) -> int:
         raise ValueError("need at least one stage")
     # schedule_from_tau(..., stages + 1) raises tau to a power of at least
     # stages + 5, so it refuses any tau with parts past this share of the budget.
-    tau = _parse_xi_fraction(args.tau, "--tau", MAX_POWER_BITS // (stages + 5))
+    # It refuses more than MAX_POWER_BITS.bit_length() + 1 stages before it reads
+    # tau, so a count past that takes the share of the largest it admits and
+    # gets the library's stage-budget message, not a share of 0 bits.
+    share = MAX_POWER_BITS // (min(stages, MAX_POWER_BITS.bit_length()) + 5)
+    tau = _parse_xi_fraction(args.tau, "--tau", share)
     lam = _parse_xi_fraction(args.lam, "--lambda", MAX_POWER_BITS)
     schedule = schedule_from_tau(tau, lam, base, stages + 1)
     if args.variant is not None:

@@ -6,7 +6,7 @@ The sign tests take ints or Fractions alike; geometry runs them on integers.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 
 
 def sign(x: Fraction | int) -> int:
@@ -74,34 +74,43 @@ def _dyadic_round(numerator: int, denominator: int, bits: int, up: bool) -> Frac
 
 
 def _atanh_brackets(t: Fraction, bits: int) -> tuple[Fraction, Fraction]:
-    """Bracket atanh(t) for 0 <= t <= 2/5 via the odd power series with a tail bound."""
+    """Bracket atanh(t) for 0 <= t <= 2/5 via the odd power series with a tail bound.
+
+    t is rounded out to a_lo / 2**k <= t <= a_hi / 2**k, k = bits + 16, and
+    atanh(u) lies between S(u) = sum_(j <= J) u**(2j+1) / (2j+1) and S(u)
+    plus u**(2J+3) / (1 - u**2), the bound on the tail; J is the least with
+    that bound at most 2**-(bits+4) at u = a_hi / 2**k.  The work is in
+    ints: each S is one numerator over 2**(k (2J+1)) lcm(1, 3, ..., 2J+1),
+    summed by Horner's rule in 2**(2k), and each bound one Fraction.
+    """
     if t == 0:
         return Fraction(0), Fraction(0)
     if not 0 < t <= Fraction(2, 5):
         raise ValueError("series argument out of range")
-    t_lo = _dyadic_round(t.numerator, t.denominator, bits + 16, up=False)
-    t_hi = _dyadic_round(t.numerator, t.denominator, bits + 16, up=True)
+    k = bits + 16
+    n, d = t.numerator, t.denominator
+    a_lo, a_hi = (n << k) // d, -((-n << k) // d)
+    # The tail bound is a_hi**(2J+3) / (2**(k (2J+1)) gap), gap = 2**(2k) - a_hi**2.
+    square = a_hi * a_hi
+    gap = (1 << 2 * k) - square
+    j_max, top, scaled_gap = 0, a_hi * square, gap << k
+    while top << (bits + 4) > scaled_gap:
+        j_max += 1
+        top *= square
+        scaled_gap <<= 2 * k
+    odd_lcm = lcm(*range(1, 2 * j_max + 2, 2))
 
-    def partial(u: Fraction, j_max: int) -> Fraction:
-        term = u
-        acc = u
-        uu = u * u
-        for j in range(1, j_max + 1):
-            term *= uu
-            acc += term / (2 * j + 1)
+    def scaled_sum(a: int) -> int:
+        """S(a / 2**k) times 2**(k (2J+1)) odd_lcm."""
+        acc, power, a2 = 0, a, a * a
+        for j in range(j_max + 1):
+            acc = (acc << 2 * k) + odd_lcm // (2 * j + 1) * power
+            power *= a2
         return acc
 
-    # Tail after j_max: sum_{j > j_max} u^(2j+1)/(2j+1) < u^(2j_max+3) / (1 - u^2).
-    eps = Fraction(1, 1 << (bits + 4))
-    uu = t_hi * t_hi
-    geom = 1 - uu
-    j_max = 0
-    tail_top = t_hi * uu  # t_hi**(2*j_max + 3)
-    while tail_top / geom > eps:
-        j_max += 1
-        tail_top *= uu
-    lo = partial(t_lo, j_max)
-    hi = partial(t_hi, j_max) + tail_top / geom
+    den = odd_lcm << k * (2 * j_max + 1)
+    lo = Fraction(scaled_sum(a_lo), den)
+    hi = Fraction(scaled_sum(a_hi) * gap + odd_lcm * top, den * gap)
     return lo, hi
 
 

@@ -616,6 +616,11 @@ _IMAG_RE = _re.compile(r"([+-]?)(\d*)i\Z")
 _BOTH_RE = _re.compile(r"([+-]?\d+)([+-])(\d*)i\Z")
 
 
+def _quoted(text: str) -> str:
+    """text quoted for an error message, or only its length once it is too long to echo."""
+    return repr(text) if len(text) <= 80 else f"a text of {len(text)} characters"
+
+
 def parse_gaussian_int(text: str) -> GaussianInt:
     """Parse 'a+bi' forms: '0', '-3', 'i', '-i', '4i', '2-3i', '-2+i'."""
     s = text.strip().replace(" ", "")
@@ -632,7 +637,7 @@ def parse_gaussian_int(text: str) -> GaussianInt:
         sign = -1 if m.group(2) == "-" else 1
         mag = int(m.group(3)) if m.group(3) else 1
         return GaussianInt(re_part, sign * mag)
-    raise ValueError(f"cannot parse Gaussian integer: {text!r}")
+    raise ValueError(f"cannot parse Gaussian integer: {_quoted(text)}")
 
 
 def parse_gaussian_rational(text: str) -> GaussianRational:
@@ -642,4 +647,4 @@ def parse_gaussian_rational(text: str) -> GaussianRational:
         return GaussianRational(parse_gaussian_int(parts[0]), ONE)
     if len(parts) == 2:
         return GaussianRational(parse_gaussian_int(parts[0]), parse_gaussian_int(parts[1]))
-    raise ValueError(f"cannot parse Gaussian rational: {text!r}")
+    raise ValueError(f"cannot parse Gaussian rational: {_quoted(text)}")

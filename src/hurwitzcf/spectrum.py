@@ -7,7 +7,7 @@ from fractions import Fraction
 from functools import cache, cached_property
 from typing import Callable
 
-from .cf import CfSequence, _fold_series, convergents, mirror_negate
+from .cf import CfSequence, _fold_pivot, _fold_series_negated, _folded_pair, convergents, mirror_negate
 from .exactreal import _dyadic_round, ln_brackets, sqrt_brackets
 from .gaussian import (
     ONE,
@@ -46,7 +46,7 @@ def _check_stage_budget(stages: int) -> None:
     # schedule stage is allowed for the exponent bracket of the last built one.
     if stages > MAX_POWER_BITS.bit_length() + 1:
         raise BudgetError(
-            f"{stages} stages: every stage past {MAX_POWER_BITS.bit_length()} exceeds the "
+            f"{_brief(stages)} stages: every stage past {MAX_POWER_BITS.bit_length()} exceeds the "
             f"work budget of {MAX_POWER_BITS} bits per component"
         )
 
@@ -397,20 +397,6 @@ _CHECK_PRIME = 2305843009213693921
 _CHECK_ROOT = 583529827753931384
 
 
-def _last_pair_mod(digits: tuple[GaussianInt, ...]) -> tuple[int, int]:
-    """The last convergent pair (q, p) of [0; digits] under the check's ring map.
-
-    cf.convergents' recurrence on residues, so the pair stays below the
-    prime however long the word.
-    """
-    m, r = _CHECK_PRIME, _CHECK_ROOT
-    p, p1, q, q1 = 0, 1, 1, 0
-    for a in digits:
-        x = (a.re + a.im * r) % m
-        p, p1, q, q1 = (x * p + p1) % m, p, (x * q + q1) % m, q
-    return q, p
-
-
 def _image(z: GaussianInt) -> int:
     """z under the check's ring map."""
     m = _CHECK_PRIME
@@ -436,13 +422,22 @@ def build_xi(seed: tuple[GaussianInt, ...], schedule: FoldingSchedule, base: Gau
     Each stage folds the digits exactly and forms no big product: the series
     side is carried only as the image of numerator_n in Z/P under the stage
     check's ring map, image(numerator_(n-1)) * image(base)**(v_n - v_(n-1))
-    +- 1 by modular powers.  The check that the stream's last convergent is
-    unit * numerator_n / base**v_n runs the convergent recurrence over the
-    folded digits modulo P (_last_pair_mod) and compares that pair with
-    image(base)**v_n and the carried image, so it ties the digits to the
-    series values without a product of the power's size.  A correct stage
-    always passes; a wrong digit passes only if it leaves both residues of
-    the pair unchanged.  The exact numerators numerator_n =
+    +- 1 by modular powers.  The stream's digit-wise negation is carried
+    beside it, so a stage is slices of the last stream and its negation
+    around two new digits, checked digit by digit against them: the new
+    stream must be the fold of the last one by the pivot it holds, and the
+    new negation the negation of the new stream, which by induction from
+    the seed's stays exact.  The Folding Lemma (cf._folded_pair) then gives
+    the new stream's last convergent pair from the last one's and the
+    pivot, under the ring map, and the check compares it with
+    image(base)**v_n and the carried image: the stream's last convergent
+    must be unit * numerator_n / base**v_n.  So the digits are tied to the
+    series values without a pass over the stream or a product of the
+    power's size.  A correct stage always passes; a wrong digit fails the
+    structure test, and a wrong pivot fails unless it leaves both residues
+    of the pair unchanged.  The all-norms-at-least-8 rule that settles
+    canonicity is carried from the pivots, as a fold's mirror half has the
+    norms of the word it mirrors.  The exact numerators numerator_n =
     numerator_(n-1) * base**(v_n - v_(n-1)) +- 1 are formed on first read
     (stage.numerator, XiNumber.partial, a copy's residues), one stage at a
     time, each checked against its carried image (_Numerators).  The series
@@ -472,11 +467,14 @@ def build_xi(seed: tuple[GaussianInt, ...], schedule: FoldingSchedule, base: Gau
             raise ValueError("seed numerator must be coprime to the base")
         raise ValueError("seed value must have denominator base**v0")
     seed_numerator = unit.conj() * p
-    _canonical_stage(seed, 0)
+    big = all(_norm_at_least_8(d.re, d.im) for d in seed)
+    if not big:
+        _canonical_stage(seed, 0)
     residues, images = [], [_image(seed_numerator)]
     numerators = _Numerators(base, v, residues, images, seed_numerator)
     stage_list = [XiStage(0, seed_numerator, seed)]
-    digits = seed
+    digits, negated = seed, tuple(-d for d in seed)
+    q, p = _image(q), _image(p)
     base_norm = base.norm
     base_image = _image(base)
     for n in range(1, stages + 1):
@@ -486,22 +484,31 @@ def build_xi(seed: tuple[GaussianInt, ...], schedule: FoldingSchedule, base: Gau
         # base_norm >= 2, so base_norm**step < 8 only for 1 <= step <= 2.
         if step and base_norm ** min(step, 3) < 8:
             raise ValueError(f"stage {n}: middle digit norm {base_norm ** step} is below 8")
-        middle = base**step
-        digits = _fold_series(digits, unit, middle, series_sign)
-        if len(digits) != 2 * length + (0 if step == 0 else 1):
+        folded, negation = _fold_series_negated(digits, negated, unit, base**step, series_sign)
+        if len(folded) != 2 * length + (0 if step == 0 else 1):
             raise AssertionError(f"stage {n}: unexpected stream length")
+        shape = _fold_pivot(digits, negated, folded, negation)
+        if shape is None:
+            raise AssertionError(f"stage {n}: folded stream disagrees with the series")
+        pivot, unit_fold = shape
+        # a fold's mirror half has the norms of the word it mirrors
+        new = folded[length - 1:length + 1] if unit_fold else (pivot,)
+        big = big and all(_norm_at_least_8(d.re, d.im) for d in new)
+        pair = _folded_pair(q, p, length, pivot.re if unit_fold else _image(pivot), unit_fold)
+        q, p = (c % _CHECK_PRIME for c in pair)
         residues.append(GaussianInt(series_sign, 0))
         images.append((images[-1] * pow(base_image, v[n] - v[n - 1], _CHECK_PRIME) + series_sign) % _CHECK_PRIME)
         # The last convergent p/q is reduced and so is numerator_n / base**v_n
         # (numerator_n is +-1 past a multiple of the base), so they are equal
         # exactly when q = u base**v_n and p = u numerator_n; compared under
         # the check's ring map, where the four multiples differ.
-        q, p = _last_pair_mod(digits)
         multiples = _unit_multiples(pow(base_image, v[n], _CHECK_PRIME))
         if q not in multiples or p != _unit_multiples(images[-1])[multiples.index(q)]:
             raise AssertionError(f"stage {n}: folded stream disagrees with the series")
         unit = UNITS[multiples.index(q)]
-        _canonical_stage(digits, n)
+        if not big:
+            _canonical_stage(folded, n)
+        digits, negated = folded, negation
         stage_list.append(XiStage._pending(n, digits, numerators))
     xi = XiNumber(base, schedule, tuple(stage_list))
     xi.__dict__["_residues"] = tuple(residues)  # fills the cached_property

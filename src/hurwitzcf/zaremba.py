@@ -10,7 +10,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .cf import CfSequence, _fold_series, evaluate, fold_sign
+from .cf import CfSequence, _fold_series, _folded_pair, evaluate, fold_sign
 from .gaussian import (
     ONE,
     ZERO,
@@ -278,29 +278,21 @@ def _fold_proof(
     """Prove that [0; tail] is the fold of the child [0; word] with value numerator / den.
 
     word is the child's certified tail, n digits long, and pair its last
-    convergent (q_n, p_n); keys are tail's (re, im) pairs.  With
-    A_a = [[a, 1], [1, 0]], [0; word] has convergent matrix
-    [[0, 1], [1, 0]] A_(a_1) ... A_(a_n) = [[p_n, p_(n-1)], [q_n, q_(n-1)]].
+    convergent (q_n, p_n); keys are tail's (re, im) pairs.
 
     (a) Structure, digit by digit: tail is word + (x,) + word reversed and
     negated (a fold by x), or body + (a + s, a - s) + body reversed for
     word = body + (a,) and s = +-1 (a unit fold).
-    (b) Pair: the folded word's last convergent is then, from
-    A_(-a) = -D A_a D with D = diag(1, -1) and p_(n-1) q_n - p_n q_(n-1) = (-1)^n,
-    (q', p') = (-1)^n (x q_n^2, x q_n p_n) + (0, 1) for a fold by x, and, from
-    A_a A_s A_(-a) = A_(a+s) A_(a-s) diag(-s, s),
-    (q', p') = (q_n^2, q_n p_n + s (-1)^n) for a unit fold.  It must be
-    u' (den, numerator) for a unit u'.
+    (b) Pair: the folded word's last convergent is then cf._folded_pair of
+    (q_n, p_n) and the pivot x or s.  It must be u' (den, numerator) for a
+    unit u'.
     Returns the proof with u', or None when either check fails.
     """
     n = len(word)
-    q, p = pair
-    sign = fold_sign(n)
     if len(tail) == 2 * n + 1:
         if tail[:n] != word or keys[n + 1:] != [(-re, -im) for re, im in reversed(keys[:n])]:
             return None
-        x = tail[n] * sign
-        folded = (x * (q * q), x * (q * p) + 1)
+        folded = _folded_pair(*pair, n, tail[n], False)
     elif len(tail) == 2 * n:
         a = word[-1]
         s = tail[n - 1] - a
@@ -308,7 +300,7 @@ def _fold_proof(
             return None
         if tail[: n - 1] != word[:-1] or keys[n + 1:] != keys[: n - 1][::-1]:
             return None
-        folded = (q * q, q * p + s * sign)
+        folded = _folded_pair(*pair, n, s, True)
     else:
         return None
     unit = _associate_unit(folded[0], den)

@@ -317,6 +317,16 @@ def test_xi_over_the_work_budget_exits_at_once(capsys):
     assert code == 2 and "work budget" in err
 
 
+def test_xi_stage_count_past_the_stage_budget_gets_the_stage_message(capsys):
+    # the --tau share of the budget shrinks with the stage count, but a count
+    # the library refuses must not shrink it to 0 bits and blame --tau
+    code, out, err = run(
+        capsys, "xi", "--base", "-2+i", "--tau", "5/2", "--lambda", "1", "--stages", "100000000000000000000",
+    )
+    assert code == 2 and out == ""
+    assert err == "error: ~2^66 stages: every stage past 24 exceeds the work budget of 8388608 bits per component\n"
+
+
 def test_xi_schedule_work_is_bounded_before_any_power(capsys):
     for tau in ("1e200000", "1e400000"):
         start = time.perf_counter()
@@ -524,6 +534,16 @@ def test_every_integer_operand_is_refused_in_one_short_line(capsys, argv):
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1 and len(err.encode()) < 200
     assert "set_int_max_str_digits" not in err and "7" * 100 not in err
+
+
+def test_an_unparseable_operand_is_named_by_its_length(capsys):
+    # a malformed operand is echoed only while it is short
+    code, out, err = run(capsys, "cf", "eval", "1x")
+    assert (code, out, err) == (2, "", "error: cannot parse Gaussian integer: '1x'\n")
+    code, out, err = run(capsys, "cf", "eval", "1" * 30000 + "x")
+    assert code == 2 and out == ""
+    assert err == "error: cannot parse Gaussian integer: a text of 30001 characters\n"
+    assert len(err.encode()) < 200
 
 
 def test_dash_operands_survive_option_scanning(capsys):

@@ -1,10 +1,13 @@
 """Exact real-number predicates: square roots, logarithms, and the reference quadratic surd."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
+from hurwitzcf import exactreal
 from hurwitzcf.exactreal import (
+    _atanh_brackets,
     _dyadic_round,
     ln2_brackets,
     ln_brackets,
@@ -13,6 +16,7 @@ from hurwitzcf.exactreal import (
     sqrt_brackets,
 )
 
+from atanh_reference import atanh_brackets
 from exponent_reference import dyadic_round
 from fraction_reference import QuadSurd, rational_between
 
@@ -135,3 +139,27 @@ def test_dyadic_round_matches_the_fraction_formula():
                 assert got == dyadic_round(x, bits, up), (x, bits, up)
                 assert (got <= x) if not up else (got >= x)
                 assert (1 << bits) % got.denominator == 0
+
+
+def test_atanh_brackets_match_the_fraction_loop():
+    rng = random.Random(3)
+    cases = [(Fraction(2, 5), 200), (Fraction(1, 3), 1), (Fraction(1, 1 << 300), 7)]
+    for _ in range(120):  # the Fraction loop takes about 8 ms a case
+        den = rng.choice((rng.randint(3, 60), rng.randint(3, 10**40), 1 << rng.randint(2, 240)))
+        cases.append((Fraction(rng.randint(1, 2 * den // 5), den), rng.randint(1, 200)))
+    for t, bits in cases:
+        assert _atanh_brackets(t, bits) == atanh_brackets(t, bits), (t, bits)
+    with pytest.raises(ValueError, match="out of range"):
+        _atanh_brackets(Fraction(41, 100), 8)
+
+
+def test_ln_brackets_match_the_fraction_loop(monkeypatch):
+    args = [(x, bits) for x in (5, 10, Fraction(3, 2), 2, Fraction(7, 3), 10**30 + 7) for bits in (1, 64, 150)]
+    exactreal._LN2_CACHE.clear()
+    fast = [ln_brackets(x, bits) for x, bits in args]
+    exactreal._LN2_CACHE.clear()
+    monkeypatch.setattr(exactreal, "_atanh_brackets", atanh_brackets)
+    try:
+        assert fast == [ln_brackets(x, bits) for x, bits in args]
+    finally:
+        exactreal._LN2_CACHE.clear()

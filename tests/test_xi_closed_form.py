@@ -1,7 +1,8 @@
 """The xi builder's fast paths against slow oracles: the series-side folding
-step and each stage's pinned pair against the convergent recurrence, the
-builder with its modular stage check against the two-sided builder in
-xi_reference.py, the residue tail sandwich and its telescoping fallback against the per-m
+step, its negation-carrying form and the folded pair against the convergent
+recurrence, each stage's pinned and carried pairs against the recurrence
+over the whole stream, the builder with its modular stage check against the
+two-sided builder in xi_reference.py, the residue tail sandwich and its telescoping fallback against the per-m
 formula, and the up-front work budget."""
 
 import dataclasses
@@ -21,7 +22,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hurwitzcf import cli, gaussian, geometry, spectrum
-from hurwitzcf.cf import CfSequence, _fold_series, convergents, fold, fold_unit, fold_unit_neg
+from hurwitzcf.cf import (
+    CfSequence,
+    _fold_pivot,
+    _fold_series,
+    _fold_series_negated,
+    _folded_pair,
+    convergents,
+    fold,
+    fold_unit,
+    fold_unit_neg,
+)
 from hurwitzcf.gaussian import ONE, UNITS, ZERO, GaussianInt
 from hurwitzcf.spectrum import (
     MAX_POWER_BITS,
@@ -89,6 +100,23 @@ def test_fold_step_matches_the_recurrence(word, middle, u, sign):
     assert p_fold * middle * den * den == q_fold * (num * middle * den + sign)
 
 
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.lists(digit, min_size=1, max_size=9), middles, st.sampled_from(UNITS), st.sampled_from((1, -1)))
+def test_negation_carrying_fold_matches_the_fold_step(word, middle, u, sign):
+    # the stream and its digit-wise negation, built from slices of the word
+    # and its negation; the pivot read back off them; and the folded pair
+    # from the Folding Lemma
+    word, n = tuple(word), len(word)
+    negated = tuple(-d for d in word)
+    tail = _fold_series(word, u, middle, sign)
+    folded = _fold_series_negated(word, negated, u, middle, sign)
+    assert folded == (tail, tuple(-d for d in tail))
+    pivot, unit_fold = _fold_pivot(word, negated, *folded)
+    assert unit_fold is (len(tail) == 2 * n)
+    assert pivot == (tail[n - 1] - word[-1] if unit_fold else tail[n])
+    assert _folded_pair(*last_pair(CfSequence(ZERO, word)), n, pivot, unit_fold) == last_pair(CfSequence(ZERO, tail))
+
+
 def _seeds():
     out = []
     for base in (g(-2, 1), g(-2, -1), g(-3, 1), g(-3, -1), g(-4, 1)):
@@ -118,12 +146,22 @@ def _assert_pinned(xi):
         assert any(u * power == q and u * stage.numerator == p for u in UNITS), n
 
 
-def test_build_xi_matrices_equal_the_full_stream_convergents():
+def test_build_xi_matrices_equal_the_full_stream_convergents(monkeypatch):
+    # each stage's carried pair images are the recurrence's over its whole stream
+    original, pairs = spectrum._folded_pair, []
+
+    def folded_pair(*args):
+        pair = original(*args)
+        pairs.append(tuple(c % spectrum._CHECK_PRIME for c in pair))
+        return pair
+
+    monkeypatch.setattr(spectrum, "_folded_pair", folded_pair)
     rng = random.Random(7)
     kinds = set()
     built = 0
     for base, v0, seed in _seeds():
         for schedule in _schedules(rng, base, v0):
+            pairs.clear()
             try:
                 xi = build_xi(seed, schedule, base)
             except (ValueError, AssertionError) as exc:
@@ -133,6 +171,7 @@ def test_build_xi_matrices_equal_the_full_stream_convergents():
                 continue
             built += 1
             _assert_pinned(xi)
+            assert pairs == [ref._last_pair_mod(xi.digits(n)) for n in range(1, xi.stage_count + 1)]
             for n in range(1, xi.stage_count + 1):
                 digits, previous = xi.digits(n), xi.digits(n - 1)
                 if len(digits) == 2 * len(previous):
@@ -342,21 +381,61 @@ def test_a_dropped_number_frees_its_numerators_at_once():
 
 
 def test_stage_check_rejects_a_wrong_digit(monkeypatch):
-    # The check runs the recurrence over the folded digits, so a stream that is
-    # not the fold of the last one fails it, whichever digit is wrong.
-    original = spectrum._fold_series
+    # The check compares each folded digit with the last stream and its
+    # negation, and the pivot's image with the series, so a stream that is
+    # not the fold of the last one fails it, whichever digit is wrong; so does
+    # a carried negation that is not the stream's.
+    original = spectrum._fold_series_negated
     for seed, u in _CHECK_SEEDS:
         for at in (0, len(seed) - 1, len(seed), -1):
-            def fold_series(*args, at=at):
-                tail = list(original(*args))
-                tail[at] = tail[at] + g(2)
-                return tuple(tail)
+            for wrong in (0, 1):  # the stream, or its negation
+                def fold_series_negated(*args, at=at, wrong=wrong):
+                    streams = list(original(*args))
+                    digits = list(streams[wrong])
+                    digits[at] = digits[at] + g(2)
+                    streams[wrong] = tuple(digits)
+                    return tuple(streams)
 
-            monkeypatch.setattr(spectrum, "_fold_series", fold_series)
-            with pytest.raises(AssertionError, match="stage 1: folded stream disagrees with the series"):
-                build_xi(seed, FoldingSchedule(4, u), B)
-        monkeypatch.setattr(spectrum, "_fold_series", original)
+                monkeypatch.setattr(spectrum, "_fold_series_negated", fold_series_negated)
+                with pytest.raises(AssertionError, match="stage 1: folded stream disagrees with the series"):
+                    build_xi(seed, FoldingSchedule(4, u), B)
+        monkeypatch.setattr(spectrum, "_fold_series_negated", original)
         assert build_xi(seed, FoldingSchedule(4, u), B).stage_count == 1
+
+
+def _count_stream_work(monkeypatch):
+    """Count the GaussianInt negations and the digit-norm tests made from here on."""
+    calls = {"__neg__": 0, "_norm_at_least_8": 0}
+    negate, norm_test = GaussianInt.__neg__, geometry._norm_at_least_8
+
+    def counted_neg(z):
+        calls["__neg__"] += 1
+        return negate(z)
+
+    def counted_norm_test(re, im):
+        calls["_norm_at_least_8"] += 1
+        return norm_test(re, im)
+
+    monkeypatch.setattr(GaussianInt, "__neg__", counted_neg)
+    for module in (geometry, spectrum):
+        monkeypatch.setattr(module, "_norm_at_least_8", counted_norm_test)
+    return calls
+
+
+@pytest.mark.parametrize("base, tau, stages, pinned", [
+    (g(-3, -1), "2", 11, ("_norm_at_least_8",)),  # unit folds mirror without negating
+    (B, "5/2", 8, ("__neg__", "_norm_at_least_8")),
+])
+def test_build_xi_does_constant_digit_work_per_stage(monkeypatch, base, tau, stages, pinned):
+    # after the seed, a stage negates and norm-tests a few digits, not its
+    # stream: the stream here reaches 2**stages digits and more
+    schedule = _tau_schedule(base, tau, stages)
+    seed = unit_seed(base, schedule.v0)
+    calls = _count_stream_work(monkeypatch)
+    xi = build_xi(seed, schedule, base, stages=stages)
+    assert len(xi.digits(stages)) >= 2**stages
+    for name in pinned:
+        assert 0 < calls[name] <= 8 * (len(seed) + stages), name
 
 
 def _built(base, tau, stages):
@@ -430,7 +509,7 @@ def test_stage_check_map_is_a_ring_map_that_keeps_the_units_apart():
     for length in (1, 2, 7, 40):
         word = tuple(rng.choice((big(), g(rng.randrange(-9, 10), rng.randrange(-9, 10)))) for _ in range(length))
         q, p = last_pair(CfSequence(ZERO, word))
-        assert spectrum._last_pair_mod(word) == (image(q), image(p))
+        assert ref._last_pair_mod(word) == (image(q), image(p))
 
 
 def test_digit_norm_test_matches_the_norm():

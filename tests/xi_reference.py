@@ -9,6 +9,10 @@ chain, and the numerator) as well, and compares the two pairs in full.
 The seed, the series signs, the argument checks and the canonical-stream
 check are spectrum's own; only the per-stage check and the powers differ from
 build_xi's, which never forms base**v_n.
+
+_last_pair_mod is the convergent recurrence over a whole word under the stage
+check's ring map, which build_xi ran on every stage's stream before it
+carried the pair through the Folding Lemma.
 """
 
 from __future__ import annotations
@@ -16,6 +20,8 @@ from __future__ import annotations
 from hurwitzcf.cf import CfSequence, convergents, fold, fold_unit, fold_unit_neg
 from hurwitzcf.gaussian import ONE, ZERO, GaussianInt, GaussianRational, _associate_unit, _mul3
 from hurwitzcf.spectrum import (
+    _CHECK_PRIME,
+    _CHECK_ROOT,
     MAX_POWER_BITS,
     FoldingSchedule,
     _canonical_stage,
@@ -24,6 +30,20 @@ from hurwitzcf.spectrum import (
     _seed_checks,
     _series_sign,
 )
+
+
+def _last_pair_mod(digits: tuple[GaussianInt, ...]) -> tuple[int, int]:
+    """The last convergent pair (q, p) of [0; digits] under the check's ring map.
+
+    cf.convergents' recurrence on residues, so the pair stays below the
+    prime however long the word.
+    """
+    m, r = _CHECK_PRIME, _CHECK_ROOT
+    p, p1, q, q1 = 0, 1, 1, 0
+    for a in digits:
+        x = (a.re + a.im * r) % m
+        p, p1, q, q1 = (x * p + p1) % m, p, (x * q + q1) % m, q
+    return q, p
 
 
 def _fold_pair(
